@@ -16,12 +16,9 @@ let format_magic = "ddsim-checkpoint"
    reorder_nodes_before, reorder_nodes_after);
    version 7: the stats line gained domains (the [--domains] pool size,
    so a resumed run keeps its parallelism).
-   Readers accept 2 through 7: fields a version did not carry restore
-   as zero (domains as 1, the order as identity), and the trailer is
-   verified when present (required from version 5 on). *)
+   Only the current version is read: every checkpoint is regenerable by
+   re-running, so an older header is rejected with a message saying so. *)
 let format_version = 7
-
-let oldest_readable_version = 2
 
 type t = {
   qubits : int;
@@ -124,39 +121,28 @@ let of_string context ?(source = "<string>") text =
     | None ->
       invalid ~source (Printf.sprintf "%s is not an integer: %S" name raw)
   in
+  (* [split_on_char] never returns an empty list *)
+  let header = List.hd lines in
+  (match String.split_on_char ' ' header with
+  | [ magic; v ] when magic = format_magic -> (
+    match int_of_string_opt v with
+    | Some v when v = format_version -> ()
+    | Some v when v >= 1 && v < format_version ->
+      invalid ~source
+        (Printf.sprintf
+           "checkpoint format version %d is no longer readable (current is \
+            %d); re-run the simulation to regenerate it"
+           v format_version)
+    | _ -> invalid ~source (Printf.sprintf "bad header %S" header))
+  | _ -> invalid ~source (Printf.sprintf "bad header %S" header));
+  if trailer = None then invalid ~source "missing checksum trailer";
   match lines with
-  | header :: qubits :: gate_index :: strategy :: rest ->
-    let version =
-      let ok v =
-        v >= oldest_readable_version && v <= format_version
-      in
-      match String.split_on_char ' ' header with
-      | [ magic; v ] when magic = format_magic -> (
-        match int_of_string_opt v with
-        | Some v when ok v -> v
-        | _ -> invalid ~source (Printf.sprintf "bad header %S" header))
-      | _ -> invalid ~source (Printf.sprintf "bad header %S" header)
-    in
-    if version >= 5 && trailer = None then
-      invalid ~source "missing checksum trailer";
-    (* the order line joined in v6; earlier versions could only have run
-       under the identity order *)
-    let order, rest =
-      if version >= 6 then
-        match rest with
-        | order_line :: rest -> (
-          let raw = field ~name:"order" order_line in
-          match Dd.Order.of_string raw with
-          | order -> (order, rest)
-          | exception Invalid_argument message -> invalid ~source message)
-        | [] -> invalid ~source "truncated checkpoint"
-      else (Dd.Order.identity, rest)
-    in
-    let rng, stats, marker, state_lines =
-      match rest with
-      | rng :: stats :: marker :: state_lines ->
-        (rng, stats, marker, state_lines)
-      | _ -> invalid ~source "truncated checkpoint"
+  | _header :: qubits :: gate_index :: strategy :: order :: rng :: stats
+    :: marker :: state_lines ->
+    let order =
+      match Dd.Order.of_string (field ~name:"order" order) with
+      | order -> order
+      | exception Invalid_argument message -> invalid ~source message
     in
     let qubits = int_field ~name:"qubits" qubits in
     if qubits < 1 then invalid ~source "qubits must be >= 1";
@@ -187,7 +173,9 @@ let of_string context ?(source = "<string>") text =
       | None ->
         invalid ~source (Printf.sprintf "stats field is not a float: %S" raw)
     in
-    let common mv mm gs ca ps pm fb gc rn cw fp ga gr gp =
+    (match field ~name:"stats" stats |> String.split_on_char ' ' with
+    | [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt; au;
+        av; ar; rr; rs; rb; ra; dm ] ->
       stats_record.Sim_stats.mat_vec_mults <- stats_int mv;
       stats_record.Sim_stats.mat_mat_mults <- stats_int mm;
       stats_record.Sim_stats.gates_seen <- stats_int gs;
@@ -201,48 +189,7 @@ let of_string context ?(source = "<string>") text =
       stats_record.Sim_stats.fast_path_applies <- stats_int fp;
       stats_record.Sim_stats.generic_applies <- stats_int ga;
       stats_record.Sim_stats.gc_reclaimed_nodes <- stats_int gr;
-      stats_record.Sim_stats.gc_pause_seconds <- stats_float gp
-    in
-    (match
-       (version, field ~name:"stats" stats |> String.split_on_char ' ')
-     with
-    | 2, [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; gr; gp ] ->
-      (* v2 predates the dispatch counters; zero-fill them *)
-      common mv mm gs ca ps pm fb gc rn cw "0" "0" gr gp
-    | 3, [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp ] ->
-      common mv mm gs ca ps pm fb gc rn cw fp ga gr gp
-    | 4, [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt ]
-      ->
-      common mv mm gs ca ps pm fb gc rn cw fp ga gr gp;
-      stats_record.Sim_stats.trace_events_dropped <- stats_int td;
-      stats_record.Sim_stats.wall_time_seconds <- stats_float wt
-    | ( 5,
-        [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt;
-          au; av; ar ] ) ->
-      common mv mm gs ca ps pm fb gc rn cw fp ga gr gp;
-      stats_record.Sim_stats.trace_events_dropped <- stats_int td;
-      stats_record.Sim_stats.wall_time_seconds <- stats_float wt;
-      stats_record.Sim_stats.audits_run <- stats_int au;
-      stats_record.Sim_stats.audit_violations <- stats_int av;
-      stats_record.Sim_stats.audit_repairs <- stats_int ar
-    | ( 6,
-        [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt;
-          au; av; ar; rr; rs; rb; ra ] ) ->
-      common mv mm gs ca ps pm fb gc rn cw fp ga gr gp;
-      stats_record.Sim_stats.trace_events_dropped <- stats_int td;
-      stats_record.Sim_stats.wall_time_seconds <- stats_float wt;
-      stats_record.Sim_stats.audits_run <- stats_int au;
-      stats_record.Sim_stats.audit_violations <- stats_int av;
-      stats_record.Sim_stats.audit_repairs <- stats_int ar;
-      stats_record.Sim_stats.reorders_run <- stats_int rr;
-      stats_record.Sim_stats.reorder_swaps <- stats_int rs;
-      stats_record.Sim_stats.reorder_nodes_before <- stats_int rb;
-      stats_record.Sim_stats.reorder_nodes_after <- stats_int ra
-      (* v6 predates the domains field; Sim_stats.create defaults it to 1 *)
-    | ( 7,
-        [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt;
-          au; av; ar; rr; rs; rb; ra; dm ] ) ->
-      common mv mm gs ca ps pm fb gc rn cw fp ga gr gp;
+      stats_record.Sim_stats.gc_pause_seconds <- stats_float gp;
       stats_record.Sim_stats.trace_events_dropped <- stats_int td;
       stats_record.Sim_stats.wall_time_seconds <- stats_float wt;
       stats_record.Sim_stats.audits_run <- stats_int au;
@@ -255,12 +202,7 @@ let of_string context ?(source = "<string>") text =
       stats_record.Sim_stats.domains <- stats_int dm;
       if stats_record.Sim_stats.domains < 1 then
         invalid ~source "domains must be >= 1"
-    | 2, _ -> invalid ~source "stats line must carry exactly 12 fields"
-    | 3, _ -> invalid ~source "stats line must carry exactly 14 fields"
-    | 4, _ -> invalid ~source "stats line must carry exactly 16 fields"
-    | 5, _ -> invalid ~source "stats line must carry exactly 19 fields"
-    | 6, _ -> invalid ~source "stats line must carry exactly 23 fields"
-    | _, _ -> invalid ~source "stats line must carry exactly 24 fields");
+    | _ -> invalid ~source "stats line must carry exactly 24 fields");
     if marker <> "state" then
       invalid ~source (Printf.sprintf "expected \"state\" marker, got %S" marker);
     let state =

@@ -28,7 +28,7 @@ type t = {
   strategy : Strategy.t;
   order : Dd.Order.t;
       (** the live level<->qubit variable order the state DD was built
-          under; identity for checkpoints written before format v6 *)
+          under *)
   state : Dd.Vdd.edge;
   rng : Random.State.t;
   stats : Sim_stats.t;
@@ -54,8 +54,8 @@ val save : Engine.t -> strategy:Strategy.t -> gate_index:int -> path:string -> u
 
 val load : Dd.Context.t -> path:string -> t
 (** Read and parse [path].  Raises {!Error.Error} ([Invalid_checkpoint]) —
-    also for I/O failures.  The [checksum] trailer is verified when
-    present (mandatory from format version 5 on). *)
+    also for I/O failures, a missing or mismatched [checksum] trailer, and
+    files in an older format version (re-run to regenerate them). *)
 
 type generation = Current | Previous
 

@@ -82,15 +82,13 @@ let rng engine = engine.rng_state
 let set_rng engine rng = engine.rng_state <- rng
 let state engine = engine.state_edge
 
-let set_state engine edge =
-  if Dd.Types.v_height edge <> engine.n then
+let require_width engine ~what actual =
+  if actual <> engine.n then
     Error.raise_error
-      (Error.Width_mismatch
-         {
-           what = "Engine.set_state";
-           expected = engine.n;
-           actual = Dd.Types.v_height edge;
-         });
+      (Error.Width_mismatch { what; expected = engine.n; actual })
+
+let set_state engine edge =
+  require_width engine ~what:"Engine.set_state" (Dd.Types.v_height edge);
   engine.state_edge <- edge
 
 let reset engine =
@@ -142,6 +140,13 @@ let audit_every engine = engine.audit_every
 let audit_due engine ~gate =
   engine.audit_every > 0 && gate - engine.last_audit >= engine.audit_every
 
+(* scale the state back to unit norm, given its squared norm [n2] *)
+let renormalize engine n2 =
+  engine.state_edge <-
+    Dd.Vdd.scale engine.context (Cnum.of_float (1. /. sqrt n2))
+      engine.state_edge;
+  engine.stats.renormalizations <- engine.stats.renormalizations + 1
+
 (* One auditor pass over the live structures, with the recovery ladder:
    a stale compute-table entry flushes the caches, a canonicity fault
    re-interns the state DD through a canonical rebuild, and norm drift is
@@ -181,11 +186,7 @@ let run_audit engine ~gate ~strategy =
     if
       Float.is_finite n2 && n2 > 1e-300
       && Float.abs (sqrt n2 -. 1.) > engine.audit_tol
-    then begin
-      engine.state_edge <-
-        Dd.Vdd.scale ctx (Cnum.of_float (1. /. sqrt n2)) engine.state_edge;
-      engine.stats.renormalizations <- engine.stats.renormalizations + 1
-    end;
+    then renormalize engine n2;
     match check () with
     | [] ->
       engine.stats.audit_repairs <- engine.stats.audit_repairs + 1;
@@ -230,8 +231,14 @@ let set_reorder engine ?(bulge_factor = 4.0) ?(every = 64) policy =
 
 let reorder_policy engine = engine.reorder_policy
 
-let note_reorder engine ~t0 ~gate ~swaps ~nodes_before ~nodes_after ~detail
-    =
+(* trace time now, when tracing; the start of a span *)
+let trace_now engine =
+  if Obs.Trace.is_on engine.trace then Obs.Trace.now engine.trace else 0.
+
+(* install a reordered state edge and account the pass, traced as one
+   [Reorder] span since [t0] *)
+let note_reorder engine ~t0 edge ~swaps ~nodes_before ~nodes_after ~detail =
+  engine.state_edge <- edge;
   engine.stats.reorders_run <- engine.stats.reorders_run + 1;
   engine.stats.reorder_swaps <- engine.stats.reorder_swaps + swaps;
   engine.stats.reorder_nodes_before <-
@@ -239,8 +246,9 @@ let note_reorder engine ~t0 ~gate ~swaps ~nodes_before ~nodes_after ~detail
   engine.stats.reorder_nodes_after <-
     engine.stats.reorder_nodes_after + nodes_after;
   if Obs.Trace.is_on engine.trace then
-    Obs.Trace.span engine.trace Obs.Trace.Reorder ~t0 ~gate
-      ~state_nodes:nodes_after ~matrix_nodes:(-1) ~hits:0 ~misses:0
+    Obs.Trace.span engine.trace Obs.Trace.Reorder ~t0
+      ~gate:engine.stats.gates_seen ~state_nodes:nodes_after
+      ~matrix_nodes:(-1) ~hits:0 ~misses:0
       ~detail:
         (Printf.sprintf "%s: %d swaps, %d -> %d nodes" detail swaps
            nodes_before nodes_after)
@@ -249,14 +257,11 @@ let note_reorder engine ~t0 ~gate ~swaps ~nodes_before ~nodes_after ~detail
    order move together (every adjacent swap updates both), so callers see
    a semantically identical state under a cheaper order. *)
 let reorder_now ?max_growth ?max_passes engine =
-  let traced = Obs.Trace.is_on engine.trace in
-  let t0 = if traced then Obs.Trace.now engine.trace else 0. in
+  let t0 = trace_now engine in
   let edge, rstats =
     Dd.Reorder.sift ?max_growth ?max_passes engine.context engine.state_edge
   in
-  engine.state_edge <- edge;
-  note_reorder engine ~t0 ~gate:engine.stats.gates_seen
-    ~swaps:rstats.Dd.Reorder.swaps
+  note_reorder engine ~t0 edge ~swaps:rstats.Dd.Reorder.swaps
     ~nodes_before:rstats.Dd.Reorder.nodes_before
     ~nodes_after:rstats.Dd.Reorder.nodes_after ~detail:"sift";
   rstats
@@ -270,17 +275,13 @@ let set_order engine order =
     Error.invalid_parameter ~what:"Engine.set_order"
       (Printf.sprintf "order covers %d levels, engine has %d qubits"
          (Dd.Order.size order) engine.n);
-  let traced = Obs.Trace.is_on engine.trace in
-  let t0 = if traced then Obs.Trace.now engine.trace else 0. in
+  let t0 = trace_now engine in
   let nodes_before = Dd.Vdd.node_count engine.state_edge in
   let edge, swaps =
     Dd.Reorder.apply_order engine.context engine.state_edge order
   in
-  engine.state_edge <- edge;
-  note_reorder engine ~t0 ~gate:engine.stats.gates_seen ~swaps
-    ~nodes_before
-    ~nodes_after:(Dd.Vdd.node_count edge)
-    ~detail:"explicit order";
+  note_reorder engine ~t0 edge ~swaps ~nodes_before
+    ~nodes_after:(Dd.Vdd.node_count edge) ~detail:"explicit order";
   engine.reorder_done <- true;
   swaps
 
@@ -323,10 +324,69 @@ let note_matrix_peak engine matrix =
     engine.stats.peak_matrix_nodes <-
       max engine.stats.peak_matrix_nodes (Dd.Mdd.node_count matrix)
 
+(* -- the instrumentation funnel ------------------------------------------ *)
+
+(* The four kernel operations (gate-DD build, structured apply, generic
+   mat-vec, mat-mat) bracket their DD call with [op_start] / [op_done],
+   the only code that feeds a kernel op to the trace and the ledger.  One
+   clock reading at the start serves both sinks.  Memo traffic is the
+   delta of the op's primary table (apply / mul_mv / mul_mm); recursive
+   helpers (add_v, ...) are not included — the delta answers "did this op
+   hit the memo layer", not "every table the recursion touched".  With
+   both sinks off a bracket is two flag checks and allocates nothing. *)
+type op = Build | Fast | Generic | Product
+
+type mark = { t0 : float; hits0 : int; lookups0 : int }
+
+let unmarked = { t0 = 0.; hits0 = 0; lookups0 = 0 }
+
+let sinks_on engine =
+  Obs.Trace.is_on engine.trace || Obs.Ledger.is_on engine.ledger
+
+let op_traffic ctx op =
+  let open Dd.Compute_table in
+  match op with
+  | Build -> (0, 0)
+  | Fast -> (hits ctx.Dd.Context.apply_v, lookups ctx.Dd.Context.apply_v)
+  | Generic -> (hits ctx.Dd.Context.mul_mv, lookups ctx.Dd.Context.mul_mv)
+  | Product -> (hits ctx.Dd.Context.mul_mm, lookups ctx.Dd.Context.mul_mm)
+
+let op_start engine op =
+  if not (sinks_on engine) then unmarked
+  else
+    let hits0, lookups0 = op_traffic engine.context op in
+    { t0 = Obs.Clock.now (); hits0; lookups0 }
+
+(* [matrix] is the DD a Generic op applied or a Product op built *)
+let op_done engine op mark matrix =
+  if sinks_on engine then begin
+    let led = engine.ledger and trace = engine.trace in
+    let seconds = Obs.Clock.now () -. mark.t0 in
+    let hits1, lookups1 = op_traffic engine.context op in
+    let hits = hits1 - mark.hits0 in
+    let misses = lookups1 - mark.lookups0 - hits in
+    let matrix_nodes =
+      match op with
+      | Generic | Product -> Dd.Mdd.node_count matrix
+      | Build | Fast -> -1
+    in
+    if op = Fast || op = Generic then Obs.Ledger.add_apply led seconds
+    else Obs.Ledger.add_build led seconds;
+    if op <> Build then Obs.Ledger.add_traffic led ~hits ~misses;
+    Obs.Ledger.note_matrix led matrix_nodes;
+    if Obs.Trace.is_on trace && op <> Build then
+      Obs.Trace.span trace
+        (if op = Product then Obs.Trace.Mat_mat else Obs.Trace.Mat_vec)
+        ~t0:(Obs.Trace.rel trace mark.t0)
+        ~gate:(Obs.Trace.gate trace)
+        ~state_nodes:
+          (if op = Product then -1 else Dd.Vdd.node_count engine.state_edge)
+        ~matrix_nodes ~hits ~misses
+        ~detail:(match op with Fast -> "fast" | Generic -> "generic" | _ -> "")
+  end
+
 let gate_dd engine (gate : Gate.t) =
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  let t0 = if ledgered then Obs.Clock.now () else 0. in
+  let mark = op_start engine Build in
   let controls =
     List.map
       (fun (c : Gate.control) ->
@@ -337,64 +397,24 @@ let gate_dd engine (gate : Gate.t) =
     Dd.Mdd.gate engine.context ~n:engine.n ~target:gate.target ~controls
       (Gate.matrix gate.kind)
   in
-  if ledgered then Obs.Ledger.add_build led (Obs.Clock.now () -. t0);
+  op_done engine Build mark matrix;
   matrix
 
-(* Per-op compute-table deltas: each multiplication kind is attributed to
-   its primary memo table (mul_mv / apply / mul_mm).  Recursive helpers
-   (add_v, ...) are not included — the delta answers "did this op hit the
-   memo layer", not "every table the recursion touched". *)
-let table_mark traced table =
-  if traced then (Dd.Compute_table.hits table, Dd.Compute_table.lookups table)
-  else (0, 0)
-
-let table_delta table (hits0, lookups0) =
-  let hits = Dd.Compute_table.hits table - hits0 in
-  let misses = Dd.Compute_table.lookups table - lookups0 - hits in
-  (hits, misses)
-
 let apply_matrix engine matrix =
-  let trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
-  let table = engine.context.Dd.Context.mul_mv in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = op_start engine Generic in
   engine.state_edge <- Dd.Mdd.apply engine.context matrix engine.state_edge;
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
   engine.stats.generic_applies <- engine.stats.generic_applies + 1;
   note_matrix_peak engine matrix;
   note_state_peak engine;
-  if ledgered then begin
-    Obs.Ledger.add_apply led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses;
-    Obs.Ledger.note_matrix led (Dd.Mdd.node_count matrix)
-  end;
-  if traced then begin
-    let hits, misses = table_delta table mark in
-    Obs.Trace.span trace Obs.Trace.Mat_vec ~t0
-      ~gate:(Obs.Trace.gate trace)
-      ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-      ~matrix_nodes:(Dd.Mdd.node_count matrix)
-      ~hits ~misses ~detail:"generic"
-  end
+  op_done engine Generic mark matrix
 
 (* Structured fast path: the gate is applied to the state DD directly
    (Dd.Apply), never materialising the n-qubit gate DD — no identity
    nodes, no mul_mv traffic.  Still one logical mat-vec, so
    [mat_vec_mults] counts it alongside [fast_path_applies]. *)
 let apply_structured engine (gate : Gate.t) =
-  let trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
-  let table = engine.context.Dd.Context.apply_v in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = op_start engine Fast in
   let controls =
     List.map
       (fun (c : Gate.control) ->
@@ -407,18 +427,7 @@ let apply_structured engine (gate : Gate.t) =
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
   engine.stats.fast_path_applies <- engine.stats.fast_path_applies + 1;
   note_state_peak engine;
-  if ledgered then begin
-    Obs.Ledger.add_apply led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses
-  end;
-  if traced then begin
-    let hits, misses = table_delta table mark in
-    Obs.Trace.span trace Obs.Trace.Mat_vec ~t0
-      ~gate:(Obs.Trace.gate trace)
-      ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-      ~matrix_nodes:(-1) ~hits ~misses ~detail:"fast"
-  end
+  op_done engine Fast mark Dd.Mdd.zero
 
 (* one gate onto the state, honouring the fused-apply switch *)
 let apply_gate_single engine gate =
@@ -437,56 +446,32 @@ let apply_gate engine gate =
       ~matrix_nodes:(-1) ~detail:(Gate.name gate)
 
 let multiply_onto engine gate product =
-  let trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  let t0 = if traced then Obs.Trace.now trace else 0. in
-  let lt0 = if ledgered then Obs.Clock.now () else 0. in
-  let table = engine.context.Dd.Context.mul_mm in
-  let mark = table_mark (traced || ledgered) table in
+  let mark = op_start engine Product in
   engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + 1;
   let result = Dd.Mdd.mul engine.context gate product in
   note_matrix_peak engine result;
-  if ledgered then begin
-    Obs.Ledger.add_build led (Obs.Clock.now () -. lt0);
-    let hits, misses = table_delta table mark in
-    Obs.Ledger.add_traffic led ~hits ~misses;
-    Obs.Ledger.note_matrix led (Dd.Mdd.node_count result)
-  end;
-  if traced then begin
-    let hits, misses = table_delta table mark in
-    Obs.Trace.span trace Obs.Trace.Mat_mat ~t0
-      ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1)
-      ~matrix_nodes:(Dd.Mdd.node_count result)
-      ~hits ~misses ~detail:""
-  end;
+  op_done engine Product mark result;
   result
 
-let combine engine gates =
-  match gates with
+(* the product of a gate sequence in application order, by mat-mat
+   multiplications; counts no gates (callers decide what was seen) *)
+let product_of engine = function
   | [] -> Dd.Mdd.identity engine.context engine.n
   | first :: rest ->
-    engine.stats.gates_seen <- engine.stats.gates_seen + List.length gates;
     List.fold_left
       (fun product gate -> multiply_onto engine (gate_dd engine gate) product)
       (gate_dd engine first) rest
 
-(* Tree-reduce a window of gate DDs (newest first: [m_p; ...; m_1]) into
-   the product m_p x ... x m_1 across the pool.  Each round pairs
-   consecutive matrices — association changes, operand order (and hence
-   the product) does not.  The final two-element round goes through
-   [Mdd.mul_par], which additionally scatters its eight top-level inner
-   products, so the reduction's last — largest — multiplication is not a
-   single-domain bottleneck.  The shared tables are armed for concurrent
-   interning for the duration; stats stay main-domain-only (workers run
-   pure [Mdd.mul]).  A task that raises surfaces as a structured
-   {!Error.Worker_failure}; worker domains themselves never die. *)
-(* Fold a pool's utilization counters into the run stats — call only at
-   quiescence, just before the pool is shut down.  Idle time is the crew
-   capacity inside pool sections not spent running tasks (waiting on the
-   scatter cursor or on stragglers), clamped at zero against clock
-   jitter. *)
+let combine engine gates =
+  engine.stats.gates_seen <- engine.stats.gates_seen + List.length gates;
+  product_of engine gates
+
+(* -- pool sections ------------------------------------------------------ *)
+
+(* Fold a pool's utilization counters into the run stats and zero them —
+   call only at quiescence.  Idle time is the crew capacity inside pool
+   sections not spent running tasks (waiting on the scatter cursor or on
+   stragglers), clamped at zero against clock jitter. *)
 let absorb_pool_stats engine pool =
   let s = Domain_pool.stats pool in
   let crew = Domain_pool.size pool in
@@ -501,88 +486,100 @@ let absorb_pool_stats engine pool =
     +. Float.max 0.
          ((s.Domain_pool.section_seconds *. float_of_int crew) -. busy);
   stats.pool_section_seconds <-
-    stats.pool_section_seconds +. s.Domain_pool.section_seconds
+    stats.pool_section_seconds +. s.Domain_pool.section_seconds;
+  Domain_pool.reset_stats pool
 
-let reduce_window engine pool mats =
-  let ctx = engine.context in
-  let trace = engine.trace in
+(* One parallel section over [pool]: the shared tables are armed for
+   concurrent interning, and the trace's per-domain lanes for the
+   duration of [body].  [body] scatters work through the [run] it is
+   given; a task that raised surfaces as a structured
+   {!Error.Worker_failure} naming [task] — worker domains never die.  At
+   quiescence the pool's utilization is absorbed, the lanes merge back and
+   one [Pool_section] span covers the section (merged first, so buffer
+   end times stay monotone: the section ends after every lane event). *)
+let pool_section engine pool ~task ~detail body =
+  let ctx = engine.context and trace = engine.trace in
   let traced = Obs.Trace.is_on trace in
-  let value = function
-    | Ok v -> v
-    | Error e ->
-      Error.raise_error
-        (Error.Worker_failure
-           { task = "window product"; message = Printexc.to_string e })
-  in
-  (* Worker-side tracing: each task logs its multiplication as a
-     [Mat_mat] span on the executing crew member's private lane
-     (including the caller, lane 0), so nothing touches the shared
-     buffer until [merge_lanes] below runs at quiescence. *)
-  let task_mul detail a b () =
-    if not traced then Dd.Mdd.mul ctx a b
-    else begin
-      let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
-      let t0 = Obs.Trace.now lane in
-      let r = Dd.Mdd.mul ctx a b in
-      Obs.Trace.span lane Obs.Trace.Mat_mat ~t0 ~gate:(Obs.Trace.gate lane)
-        ~state_nodes:(-1)
-        ~matrix_nodes:(Dd.Mdd.node_count r)
-        ~hits:0 ~misses:0 ~detail;
-      r
-    end
-  in
-  let par thunks =
-    let thunks =
-      if not traced then thunks
-      else
-        Array.map
-          (fun thunk () ->
-            let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
-            let t0 = Obs.Trace.now lane in
-            let r = thunk () in
-            Obs.Trace.span lane Obs.Trace.Mat_mat ~t0
-              ~gate:(Obs.Trace.gate lane) ~state_nodes:(-1) ~matrix_nodes:(-1)
-              ~hits:0 ~misses:0 ~detail:"mul_par inner product";
-            r)
-          thunks
-    in
-    Array.map value (Domain_pool.run_all pool thunks)
-  in
   if traced then Obs.Trace.arm_lanes trace (Domain_pool.size pool);
-  let section_t0 = if traced then Obs.Trace.now trace else 0. in
+  let t0 = if traced then Obs.Trace.now trace else 0. in
+  let run thunks =
+    Array.map
+      (function
+        | Ok v -> v
+        | Error e ->
+          Error.raise_error
+            (Error.Worker_failure { task; message = Printexc.to_string e }))
+      (Domain_pool.run_all pool thunks)
+  in
   Dd.Context.set_parallel ctx true;
   Fun.protect
     ~finally:(fun () ->
       Dd.Context.set_parallel ctx false;
+      absorb_pool_stats engine pool;
       if traced then begin
-        (* merge before the section span so buffer end times stay
-           monotone: the section ends after every lane event it covers *)
         Obs.Trace.merge_lanes trace;
-        Obs.Trace.span trace Obs.Trace.Pool_section ~t0:section_t0
+        Obs.Trace.span trace Obs.Trace.Pool_section ~t0
           ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1) ~matrix_nodes:(-1)
           ~hits:0 ~misses:0
           ~detail:
-            (Printf.sprintf "window reduce, %d matrices, %d domains"
-               (List.length mats) (Domain_pool.size pool))
+            (Printf.sprintf "%s, %d domains" detail (Domain_pool.size pool))
       end)
-    (fun () ->
-      let rec reduce mats =
-        match mats with
+    (fun () -> body run)
+
+(* [f pool] over a fresh pool that is always joined afterwards *)
+let with_pool ~domains f =
+  let pool = Domain_pool.create ~domains in
+  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
+
+(* [f ()] timed as one span on the private lane of the crew member running
+   it, so nothing touches the shared buffer before the section merges *)
+let lane_span trace kind ~gate ~nodes ~detail f =
+  if not (Obs.Trace.is_on trace) then f ()
+  else begin
+    let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
+    let t0 = Obs.Trace.now lane in
+    let r = f () in
+    Obs.Trace.span lane kind ~t0 ~gate ~state_nodes:(-1) ~matrix_nodes:(nodes r)
+      ~hits:0 ~misses:0 ~detail;
+    r
+  end
+
+(* Tree-reduce a window of gate DDs (newest first: [m_p; ...; m_1]) into
+   the product m_p x ... x m_1 across the pool.  Each round pairs
+   consecutive matrices — association changes, operand order (and hence
+   the product) does not.  The final two-element round goes through
+   [Mdd.mul_par], which additionally scatters its eight top-level inner
+   products, so the reduction's last — largest — multiplication is not a
+   single-domain bottleneck.  Stats stay main-domain-only (workers run
+   pure [Mdd.mul]).  Every product is one [Mat_mat] span on the lane that
+   computed it (the [mul_par] root on the caller's, lane 0), so spans
+   match [mat_mat_mults] at any pool size. *)
+let reduce_window engine pool mats =
+  let ctx = engine.context and trace = engine.trace and stats = engine.stats in
+  let gate = Obs.Trace.gate trace in
+  let mul_span detail f =
+    lane_span trace Obs.Trace.Mat_mat ~gate ~nodes:Dd.Mdd.node_count ~detail f
+  in
+  pool_section engine pool ~task:"window product"
+    ~detail:(Printf.sprintf "window reduce, %d matrices" (List.length mats))
+    (fun run ->
+      let rec reduce = function
         | [] -> Dd.Mdd.identity ctx engine.n
         | [ m ] -> m
         | [ a; b ] ->
-          engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + 1;
-          Dd.Mdd.mul_par ctx ~par a b
+          stats.mat_mat_mults <- stats.mat_mat_mults + 1;
+          mul_span "window root" (fun () -> Dd.Mdd.mul_par ctx ~par:run a b)
         | mats ->
           let arr = Array.of_list mats in
           let n = Array.length arr in
           let pairs = n / 2 in
-          let tasks =
-            Array.init pairs (fun i ->
-                task_mul "window pair" arr.(2 * i) arr.((2 * i) + 1))
+          let products =
+            run
+              (Array.init pairs (fun i () ->
+                   mul_span "window pair" (fun () ->
+                       Dd.Mdd.mul ctx arr.(2 * i) arr.((2 * i) + 1))))
           in
-          let products = Array.map value (Domain_pool.run_all pool tasks) in
-          engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + pairs;
+          stats.mat_mat_mults <- stats.mat_mat_mults + pairs;
           let tail = if n land 1 = 1 then [ arr.(n - 1) ] else [] in
           reduce (Array.to_list products @ tail)
       in
@@ -597,28 +594,47 @@ let combine_parallel engine mats =
   match mats with
   | [] -> Dd.Mdd.identity engine.context engine.n
   | mats ->
-    let pool = Domain_pool.create ~domains:engine.domains in
-    Fun.protect
-      ~finally:(fun () ->
-        absorb_pool_stats engine pool;
-        Domain_pool.shutdown pool)
-      (fun () -> reduce_window engine pool (List.rev mats))
+    with_pool ~domains:engine.domains (fun pool ->
+        reduce_window engine pool (List.rev mats))
 
-(* Window-combination driver shared by the k-operations and max-size
-   strategies: gates accumulate into a pending product (mat-mat
-   multiplications); the product is flushed onto the state (one mat-vec)
-   when the strategy's bound is reached or the gate stream ends.
+(* -- Engine.run: a run-state record and named steps --------------------- *)
 
-   When a [Guard.t] is supplied, budgets are enforced between
-   multiplications: an over-budget partial product degrades the window to
-   sequential application instead of dying, live-node pressure triggers
-   automatic garbage collection, norm drift triggers renormalisation, and
-   deadline / memory exhaustion aborts with a structured {!Error.Error}
-   (after forcing a checkpoint when one is configured, so the run can be
-   resumed from where it stopped). *)
-let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
-    ?(guard = Guard.none) ?(checkpoint_every = 1024) ?on_checkpoint
-    ?(start_gate = 0) engine circuit =
+(* The open combination window, shared by the k-operations and max-size
+   strategies: gates accumulate into a product (mat-mat multiplications,
+   or gate DDs collected for a tree reduction when [pool] is set), which
+   [flush] applies onto the state as one mat-vec. *)
+type window = {
+  pool : Domain_pool.t option;
+  mutable product : Dd.Mdd.edge option;  (* sequential partial product *)
+  mutable mats : Dd.Mdd.edge list;  (* pooled gate DDs, newest first *)
+  mutable count : int;  (* gates in the window; 0 = no window open *)
+  mutable tail : int;  (* breached window's gates left to apply singly *)
+}
+
+type run_state = {
+  engine : t;
+  strategy : Strategy.t;
+  guard : Guard.t;
+  guarded : bool;
+  traced : bool;
+  ledgered : bool;
+  use_repeating : bool;
+  start_gate : int;
+  checkpoint_every : int;
+  on_checkpoint : (gate_index:int -> unit) option;
+  run_t0 : float;
+  window : window;
+  (* gates whose effect is in the state; the resume point of checkpoints *)
+  mutable applied : int;
+  (* gates seen in application order, for skipping on resume *)
+  mutable cursor : int;
+  mutable last_checkpoint : int;
+  (* combined Repeat-block matrix, rooted during its application loop so
+     an automatic GC cannot reclaim it *)
+  mutable block_root : Dd.Mdd.edge option;
+}
+
+let validate ~strategy ~start_gate ~checkpoint_every engine circuit =
   (match Strategy.check strategy with
   | Ok () -> ()
   | Error message -> Error.invalid_parameter ~what:"Strategy" message);
@@ -629,524 +645,438 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
     Error.invalid_parameter ~what:"Engine.run"
       (Printf.sprintf "checkpoint_every must be >= 1 (got %d)"
          checkpoint_every);
-  if Circuit.(circuit.qubits) <> engine.n then
-    Error.raise_error
-      (Error.Width_mismatch
-         {
-           what = "Engine.run";
-           expected = engine.n;
-           actual = Circuit.(circuit.qubits);
-         });
-  let ctx = engine.context in
-  let guarded = not (Guard.is_none guard) in
-  let trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  let profile = engine.profile in
+  require_width engine ~what:"Engine.run" Circuit.(circuit.qubits)
+
+let window_nodes w =
+  match w.product with
+  | Some p -> Dd.Mdd.node_count p
+  | None -> List.fold_left (fun acc m -> acc + Dd.Mdd.node_count m) 0 w.mats
+
+let write_checkpoint rs ~force =
+  match rs.on_checkpoint with
+  | Some callback
+    when force || rs.applied - rs.last_checkpoint >= rs.checkpoint_every ->
+    let engine = rs.engine in
+    callback ~gate_index:rs.applied;
+    rs.last_checkpoint <- rs.applied;
+    engine.stats.checkpoints_written <- engine.stats.checkpoints_written + 1;
+    if rs.traced then
+      Obs.Trace.instant engine.trace Obs.Trace.Checkpoint ~gate:rs.applied
+        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
+        ~matrix_nodes:(-1)
+        ~detail:(if force then "forced" else "periodic")
+  | _ -> ()
+
+let site rs =
+  {
+    Error.gate_index = rs.applied;
+    strategy = rs.strategy;
+    state_nodes = Dd.Vdd.node_count rs.engine.state_edge;
+    matrix_nodes = window_nodes rs.window;
+  }
+
+(* structured abort, after forcing a checkpoint so the run can resume *)
+let abort rs kind ~limit ~actual =
+  write_checkpoint rs ~force:true;
+  Error.raise_error
+    (Error.Budget_exhausted { kind; limit; actual; site = site rs })
+
+(* Dd.Context.collect rooted at the state (plus [m_roots]), accounted in
+   the stats; returns the vector and matrix nodes reclaimed *)
+let collect engine ~m_roots =
+  let v_removed, m_removed =
+    Dd.Context.collect engine.context ~v_roots:[ engine.state_edge ] ~m_roots
+  in
+  engine.stats.gc_reclaimed_nodes <-
+    engine.stats.gc_reclaimed_nodes + v_removed + m_removed;
+  engine.stats.gc_pause_seconds <-
+    engine.stats.gc_pause_seconds
+    +. (Dd.Context.gc_stats engine.context).Dd.Context.last_pause;
+  (v_removed, m_removed)
+
+let auto_gc rs =
+  let w = rs.window in
+  let m_roots = w.mats @ List.filter_map Fun.id [ w.product; rs.block_root ] in
+  ignore (collect rs.engine ~m_roots);
+  rs.engine.stats.auto_gcs <- rs.engine.stats.auto_gcs + 1
+
+let check_deadline rs =
+  match rs.guard.Guard.deadline with
+  | None -> ()
+  | Some limit ->
+    let elapsed = Obs.Clock.now () -. rs.run_t0 in
+    if elapsed >= limit then abort rs Error.Deadline ~limit ~actual:elapsed
+
+let live_nodes ctx = Dd.Context.live_v_nodes ctx + Dd.Context.live_m_nodes ctx
+
+let check_memory rs =
+  let ctx = rs.engine.context in
+  (match rs.guard.Guard.gc_high_water with
+  | Some high_water when live_nodes ctx > high_water -> auto_gc rs
+  | _ -> ());
+  match rs.guard.Guard.max_live_nodes with
+  | Some limit when live_nodes ctx > limit ->
+    (* last-ditch collection before declaring the memory budget exhausted *)
+    auto_gc rs;
+    let actual = live_nodes ctx in
+    if actual > limit then
+      abort rs Error.Live_nodes ~limit:(float_of_int limit)
+        ~actual:(float_of_int actual)
+  | _ -> ()
+
+let check_norm rs =
+  match rs.guard.Guard.norm_tolerance with
+  | None -> ()
+  | Some tolerance ->
+    let engine = rs.engine in
+    let n2 = Dd.Measure.norm2 engine.context engine.state_edge in
+    if not (Float.is_finite n2) || n2 < 1e-300 then begin
+      write_checkpoint rs ~force:true;
+      Error.raise_error
+        (Error.Renormalization_failed { norm2 = n2; site = site rs })
+    end
+    else if Float.abs (sqrt n2 -. 1.) > tolerance then begin
+      renormalize engine n2;
+      if rs.traced then
+        Obs.Trace.instant engine.trace Obs.Trace.Renormalize
+          ~gate:(Obs.Trace.gate engine.trace)
+          ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
+          ~matrix_nodes:(-1)
+          ~detail:(Printf.sprintf "norm drifted to %.9f" (sqrt n2))
+    end
+
+(* Close the open ledger entry with end-of-window gauges; a no-op when
+   none is open. *)
+let led_commit rs =
+  let led = rs.engine.ledger in
+  if rs.ledgered && Obs.Ledger.active led then
+    Obs.Ledger.commit led ~gate_end:rs.applied
+      ~state_nodes:(Dd.Vdd.node_count rs.engine.state_edge)
+      ~heap_words:(Gc.quick_stat ()).Gc.live_words
+      ~table_bytes:(Dd.Context.residency_bytes rs.engine.context)
+
+let led_open rs ~seq =
+  if rs.ledgered then begin
+    led_commit rs;
+    Obs.Ledger.open_entry rs.engine.ledger ~seq ~gate:rs.applied
+      ~state_nodes:(Dd.Vdd.node_count rs.engine.state_edge)
+  end
+
+(* Apply the open window onto the state: the product (tree-reduced first
+   when pooled) goes on as one mat-vec, a window of several gates emits
+   one [Window_combined] span, and the window's ledger entry commits —
+   unless a breached window's sequential tail still belongs to it. *)
+let flush rs =
+  let engine = rs.engine and w = rs.window in
+  if w.count > 0 then begin
+    let combined = w.count > 1 in
+    if combined then
+      engine.stats.combined_applications <-
+        engine.stats.combined_applications + 1;
+    let t0 = trace_now engine in
+    let product =
+      match w.pool with
+      | Some pool ->
+        let mark = op_start engine Build in
+        let product = reduce_window engine pool w.mats in
+        op_done engine Build mark product;
+        note_matrix_peak engine product;
+        product
+      | None -> Option.get w.product
+    in
+    w.product <- None;
+    w.mats <- [];
+    apply_matrix engine product;
+    if rs.traced && combined then
+      Obs.Trace.span engine.trace Obs.Trace.Window_combined ~t0
+        ~gate:(Obs.Trace.gate engine.trace)
+        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
+        ~matrix_nodes:(Dd.Mdd.node_count product)
+        ~hits:0 ~misses:0
+        ~detail:
+          (match w.pool with
+          | Some pool ->
+            Printf.sprintf "%d gates (parallel, %d domains)" w.count
+              (Domain_pool.size pool)
+          | None -> Printf.sprintf "%d gates" w.count);
+    rs.applied <- rs.applied + w.count;
+    w.count <- 0;
+    if w.tail = 0 then led_commit rs
+  end
+
+(* structural snapshot of the state DD; only taken when the state is an
+   exact gate prefix *)
+let snapshot_profile rs =
+  let engine = rs.engine in
+  Obs.Dd_profile.emit engine.profile
+    (Dd.Profile.vector ~gate:rs.applied
+       ~t:(Obs.Clock.now () -. rs.run_t0)
+       ~order:(Dd.Context.order engine.context) engine.state_edge)
+
+(* after the state advanced and no window is pending: guard the new
+   state, then maybe checkpoint — the only points where a periodic
+   checkpoint is taken, so a snapshot is always an exact gate prefix *)
+let after_state_update rs =
+  let engine = rs.engine in
+  (* fault harness: a GC right after the state advanced is the most
+     adversarial moment — every compute-table entry for the gate just
+     applied is still hot *)
+  if Fault.fire Fault.Forced_gc then
+    ignore
+      (Dd.Context.collect engine.context ~v_roots:[ engine.state_edge ]
+         ~m_roots:[]);
+  if rs.guarded then begin
+    check_norm rs;
+    check_memory rs
+  end;
+  if audit_due engine ~gate:rs.applied then
+    ignore (run_audit engine ~gate:rs.applied ~strategy:rs.strategy);
+  (* reorder before profiling, so snapshots reflect the new order *)
+  maybe_reorder engine ~gate:rs.applied;
+  (* the disabled profile path is the [due] probe alone: one load and one
+     branch, nothing allocated (the test suite asserts this) *)
+  if Obs.Dd_profile.due engine.profile ~gate:rs.applied then
+    snapshot_profile rs;
+  write_checkpoint rs ~force:false
+
+(* One gate straight onto the state: the Sequential strategy itself, or
+   the sequential tail of a breached combination window, whose degraded
+   ledger entry closes with its last tail gate.  Both go through
+   [apply_gate_single]: with fused apply on, the gate DD is never built.
+   Combined-window products keep the generic [Mdd] path (the whole point
+   of mat-mat combination is re-using those DDs). *)
+let absorb_sequential rs gate =
+  let led = rs.engine.ledger and w = rs.window in
+  let in_tail = w.tail > 0 in
+  if in_tail then w.tail <- w.tail - 1
+  else if rs.ledgered && not (Obs.Ledger.active led) then
+    led_open rs ~seq:true;
+  Obs.Ledger.add_gates led 1;
+  apply_gate_single rs.engine gate;
+  rs.applied <- rs.applied + 1;
+  (* long sequential stretches rotate into fresh entries so the ledger
+     samples memory gauges along the way *)
+  if (in_tail && w.tail = 0) || Obs.Ledger.rotate_due led then led_commit rs;
+  after_state_update rs
+
+let note_fallback rs =
+  let engine = rs.engine in
+  engine.stats.fallbacks <- engine.stats.fallbacks + 1;
+  if rs.traced then
+    Obs.Trace.instant engine.trace Obs.Trace.Fallback
+      ~gate:(Obs.Trace.gate engine.trace)
+      ~state_nodes:(-1) ~matrix_nodes:(window_nodes rs.window)
+      ~detail:"window over matrix budget; degrading to sequential";
+  if rs.ledgered then
+    Obs.Ledger.degrade engine.ledger
+      ~detail:
+        (match rs.guard.Guard.max_matrix_nodes with
+        | Some limit -> Printf.sprintf "max_matrix_nodes %d" limit
+        | None -> "matrix budget")
+
+(* One gate into the open window (k-operations and max-size).  An
+   over-budget partial product degrades gracefully: it is flushed, and
+   this gate plus the window's remaining ones (k-operations) go through
+   sequentially. *)
+let absorb_window rs gate =
+  let engine = rs.engine and w = rs.window in
+  match (rs.guard.Guard.max_matrix_nodes, w.product) with
+  | Some limit, Some product when Dd.Mdd.node_count product > limit ->
+    note_fallback rs;
+    w.tail <-
+      (match rs.strategy with Strategy.K_operations k -> k - w.count | _ -> 1);
+    flush rs;
+    absorb_sequential rs gate
+  | _ ->
+    if w.count = 0 then led_open rs ~seq:false;
+    Obs.Ledger.add_gates engine.ledger 1;
+    let matrix = gate_dd engine gate in
+    (match (w.pool, w.product) with
+    | Some _, _ -> w.mats <- matrix :: w.mats
+    | None, None -> w.product <- Some matrix
+    | None, Some product ->
+      w.product <- Some (multiply_onto engine matrix product));
+    w.count <- w.count + 1;
+    let full =
+      match (rs.strategy, w.product) with
+      | Strategy.K_operations k, _ -> w.count >= k
+      | Strategy.Max_size bound, Some product ->
+        Dd.Mdd.node_count product > bound
+      | _ -> false
+    in
+    if full then flush rs;
+    if w.count = 0 then after_state_update rs
+
+let absorb rs gate =
+  let engine = rs.engine and w = rs.window in
+  if rs.guarded then check_deadline rs;
+  engine.stats.gates_seen <- engine.stats.gates_seen + 1;
+  (match rs.strategy with
+  | Strategy.Sequential -> absorb_sequential rs gate
+  | Strategy.K_operations _ | Strategy.Max_size _ ->
+    if w.tail > 0 then absorb_sequential rs gate else absorb_window rs gate);
+  if rs.traced then
+    (* node count only when the state actually reflects this gate — an
+       open window means the effect has not landed yet *)
+    Obs.Trace.instant engine.trace Obs.Trace.Gate_applied
+      ~gate:(Obs.Trace.gate engine.trace)
+      ~state_nodes:
+        (if w.count = 0 then Dd.Vdd.node_count engine.state_edge else -1)
+      ~matrix_nodes:(if w.count = 0 then -1 else window_nodes w)
+      ~detail:(Gate.name gate)
+
+let absorb_or_skip rs gate =
+  if rs.cursor >= rs.start_gate then begin
+    if rs.traced then Obs.Trace.set_gate rs.engine.trace rs.cursor;
+    absorb rs gate
+  end;
+  rs.cursor <- rs.cursor + 1
+
+(* DD-repeating: the body's product is built once and applied once per
+   remaining repetition.  Each application is a state update of its own
+   and counts the body's gates as seen. *)
+let repeat_block rs ~count body =
+  let engine = rs.engine in
+  let gates = Circuit.flatten (Circuit.create ~qubits:engine.n body) in
+  let len = List.length gates in
+  let todo = ref count in
+  (* skip whole repetitions that precede the resume point *)
+  while !todo > 0 && rs.cursor + len <= rs.start_gate do
+    rs.cursor <- rs.cursor + len;
+    decr todo
+  done;
+  if !todo > 0 && rs.cursor < rs.start_gate then begin
+    (* the resume point falls inside one repetition: finish that
+       repetition gate by gate *)
+    List.iter (absorb_or_skip rs) gates;
+    decr todo
+  end;
+  let todo = !todo in
+  if todo > 0 then begin
+    flush rs;
+    led_open rs ~seq:false;
+    let block = product_of engine gates in
+    engine.stats.combined_applications <-
+      engine.stats.combined_applications + todo;
+    if rs.ledgered then begin
+      (* one combined k-gate matrix applied [todo] times: record the
+         build k, attribute every covered gate so per-gate amortization
+         reflects the reuse *)
+      Obs.Ledger.set_window_k engine.ledger len;
+      Obs.Ledger.add_gates engine.ledger (len * todo);
+      Obs.Ledger.note_detail engine.ledger
+        (Printf.sprintf "repeat block of %d gates x %d" len todo)
+    end;
+    rs.block_root <- Some block;
+    for _ = 1 to todo do
+      if rs.guarded then check_deadline rs;
+      engine.stats.gates_seen <- engine.stats.gates_seen + len;
+      if rs.traced then Obs.Trace.set_gate engine.trace (rs.cursor + len - 1);
+      apply_matrix engine block;
+      rs.applied <- rs.applied + len;
+      rs.cursor <- rs.cursor + len;
+      if rs.traced then
+        Obs.Trace.instant engine.trace Obs.Trace.Window_combined
+          ~gate:(rs.cursor - 1)
+          ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
+          ~matrix_nodes:(Dd.Mdd.node_count block)
+          ~detail:(Printf.sprintf "repeat block of %d gates" len);
+      after_state_update rs
+    done;
+    led_commit rs;
+    rs.block_root <- None
+  end
+
+let rec walk rs op =
+  match op with
+  | Circuit.Gate gate -> absorb_or_skip rs gate
+  | Circuit.Repeat { count; body } ->
+    if rs.use_repeating && count > 1 then repeat_block rs ~count body
+    else
+      for _ = 1 to count do
+        List.iter (walk rs) body
+      done
+
+(* end of a completed walk: the last window lands, and the profile and
+   checkpoint cover the final state whatever their cadence *)
+let finish rs =
+  flush rs;
+  led_commit rs;
+  let profile = rs.engine.profile in
+  if
+    Obs.Dd_profile.is_on profile
+    && Obs.Dd_profile.last_gate profile <> rs.applied
+  then snapshot_profile rs;
+  if rs.applied > rs.last_checkpoint then write_checkpoint rs ~force:true
+
+(* runs on every exit, including structured aborts out of [walk]: the
+   pool is joined before anything else (no leaked domains, quiescent
+   tables), the open ledger entry of an aborted run commits, and wall
+   time and the dropped-event count survive *)
+let teardown rs =
+  let engine = rs.engine in
+  Option.iter Domain_pool.shutdown rs.window.pool;
+  led_commit rs;
+  if rs.ledgered then
+    engine.stats.ledger_entries <- Obs.Ledger.length engine.ledger;
+  engine.stats.wall_time_seconds <-
+    engine.stats.wall_time_seconds +. (Obs.Clock.now () -. rs.run_t0);
+  if rs.traced then
+    engine.stats.trace_events_dropped <- Obs.Trace.dropped engine.trace
+
+(* The skeleton: validate, build the run state, walk the circuit, finish;
+   [teardown] runs on every exit.  Strategy and guard semantics are
+   documented on [run] in engine.mli. *)
+let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
+    ?(guard = Guard.none) ?(checkpoint_every = 1024) ?on_checkpoint
+    ?(start_gate = 0) engine circuit =
+  validate ~strategy ~start_gate ~checkpoint_every engine circuit;
   let run_t0 = Obs.Clock.now () in
   engine.stats.domains <- engine.domains;
-  let pool =
-    if engine.domains > 1 then
-      Some (Domain_pool.create ~domains:engine.domains)
-    else None
-  in
   (* Parallel windows need the whole window's gate DDs at once (the tree
      reduction), which forfeits the per-multiplication matrix-budget
      check — so a [max_matrix_nodes] guard keeps the sequential
-     accumulate-and-degrade path even when a pool exists. *)
-  let parallel_windows =
-    match (pool, strategy) with
-    | Some _, Strategy.K_operations _ ->
-      guard.Guard.max_matrix_nodes = None
+     accumulate-and-degrade path even when domains are available. *)
+  let pooled =
+    match strategy with
+    | Strategy.K_operations _ ->
+      engine.domains > 1 && guard.Guard.max_matrix_nodes = None
     | _ -> false
   in
-  let pending = ref None in
-  let pending_count = ref 0 in
-  (* parallel-window accumulator (newest first); reduced at flush *)
-  let window = ref [] in
-  let window_count = ref 0 in
-  (* gates whose effect is in the state; the resume point of checkpoints *)
-  let applied = ref start_gate in
-  (* gates seen in application order, for skipping on resume *)
-  let cursor = ref 0 in
-  (* > 0 while a breached window's remaining gates go through sequentially *)
-  let fallback_left = ref 0 in
-  (* combined Repeat-block matrix, rooted during its application loop so
-     an automatic GC cannot reclaim it *)
-  let block_root = ref None in
-  let last_checkpoint = ref start_gate in
-  let write_checkpoint ~force () =
-    match on_checkpoint with
-    | None -> ()
-    | Some callback ->
-      if force || !applied - !last_checkpoint >= checkpoint_every then begin
-        callback ~gate_index:!applied;
-        last_checkpoint := !applied;
-        engine.stats.checkpoints_written <-
-          engine.stats.checkpoints_written + 1;
-        if traced then
-          Obs.Trace.instant trace Obs.Trace.Checkpoint ~gate:!applied
-            ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-            ~matrix_nodes:(-1)
-            ~detail:(if force then "forced" else "periodic")
-      end
-  in
-  let site () =
+  let rs =
     {
-      Error.gate_index = !applied;
+      engine;
       strategy;
-      state_nodes = Dd.Vdd.node_count engine.state_edge;
-      matrix_nodes =
-        (match !pending with
-        | Some p -> Dd.Mdd.node_count p
-        | None ->
-          List.fold_left (fun acc m -> acc + Dd.Mdd.node_count m) 0 !window);
+      guard;
+      guarded = not (Guard.is_none guard);
+      traced = Obs.Trace.is_on engine.trace;
+      ledgered = Obs.Ledger.is_on engine.ledger;
+      use_repeating;
+      start_gate;
+      checkpoint_every;
+      on_checkpoint;
+      run_t0;
+      window =
+        {
+          pool =
+            (if pooled then Some (Domain_pool.create ~domains:engine.domains)
+             else None);
+          product = None;
+          mats = [];
+          count = 0;
+          tail = 0;
+        };
+      applied = start_gate;
+      cursor = 0;
+      last_checkpoint = start_gate;
+      block_root = None;
     }
   in
-  let abort kind ~limit ~actual =
-    write_checkpoint ~force:true ();
-    Error.raise_error
-      (Error.Budget_exhausted { kind; limit; actual; site = site () })
-  in
-  let auto_gc () =
-    let m_roots = List.filter_map (fun r -> !r) [ pending; block_root ] in
-    let m_roots = !window @ m_roots in
-    let v_removed, m_removed =
-      Dd.Context.collect ctx ~v_roots:[ engine.state_edge ] ~m_roots
-    in
-    engine.stats.auto_gcs <- engine.stats.auto_gcs + 1;
-    engine.stats.gc_reclaimed_nodes <-
-      engine.stats.gc_reclaimed_nodes + v_removed + m_removed;
-    engine.stats.gc_pause_seconds <-
-      engine.stats.gc_pause_seconds
-      +. (Dd.Context.gc_stats ctx).Dd.Context.last_pause
-  in
-  let deadline_check =
-    match guard.Guard.deadline with
-    | None -> fun () -> ()
-    | Some limit ->
-      let t0 = Obs.Clock.now () in
-      fun () ->
-        let elapsed = Obs.Clock.now () -. t0 in
-        if elapsed >= limit then abort Error.Deadline ~limit ~actual:elapsed
-  in
-  let memory_check =
-    if guard.Guard.gc_high_water = None && guard.Guard.max_live_nodes = None
-    then fun () -> ()
-    else
-      let live () =
-        Dd.Context.live_v_nodes ctx + Dd.Context.live_m_nodes ctx
-      in
-      fun () ->
-        (match guard.Guard.gc_high_water with
-        | Some high_water when live () > high_water -> auto_gc ()
-        | _ -> ());
-        (match guard.Guard.max_live_nodes with
-        | Some limit when live () > limit ->
-          (* last-ditch collection before declaring the memory budget
-             exhausted *)
-          auto_gc ();
-          let actual = live () in
-          if actual > limit then
-            abort Error.Live_nodes ~limit:(float_of_int limit)
-              ~actual:(float_of_int actual)
-        | _ -> ())
-  in
-  let norm_check =
-    match guard.Guard.norm_tolerance with
-    | None -> fun () -> ()
-    | Some tolerance ->
-      fun () ->
-        let n2 = Dd.Measure.norm2 ctx engine.state_edge in
-        if not (Float.is_finite n2) || n2 < 1e-300 then begin
-          write_checkpoint ~force:true ();
-          Error.raise_error
-            (Error.Renormalization_failed { norm2 = n2; site = site () })
-        end
-        else if Float.abs (sqrt n2 -. 1.) > tolerance then begin
-          engine.state_edge <-
-            Dd.Vdd.scale ctx
-              (Cnum.of_float (1. /. sqrt n2))
-              engine.state_edge;
-          engine.stats.renormalizations <-
-            engine.stats.renormalizations + 1;
-          if traced then
-            Obs.Trace.instant trace Obs.Trace.Renormalize
-              ~gate:(Obs.Trace.gate trace)
-              ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-              ~matrix_nodes:(-1)
-              ~detail:(Printf.sprintf "norm drifted to %.9f" (sqrt n2))
-        end
-  in
-  let matrix_over =
-    match guard.Guard.max_matrix_nodes with
-    | None -> fun _ -> false
-    | Some limit -> fun product -> Dd.Mdd.node_count product > limit
-  in
-  let led = engine.ledger in
-  let ledgered = Obs.Ledger.is_on led in
-  (* Commit the open ledger entry with end-of-window gauges.  Commits
-     live at the flush call sites, not inside [flush]: a breached
-     K-window flushes its partial product but the (degraded) entry must
-     stay open through the sequential tail that finishes the window. *)
-  let led_commit () =
-    if ledgered && Obs.Ledger.active led then begin
-      let heap = (Gc.quick_stat ()).Gc.live_words in
-      Obs.Ledger.commit led ~gate_end:!applied
-        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-        ~heap_words:heap
-        ~table_bytes:(Dd.Context.residency_bytes ctx)
-    end
-  in
-  let led_open ~seq () =
-    if ledgered then begin
-      if Obs.Ledger.active led then led_commit ();
-      Obs.Ledger.open_entry led ~seq ~gate:!applied
-        ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-    end
-  in
-  let fallback_detail () =
-    match guard.Guard.max_matrix_nodes with
-    | Some limit -> Printf.sprintf "max_matrix_nodes %d" limit
-    | None -> "matrix budget"
-  in
-  let flush () =
-    (match !window with
-    | [] -> ()
-    | mats ->
-      let pool = Option.get pool in
-      let combined = !window_count > 1 in
-      if combined then
-        engine.stats.combined_applications <-
-          engine.stats.combined_applications + 1;
-      let t0 = if traced then Obs.Trace.now trace else 0. in
-      let lt0 = if ledgered then Obs.Clock.now () else 0. in
-      let product = reduce_window engine pool mats in
-      if ledgered then
-        Obs.Ledger.add_build led (Obs.Clock.now () -. lt0);
-      note_matrix_peak engine product;
-      window := [];
-      apply_matrix engine product;
-      if traced && combined then
-        Obs.Trace.span trace Obs.Trace.Window_combined ~t0
-          ~gate:(Obs.Trace.gate trace)
-          ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-          ~matrix_nodes:(Dd.Mdd.node_count product)
-          ~hits:0 ~misses:0
-          ~detail:
-            (Printf.sprintf "%d gates (parallel, %d domains)" !window_count
-               (Domain_pool.size pool));
-      applied := !applied + !window_count;
-      window_count := 0);
-    match !pending with
-    | None -> ()
-    | Some product ->
-      let combined = !pending_count > 1 in
-      if combined then
-        engine.stats.combined_applications <-
-          engine.stats.combined_applications + 1;
-      let t0 = if traced then Obs.Trace.now trace else 0. in
-      apply_matrix engine product;
-      if traced && combined then
-        Obs.Trace.span trace Obs.Trace.Window_combined ~t0
-          ~gate:(Obs.Trace.gate trace)
-          ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-          ~matrix_nodes:(Dd.Mdd.node_count product)
-          ~hits:0 ~misses:0
-          ~detail:(Printf.sprintf "%d gates" !pending_count);
-      applied := !applied + !pending_count;
-      pending := None;
-      pending_count := 0
-  in
-  (* structural snapshot of the state DD at the profile sink's cadence;
-     only called when the state is an exact gate prefix.  The disabled
-     path is the [due] probe alone: one load and one branch, nothing
-     allocated (the test suite asserts this) *)
-  let maybe_profile () =
-    if Obs.Dd_profile.due profile ~gate:!applied then
-      Obs.Dd_profile.emit profile
-        (Dd.Profile.vector ~gate:!applied
-           ~t:(Obs.Clock.now () -. run_t0)
-           ~order:(Dd.Context.order ctx) engine.state_edge)
-  in
-  (* after the state advanced and no window is pending: guard the new
-     state, then maybe checkpoint — the only points where a periodic
-     checkpoint is taken, so a snapshot is always an exact gate prefix *)
-  let after_state_update () =
-    (* fault harness: a GC right after the state advanced is the most
-       adversarial moment — every compute-table entry for the gate just
-       applied is still hot *)
-    if Fault.fire Fault.Forced_gc then
-      ignore
-        (Dd.Context.collect engine.context ~v_roots:[ engine.state_edge ]
-           ~m_roots:[]);
-    if guarded then begin
-      norm_check ();
-      memory_check ()
-    end;
-    if audit_due engine ~gate:!applied then
-      ignore (run_audit engine ~gate:!applied ~strategy);
-    (* reorder before profiling, so snapshots reflect the new order *)
-    maybe_reorder engine ~gate:!applied;
-    maybe_profile ();
-    write_checkpoint ~force:false ()
-  in
-  (* Sequential applications — the Sequential strategy itself and the
-     sequential tail of a breached combination window — go through
-     [apply_gate_single]: with fused apply on, the gate DD is never
-     built.  Combined-window products keep the generic [Mdd] path (the
-     whole point of mat-mat combination is re-using those DDs). *)
-  let note_fallback () =
-    engine.stats.fallbacks <- engine.stats.fallbacks + 1;
-    if traced then
-      Obs.Trace.instant trace Obs.Trace.Fallback
-        ~gate:(Obs.Trace.gate trace)
-        ~state_nodes:(-1)
-        ~matrix_nodes:
-          (match !pending with
-          | Some p -> Dd.Mdd.node_count p
-          | None -> -1)
-        ~detail:"window over matrix budget; degrading to sequential"
-  in
-  let absorb_dispatch gate =
-    match strategy with
-    | Strategy.Sequential ->
-      if ledgered then begin
-        if not (Obs.Ledger.active led) then led_open ~seq:true ();
-        Obs.Ledger.add_gates led 1
-      end;
-      apply_gate_single engine gate;
-      incr applied;
-      (* long sequential stretches rotate into fresh entries so the
-         ledger samples memory gauges along the way *)
-      if ledgered && Obs.Ledger.rotate_due led then led_commit ();
-      after_state_update ()
-    | Strategy.K_operations k when parallel_windows ->
-      (* no matrix budget on this path (see [parallel_windows]), so no
-         degradation logic: accumulate gate DDs and tree-reduce at k *)
-      if ledgered then begin
-        if !window_count = 0 then led_open ~seq:false ();
-        Obs.Ledger.add_gates led 1
-      end;
-      window := gate_dd engine gate :: !window;
-      incr window_count;
-      if !window_count >= k then begin
-        flush ();
-        led_commit ()
-      end;
-      if !window_count = 0 then after_state_update ()
-    | Strategy.K_operations k ->
-      if !fallback_left > 0 then begin
-        decr fallback_left;
-        if ledgered then Obs.Ledger.add_gates led 1;
-        apply_gate_single engine gate;
-        incr applied;
-        (* the degraded window's entry closes with its last tail gate *)
-        if ledgered && !fallback_left = 0 then led_commit ();
-        after_state_update ()
-      end
-      else begin
-        (match !pending with
-        | None ->
-          if ledgered then begin
-            led_open ~seq:false ();
-            Obs.Ledger.add_gates led 1
-          end;
-          pending := Some (gate_dd engine gate);
-          pending_count := 1
-        | Some product ->
-          if matrix_over product then begin
-            (* graceful degradation: flush the oversized partial product
-               and apply the remaining gates of this window one by one *)
-            note_fallback ();
-            if ledgered then begin
-              Obs.Ledger.degrade led ~detail:(fallback_detail ());
-              Obs.Ledger.add_gates led 1
-            end;
-            fallback_left := max 0 (k - !pending_count - 1);
-            flush ();
-            apply_gate_single engine gate;
-            incr applied;
-            if ledgered && !fallback_left = 0 then led_commit ()
-          end
-          else begin
-            if ledgered then Obs.Ledger.add_gates led 1;
-            pending := Some (multiply_onto engine (gate_dd engine gate) product);
-            incr pending_count
-          end);
-        if !pending_count >= k then begin
-          flush ();
-          led_commit ()
-        end;
-        if Option.is_none !pending then after_state_update ()
-      end
-    | Strategy.Max_size bound ->
-      (match !pending with
-      | None ->
-        if ledgered then begin
-          led_open ~seq:false ();
-          Obs.Ledger.add_gates led 1
-        end;
-        let gate_matrix = gate_dd engine gate in
-        pending := Some gate_matrix;
-        pending_count := 1;
-        if Dd.Mdd.node_count gate_matrix > bound then begin
-          flush ();
-          led_commit ()
-        end
-      | Some product ->
-        if matrix_over product then begin
-          note_fallback ();
-          if ledgered then begin
-            Obs.Ledger.degrade led ~detail:(fallback_detail ());
-            Obs.Ledger.add_gates led 1
-          end;
-          flush ();
-          apply_gate_single engine gate;
-          incr applied;
-          led_commit ()
-        end
-        else begin
-          if ledgered then Obs.Ledger.add_gates led 1;
-          let product = multiply_onto engine (gate_dd engine gate) product in
-          pending := Some product;
-          incr pending_count;
-          if Dd.Mdd.node_count product > bound then begin
-            flush ();
-            led_commit ()
-          end
-        end);
-      if Option.is_none !pending then after_state_update ()
-  in
-  let absorb gate =
-    if guarded then deadline_check ();
-    engine.stats.gates_seen <- engine.stats.gates_seen + 1;
-    absorb_dispatch gate;
-    if traced then
-      (* node count only when the state actually reflects this gate — a
-         pending window means the effect has not landed yet *)
-      Obs.Trace.instant trace Obs.Trace.Gate_applied
-        ~gate:(Obs.Trace.gate trace)
-        ~state_nodes:
-          (if Option.is_none !pending && !window = [] then
-             Dd.Vdd.node_count engine.state_edge
-           else -1)
-        ~matrix_nodes:
-          (match !pending with
-          | Some p -> Dd.Mdd.node_count p
-          | None ->
-            if !window = [] then -1
-            else
-              List.fold_left
-                (fun acc m -> acc + Dd.Mdd.node_count m)
-                0 !window)
-        ~detail:(Gate.name gate)
-  in
-  let absorb_or_skip gate =
-    if !cursor >= start_gate then begin
-      if traced then Obs.Trace.set_gate trace !cursor;
-      absorb gate
-    end;
-    incr cursor
-  in
-  let rec walk op =
-    match op with
-    | Circuit.Gate gate -> absorb_or_skip gate
-    | Circuit.Repeat { count; body } ->
-      if use_repeating && count > 1 then begin
-        let gates = body_gates body in
-        let len = List.length gates in
-        let todo = ref count in
-        (* skip whole repetitions that precede the resume point *)
-        while !todo > 0 && !cursor + len <= start_gate do
-          cursor := !cursor + len;
-          decr todo
-        done;
-        if !todo > 0 && !cursor < start_gate then begin
-          (* the resume point falls inside one repetition: finish that
-             repetition gate by gate *)
-          List.iter absorb_or_skip gates;
-          decr todo
-        end;
-        if !todo > 0 then begin
-          flush ();
-          led_commit ();
-          led_open ~seq:false ();
-          let block = combine engine gates in
-          engine.stats.combined_applications <-
-            engine.stats.combined_applications + !todo;
-          if ledgered then begin
-            (* one combined k-gate matrix applied [todo] times: record
-               the build k, attribute every covered gate so per-gate
-               amortization reflects the reuse *)
-            Obs.Ledger.set_window_k led len;
-            Obs.Ledger.add_gates led (len * !todo);
-            Obs.Ledger.note_detail led
-              (Printf.sprintf "repeat block of %d gates x %d" len !todo)
-          end;
-          block_root := Some block;
-          for _ = 1 to !todo do
-            if guarded then deadline_check ();
-            if traced then Obs.Trace.set_gate trace (!cursor + len - 1);
-            apply_matrix engine block;
-            applied := !applied + len;
-            cursor := !cursor + len;
-            if traced then
-              Obs.Trace.instant trace Obs.Trace.Window_combined
-                ~gate:(!cursor - 1)
-                ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
-                ~matrix_nodes:(Dd.Mdd.node_count block)
-                ~detail:(Printf.sprintf "repeat block of %d gates" len);
-            after_state_update ()
-          done;
-          led_commit ();
-          block_root := None
-        end
-      end
-      else
-        for _ = 1 to count do
-          List.iter walk body
-        done
-  and body_gates body =
-    let circuit = Circuit.create ~qubits:engine.n body in
-    Circuit.flatten circuit
-  in
-  (* wall time and the dropped-event count must survive a structured
-     abort (budget exhaustion raises out of [walk]) *)
   Fun.protect
-    ~finally:(fun () ->
-      (* pool teardown before anything else: no leaked domains, and the
-         shared tables are guaranteed quiescent past this point *)
-      (match pool with
-      | Some p ->
-        absorb_pool_stats engine p;
-        Domain_pool.shutdown p
-      | None -> ());
-      (* closes the trailing sequential stretch of a normal run and the
-         open entry of an aborted one (budget exhaustion raises out of
-         [walk]); a no-op when everything already committed *)
-      led_commit ();
-      if ledgered then
-        engine.stats.ledger_entries <- Obs.Ledger.length led;
-      engine.stats.wall_time_seconds <-
-        engine.stats.wall_time_seconds +. (Obs.Clock.now () -. run_t0);
-      if traced then
-        engine.stats.trace_events_dropped <- Obs.Trace.dropped trace)
+    ~finally:(fun () -> teardown rs)
     (fun () ->
-      List.iter walk Circuit.(circuit.ops);
-      flush ();
-      led_commit ();
-      (* one final snapshot so the profile always covers the end state,
-         whatever the cadence *)
-      if
-        Obs.Dd_profile.is_on profile
-        && Obs.Dd_profile.last_gate profile <> !applied
-      then
-        Obs.Dd_profile.emit profile
-          (Dd.Profile.vector ~gate:!applied
-             ~t:(Obs.Clock.now () -. run_t0)
-             ~order:(Dd.Context.order ctx) engine.state_edge);
-      if Option.is_none on_checkpoint then ()
-      else if !applied > !last_checkpoint then write_checkpoint ~force:true ())
+      List.iter (walk rs) Circuit.(circuit.ops);
+      finish rs)
 
 let amplitude engine index =
   Dd.Vdd.amplitude
@@ -1201,10 +1131,7 @@ let sample_shots engine shots =
   if shots < 0 then
     Error.invalid_parameter ~what:"Engine.sample_shots"
       (Printf.sprintf "shots must be >= 0 (got %d)" shots);
-  let seeds = Array.make (max shots 1) 0 in
-  for i = 0 to shots - 1 do
-    seeds.(i) <- Random.State.bits engine.rng_state
-  done;
+  let seeds = Array.init shots (fun _ -> Random.State.bits engine.rng_state) in
   let ctx = engine.context and state = engine.state_edge in
   let run_shot seed =
     Dd.Measure.sample ctx (Random.State.make [| seed |]) state
@@ -1213,53 +1140,16 @@ let sample_shots engine shots =
   else if engine.domains <= 1 || shots = 1 then
     Array.init shots (fun i -> run_shot seeds.(i))
   else begin
-    let pool = Domain_pool.create ~domains:(min engine.domains shots) in
-    let trace = engine.trace in
-    let traced = Obs.Trace.is_on trace in
-    if traced then Obs.Trace.arm_lanes trace (Domain_pool.size pool);
-    let section_t0 = if traced then Obs.Trace.now trace else 0. in
-    Fun.protect
-      ~finally:(fun () ->
-        absorb_pool_stats engine pool;
-        Domain_pool.shutdown pool;
-        Dd.Context.set_parallel ctx false;
-        if traced then begin
-          Obs.Trace.merge_lanes trace;
-          Obs.Trace.span trace Obs.Trace.Pool_section ~t0:section_t0
-            ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1) ~matrix_nodes:(-1)
-            ~hits:0 ~misses:0
-            ~detail:
-              (Printf.sprintf "multi-shot sampling, %d shots, %d domains"
-                 shots (Domain_pool.size pool))
-        end)
-      (fun () ->
-        Dd.Context.set_parallel ctx true;
-        let thunks =
-          if not traced then
-            Array.init shots (fun i () -> run_shot seeds.(i))
-          else
-            Array.init shots (fun i () ->
-                let lane =
-                  Obs.Trace.lane trace (Domain_pool.self_index ())
-                in
-                let t0 = Obs.Trace.now lane in
-                let outcome = run_shot seeds.(i) in
-                Obs.Trace.span lane Obs.Trace.Measure ~t0 ~gate:(-1)
-                  ~state_nodes:(-1) ~matrix_nodes:(-1) ~hits:0 ~misses:0
-                  ~detail:(Printf.sprintf "shot %d" i);
-                outcome)
-        in
-        Array.map
-          (function
-            | Ok outcome -> outcome
-            | Error e ->
-              Error.raise_error
-                (Error.Worker_failure
-                   {
-                     task = "multi-shot sampling";
-                     message = Printexc.to_string e;
-                   }))
-          (Domain_pool.run_all pool thunks))
+    with_pool ~domains:(min engine.domains shots) (fun pool ->
+        pool_section engine pool ~task:"multi-shot sampling"
+          ~detail:(Printf.sprintf "multi-shot sampling, %d shots" shots)
+          (fun run ->
+            run
+              (Array.init shots (fun i () ->
+                   lane_span engine.trace Obs.Trace.Measure ~gate:(-1)
+                     ~nodes:(fun _ -> -1)
+                     ~detail:(Printf.sprintf "shot %d" i)
+                     (fun () -> run_shot seeds.(i))))))
   end
 
 let fidelity_dense engine reference =
@@ -1271,14 +1161,4 @@ let fidelity_dense engine reference =
   let overlap = Dd.Vdd.dot engine.context reference_edge engine.state_edge in
   Cnum.mag2 overlap
 
-let collect_garbage engine =
-  let v_removed, m_removed =
-    Dd.Context.collect engine.context ~v_roots:[ engine.state_edge ]
-      ~m_roots:[]
-  in
-  engine.stats.gc_reclaimed_nodes <-
-    engine.stats.gc_reclaimed_nodes + v_removed + m_removed;
-  engine.stats.gc_pause_seconds <-
-    engine.stats.gc_pause_seconds
-    +. (Dd.Context.gc_stats engine.context).Dd.Context.last_pause;
-  (v_removed, m_removed)
+let collect_garbage engine = collect engine ~m_roots:[]

@@ -14,6 +14,9 @@ type t = {
       (** matrix-vector products that went through the generic
           [Mdd.apply] on an explicit matrix DD *)
   mutable gates_seen : int;
+      (** circuit gates processed; under DD-repeating every applied
+          repetition counts its gates, so the total matches the circuit's
+          gate count whatever the strategy *)
   mutable combined_applications : int;
       (** matrix-vector products whose matrix combined >= 2 gates *)
   mutable peak_state_nodes : int;

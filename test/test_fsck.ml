@@ -1,5 +1,5 @@
 (* Crash-safe artifact I/O: the Safe_io checksum/trailer layer, checkpoint
-   format-version compatibility and rotation, and the [ddsim fsck] library
+   format versions and rotation, and the [ddsim fsck] library
    verdicts on healthy and corrupted artifacts. *)
 
 open Util
@@ -74,47 +74,7 @@ let test_write_file_atomic () =
     (Sys.file_exists (path ^ ".tmp"));
   cleanup path
 
-(* -- checkpoint format versions ------------------------------------------ *)
-
-(* Rewrite a current (v7) checkpoint as an older on-disk version: patch the
-   header, truncate the stats line to the fields that version carried, drop
-   the order line and the checksum trailer older writers never produced. *)
-let downgrade text ~version ~stats_fields =
-  let body, _ = Obs.Safe_io.split_text_trailer text in
-  String.split_on_char '\n' body
-  |> List.filter (fun line ->
-         not (String.length line > 6 && String.sub line 0 6 = "order "))
-  |> List.map (fun line ->
-         if line = "ddsim-checkpoint 7" then
-           Printf.sprintf "ddsim-checkpoint %d" version
-         else if
-           String.length line > 6 && String.sub line 0 6 = "stats "
-         then
-           String.split_on_char ' ' line
-           |> List.filteri (fun i _ -> i <= stats_fields)
-           |> String.concat " "
-         else line)
-  |> String.concat "\n"
-
-let restores_with_zeroed_counters ~version ~stats_fields () =
-  let old = downgrade (checkpoint_text ()) ~version ~stats_fields in
-  let cp = Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"old" old in
-  check_int "gate index survives" 25 cp.Dd_sim.Checkpoint.gate_index;
-  check_int "qubits survive" 4 cp.Dd_sim.Checkpoint.qubits;
-  let stats = cp.Dd_sim.Checkpoint.stats in
-  check_bool "pre-auditor file: auditor counters zero-filled" true
-    (stats.Dd_sim.Sim_stats.audits_run = 0
-    && stats.Dd_sim.Sim_stats.audit_violations = 0
-    && stats.Dd_sim.Sim_stats.audit_repairs = 0);
-  if version < 3 then
-    check_int "pre-v3 file: fast-path counter zero-filled" 0
-      stats.Dd_sim.Sim_stats.fast_path_applies;
-  check_bool "counters that existed restore" true
-    (stats.Dd_sim.Sim_stats.gates_seen > 0)
-
-let test_reads_v2 = restores_with_zeroed_counters ~version:2 ~stats_fields:12
-let test_reads_v3 = restores_with_zeroed_counters ~version:3 ~stats_fields:14
-let test_reads_v4 = restores_with_zeroed_counters ~version:4 ~stats_fields:16
+(* -- checkpoint format ----------------------------------------------------- *)
 
 let test_rejects_truncation () =
   let text = checkpoint_text () in
@@ -195,6 +155,41 @@ let test_load_latest_falls_back () =
 (* -- fsck ---------------------------------------------------------------- *)
 
 let fsck path = Dd_sim.Fsck.check_file ~path
+
+(* Only the current format is read.  A v7 checkpoint rewritten as v6 (its
+   header, the 23-field stats line v6 wrote, a fresh valid trailer) must be
+   refused by version, not misparsed — by the loader and by fsck alike. *)
+let test_rejects_old_version () =
+  let body, _ = Obs.Safe_io.split_text_trailer (checkpoint_text ()) in
+  let body =
+    String.split_on_char '\n' body
+    |> List.map (fun line ->
+           if line = "ddsim-checkpoint 7" then "ddsim-checkpoint 6"
+           else if String.length line > 6 && String.sub line 0 6 = "stats "
+           then
+             String.split_on_char ' ' line
+             |> List.filteri (fun i _ -> i <= 23)
+             |> String.concat " "
+           else line)
+    |> String.concat "\n"
+  in
+  let v6 = body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n" in
+  (match Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"v6" v6 with
+  | _ -> Alcotest.fail "a v6 checkpoint was accepted"
+  | exception
+      Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ }) ->
+    Alcotest.(check string)
+      "names the version and says to re-run"
+      "checkpoint format version 6 is no longer readable (current is 7); \
+       re-run the simulation to regenerate it"
+      message);
+  let path = temp_path ".ckpt" in
+  Obs.Safe_io.write_file path v6;
+  let report = fsck path in
+  check_bool ("fsck flags it: " ^ Dd_sim.Fsck.to_string report) false
+    report.Dd_sim.Fsck.ok;
+  Alcotest.(check string) "family" "checkpoint" report.Dd_sim.Fsck.family;
+  cleanup path
 
 let test_fsck_good_checkpoint () =
   let path = temp_path ".ckpt" in
@@ -285,9 +280,8 @@ let suite =
       test_text_trailer_roundtrip;
     Alcotest.test_case "write_file replaces atomically" `Quick
       test_write_file_atomic;
-    Alcotest.test_case "reads version 2 checkpoints" `Quick test_reads_v2;
-    Alcotest.test_case "reads version 3 checkpoints" `Quick test_reads_v3;
-    Alcotest.test_case "reads version 4 checkpoints" `Quick test_reads_v4;
+    Alcotest.test_case "rejects older checkpoint versions" `Quick
+      test_rejects_old_version;
     Alcotest.test_case "rejects truncated checkpoints" `Quick
       test_rejects_truncation;
     Alcotest.test_case "rejects checksum mismatch" `Quick

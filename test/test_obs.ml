@@ -7,11 +7,12 @@
 
 open Util
 
-let traced_run ?strategy ?max_events circuit =
+let traced_run ?strategy ?guard ?(domains = 1) ?max_events circuit =
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
+  Dd_sim.Engine.set_domains engine domains;
   let trace = Obs.Trace.create ?max_events () in
   Dd_sim.Engine.set_trace engine trace;
-  Dd_sim.Engine.run ?strategy engine circuit;
+  Dd_sim.Engine.run ?strategy ?guard engine circuit;
   (engine, trace)
 
 (* -- clock ---------------------------------------------------------- *)
@@ -476,46 +477,6 @@ let test_checkpoint_v4_roundtrip () =
     stats.Dd_sim.Sim_stats.mat_vec_mults
     restored.Dd_sim.Sim_stats.mat_vec_mults
 
-let test_checkpoint_reads_v3 () =
-  (* downgrade a freshly written v5 checkpoint to the v3 text format: v3
-     headers carried 14 stats fields, no trace/wall/audit data and no
-     checksum trailer *)
-  let circuit = Standard.ghz 5 in
-  let engine = Dd_sim.Engine.create 5 in
-  Dd_sim.Engine.run engine circuit;
-  (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.trace_events_dropped <- 9;
-  let checkpoint =
-    Dd_sim.Checkpoint.snapshot engine ~strategy:Dd_sim.Strategy.Sequential
-      ~gate_index:5
-  in
-  let v4 = Dd_sim.Checkpoint.to_string checkpoint in
-  let v3 =
-    String.split_on_char '\n' v4
-    |> List.filter (fun line ->
-           not
-             ((String.length line > 9 && String.sub line 0 9 = "checksum ")
-             || (String.length line > 6 && String.sub line 0 6 = "order ")))
-    |> List.map (fun line ->
-           if line = "ddsim-checkpoint 7" then "ddsim-checkpoint 3"
-           else if String.length line > 6 && String.sub line 0 6 = "stats " then
-             String.concat " "
-               (String.split_on_char ' ' line
-               |> List.filteri (fun i _ -> i < 15))
-           else line)
-    |> String.concat "\n"
-  in
-  let reloaded =
-    Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"<v3>" v3
-  in
-  let restored = reloaded.Dd_sim.Checkpoint.stats in
-  check_int "v3 restores trace_events_dropped as zero" 0
-    restored.Dd_sim.Sim_stats.trace_events_dropped;
-  check_bool "v3 restores wall_time_seconds as zero" true
-    (restored.Dd_sim.Sim_stats.wall_time_seconds = 0.);
-  check_int "v3 counters restore"
-    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.mat_vec_mults
-    restored.Dd_sim.Sim_stats.mat_vec_mults
-
 (* -- QCheck: the trace is a faithful ledger of the aggregates -------- *)
 
 let circuit_arb ~qubits ~gates =
@@ -533,12 +494,19 @@ let prop_trace_counts_match_stats =
        (circuit_arb ~qubits:4 ~gates:30)
        (QCheck.oneofl
           [
-            Dd_sim.Strategy.Sequential;
-            Dd_sim.Strategy.K_operations 3;
-            Dd_sim.Strategy.Max_size 64;
+            (Dd_sim.Strategy.Sequential, None, 1);
+            (Dd_sim.Strategy.K_operations 3, None, 1);
+            (Dd_sim.Strategy.Max_size 64, None, 1);
+            (* the fallback arm: over-budget windows degrade to sequential *)
+            ( Dd_sim.Strategy.K_operations 3,
+              Some (Dd_sim.Guard.make ~max_matrix_nodes:8 ()),
+              1 );
+            (* pooled windows: one Mat_mat span per product, whatever the
+               pool size *)
+            (Dd_sim.Strategy.K_operations 3, None, 2);
           ]))
-  @@ fun ((_, circuit), strategy) ->
-  let engine, trace = traced_run ~strategy circuit in
+  @@ fun ((_, circuit), (strategy, guard, domains)) ->
+  let engine, trace = traced_run ~strategy ?guard ~domains circuit in
   let stats = Dd_sim.Engine.stats engine in
   count_kind trace Obs.Trace.Mat_vec = stats.Dd_sim.Sim_stats.mat_vec_mults
   && count_kind trace Obs.Trace.Mat_mat = stats.Dd_sim.Sim_stats.mat_mat_mults
@@ -789,7 +757,6 @@ let suite =
       test_wall_time_accumulates;
     Alcotest.test_case "checkpoint_v4_roundtrip" `Quick
       test_checkpoint_v4_roundtrip;
-    Alcotest.test_case "checkpoint_reads_v3" `Quick test_checkpoint_reads_v3;
     Alcotest.test_case "lane_arming_and_merge" `Quick
       test_lane_arming_and_merge;
     Alcotest.test_case "lane_lookup_allocates_nothing" `Quick

@@ -128,11 +128,20 @@ let test_repeating_combines_once () =
       ]
   in
   let engine = Dd_sim.Engine.create 3 in
+  let ledger = Obs.Ledger.create () in
+  Dd_sim.Engine.set_ledger engine ledger;
   Dd_sim.Engine.run ~use_repeating:true engine circuit;
   let stats = Dd_sim.Engine.stats engine in
   (* body of 2 gates -> 1 mat-mat, then 10 mat-vec applications *)
   check_int "mat-mat once" 1 stats.Dd_sim.Sim_stats.mat_mat_mults;
-  check_int "mat-vec per repetition" 10 stats.Dd_sim.Sim_stats.mat_vec_mults
+  check_int "mat-vec per repetition" 10 stats.Dd_sim.Sim_stats.mat_vec_mults;
+  (* every applied repetition counts its gates, as without repeating *)
+  check_int "gates seen per repetition" 20 stats.Dd_sim.Sim_stats.gates_seen;
+  check_int "ledger attributes every gate seen"
+    stats.Dd_sim.Sim_stats.gates_seen
+    (List.fold_left
+       (fun acc (e : Obs.Ledger.entry) -> acc + e.gates)
+       0 (Obs.Ledger.entries ledger))
 
 let test_strategy_parsing () =
   let roundtrip s = Dd_sim.Strategy.(of_string (to_string s)) in
