@@ -32,9 +32,15 @@ val set_parallel : t -> bool -> unit
     Toggle only while no other domain is using the table. *)
 
 val intern : t -> Cnum.t -> Cnum.t
-(** [intern table z] returns the canonical representative of [z]: an existing
-    entry within [tolerance] component-wise, or [z] itself freshly tagged.
-    Values within tolerance of [0] and [1] intern to the exact constants.
+(** [intern table z] returns the canonical representative of [z]: the first
+    existing entry within [tolerance] component-wise, or [z] itself freshly
+    tagged.  Entries are kept in cells of side [tolerance] and scanned in a
+    fixed order — [z]'s own cell, then its four edge neighbours, then its
+    four corners, newest entry first within a cell — so the answer depends
+    on the order values were interned.  The constants [0] and [1] are
+    ordinary entries of that scan: a value within tolerance of one of them
+    gets the exact constant only when no earlier-scanned entry matches
+    first (an earlier [1.2e-12] captures a later [0.99e-12]).
     Already-tagged values (tag >= 0) are returned unchanged — a table only
     ever sees weights it produced. *)
 

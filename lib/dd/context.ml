@@ -207,14 +207,17 @@ let reset_lock_stats ctx =
    An mnode is a 7-word block plus four boxed medges — 19 words.  A packed
    compute-table entry is four key/value slots plus the boxed result edge
    and weight sharing — call it 8 words.  A canonical-weight entry is a
-   boxed Cnum (3 words) plus its table slot — call it 6.  These are
-   estimates for telemetry gauges, not an allocator census: hash-table
-   bucket overhead and weight sharing pull in opposite directions and
-   roughly cancel. *)
+   Cnum (a 4-word mixed float/int block plus two boxed floats at 2 words
+   each — 8), its 3-word list cell in the Ctable, and its share of that
+   table's tolerance cell: nearly every cell holds one value, so a 4-word
+   cell record plus 2–4 index slots (the load factor stays in (1/4, 1/2]
+   between growths) — call it 18.  These are estimates for telemetry
+   gauges, not an allocator census: slack in the index and weight sharing
+   pull in opposite directions and roughly cancel. *)
 let vnode_words = 11
 let mnode_words = 19
 let compute_entry_words = 8
-let cnum_entry_words = 6
+let cnum_entry_words = 18
 let bytes_per_word = 8
 
 let unique_table_bytes ctx =

@@ -114,7 +114,7 @@ val reset_lock_stats : t -> unit
 val unique_table_bytes : t -> int
 (** Estimated bytes resident in the unique tables and the canonical
     weight table, from live entry counts times documented per-entry
-    layout costs (vnode 11 words, mnode 19, weight 6; 8-byte words).
+    layout costs (vnode 11 words, mnode 19, weight 18; 8-byte words).
     O(1) — safe on hot observability paths. *)
 
 val compute_table_bytes : t -> int

@@ -72,6 +72,21 @@ let test_intern_snaps_noise () =
   let o = Ctable.intern table (Cnum.make (1. -. 1e-12) 1e-13) in
   check_bool "near-one snaps to exact one" true (Cnum.is_exact_one o)
 
+let test_intern_own_cell_before_constants () =
+  (* the query's own cell is scanned before the cell holding a constant,
+     so an earlier entry within tolerance wins over 0 or 1 *)
+  let table = Ctable.create () in
+  let a = Ctable.intern table (Cnum.make 1.2e-12 0.) in
+  check_int "1.2e-12 is a new entry" 2 (Cnum.tag a);
+  let b = Ctable.intern table (Cnum.make 0.99e-12 0.) in
+  check_bool "0.99e-12 returns the 1.2e-12 entry, not zero" true (a == b);
+  let c = Ctable.intern table (Cnum.make (1. +. 1.4e-12) 0.) in
+  check_int "1 + 1.4e-12 is a new entry" 3 (Cnum.tag c);
+  let d = Ctable.intern table (Cnum.make (1. +. 0.6e-12) 0.) in
+  check_bool "1 + 0.6e-12 returns the 1 + 1.4e-12 entry, not one" true
+    (c == d);
+  check_int "no further entries" 4 (Ctable.size table)
+
 let test_intern_shares () =
   let table = Ctable.create () in
   let a = Ctable.intern table (Cnum.make 0.25 0.75) in
@@ -107,6 +122,110 @@ let test_bucket_boundary () =
   let b = Ctable.intern table (Cnum.make (1.5e-6 -. 4.9e-7) 0.) in
   check_bool "boundary straddlers merge" true (a == b)
 
+(* -- QCheck: the table against a reference model ---------------------- *)
+
+(* The table's semantics written the plainest way: a Hashtbl from cell
+   coordinates to that cell's entries, newest first, scanned own cell,
+   then edge neighbours, then corners; the first entry within tolerance
+   wins, otherwise the value gets the next tag. *)
+module Reference = struct
+  type t = {
+    tol : float;
+    cells : (int * int, float * float * int) Hashtbl.t;
+    mutable next_tag : int;
+  }
+
+  let coord tol x = int_of_float (floor ((x /. tol) +. 0.5))
+
+  let add t re im tag =
+    Hashtbl.add t.cells (coord t.tol re, coord t.tol im) (re, im, tag)
+
+  let create tol =
+    let t = { tol; cells = Hashtbl.create 64; next_tag = 2 } in
+    add t 0. 0. 0;
+    add t 1. 0. 1;
+    t
+
+  let order =
+    [ (0, 0); (-1, 0); (1, 0); (0, -1); (0, 1);
+      (-1, -1); (-1, 1); (1, -1); (1, 1) ]
+
+  let within t re im (re', im', _) =
+    abs_float (re' -. re) <= t.tol && abs_float (im' -. im) <= t.tol
+
+  (* [Hashtbl.find_all] lists a key's bindings newest first *)
+  let intern t re im =
+    let bre = coord t.tol re and bim = coord t.tol im in
+    let found =
+      List.find_map
+        (fun (di, dj) ->
+          List.find_opt (within t re im)
+            (Hashtbl.find_all t.cells (bre + di, bim + dj)))
+        order
+    in
+    match found with
+    | Some entry -> entry
+    | None ->
+      let tag = t.next_tag in
+      t.next_tag <- tag + 1;
+      add t re im tag;
+      (re, im, tag)
+
+  let distinct_cells t =
+    let seen = Hashtbl.create 64 in
+    Hashtbl.iter (fun key _ -> Hashtbl.replace seen key ()) t.cells;
+    Hashtbl.length seen
+end
+
+(* One component, in units of the tolerance: near a cell boundary of a
+   wide or a narrow range of cells, or near 0, 1 or -1. *)
+let component_gen tol =
+  let open QCheck.Gen in
+  let near_edge =
+    oneofl [ -0.49; 0.49; -0.5; 0.5; -0.51; 0.51 ] >|= fun e ->
+    fun k -> (float_of_int k +. e) *. tol
+  in
+  frequency
+    [
+      (4, map2 (fun at k -> at k) near_edge (-3000 -- 3000));
+      (3, map2 (fun at k -> at k) near_edge (-4 -- 4));
+      (1, float_range (-3.) 3. >|= fun u -> u *. tol);
+      (1, float_range (-3.) 3. >|= fun u -> 1. +. (u *. tol));
+      (1, float_range (-3.) 3. >|= fun u -> -1. +. (u *. tol));
+      (1, float_range (-1.) 1.);
+    ]
+
+let stream_arb tol =
+  let open QCheck.Gen in
+  let value = pair (component_gen tol) (component_gen tol) in
+  QCheck.make
+    ~print:(fun values ->
+      Printf.sprintf "%d values, first %s" (List.length values)
+        (match values with
+        | (re, im) :: _ -> Printf.sprintf "%h%+hi" re im
+        | [] -> "-"))
+    (int_range 9_000 12_000 >>= fun n -> list_repeat n value)
+
+let prop_matches_reference ~name tolerance =
+  QCheck.Test.make ~name ~count:8 (stream_arb tolerance) (fun values ->
+      let table = Ctable.create ~tolerance () in
+      let model = Reference.create tolerance in
+      List.iter
+        (fun (re, im) ->
+          let got = Ctable.intern table (Cnum.make re im) in
+          let re', im', tag = Reference.intern model re im in
+          if
+            Cnum.tag got <> tag
+            || not (Float.equal (Cnum.re got) re' && Float.equal (Cnum.im got) im')
+          then
+            QCheck.Test.fail_reportf
+              "intern %h%+hi: table gave tag %d (%h%+hi), model tag %d (%h%+hi)"
+              re im (Cnum.tag got) (Cnum.re got) (Cnum.im got) tag re' im')
+        values;
+      (* more than 4096 cells: the table grew past its initial slots *)
+      Reference.distinct_cells model > 4096
+      && Ctable.size table = model.Reference.next_tag)
+
 let suite =
   [
     Alcotest.test_case "add" `Quick test_add;
@@ -129,4 +248,12 @@ let suite =
     Alcotest.test_case "intern_idempotent" `Quick test_intern_idempotent;
     Alcotest.test_case "table_size" `Quick test_table_size;
     Alcotest.test_case "bucket_boundary" `Quick test_bucket_boundary;
+    Alcotest.test_case "intern_own_cell_before_constants" `Quick
+      test_intern_own_cell_before_constants;
   ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_matches_reference ~name:"ctable matches reference (tol 1e-12)"
+          1e-12;
+        prop_matches_reference ~name:"ctable matches reference (tol 1e-6)" 1e-6;
+      ]

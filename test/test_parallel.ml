@@ -322,6 +322,47 @@ let test_sequential_table_ops_allocate_nothing () =
   check_int "sequential traffic never touches the lock counters" 0
     l.Dd.Compute_table.acquisitions
 
+let test_concurrent_interning () =
+  (* two domains intern overlapping streams into one table under its
+     slow-path mutex; 9000 distinct values fill well over 2048 cells, so
+     the index grows (4096 -> 8192 -> 16384 slots) while both race *)
+  let open Dd_complex in
+  let table = Ctable.create () in
+  let stream lo hi noise =
+    Array.init (hi - lo) (fun j ->
+        Cnum.make ((float_of_int (lo + j) *. 1e-6) +. noise) (0.5 -. noise))
+  in
+  let intern_all inputs = Array.map (Ctable.intern table) inputs in
+  let first = stream 0 6000 0. and second = stream 3000 9000 1e-14 in
+  Ctable.set_parallel table true;
+  let other = Domain.spawn (fun () -> intern_all second) in
+  let mine = intern_all first in
+  let theirs = Domain.join other in
+  Ctable.set_parallel table false;
+  let by_tag = Hashtbl.create 9000 in
+  let size = Ctable.size table in
+  let check inputs outputs =
+    Array.iteri
+      (fun i rep ->
+        check_bool "representative is within tolerance of its input" true
+          (Cnum.approx_equal rep inputs.(i));
+        let tag = Cnum.tag rep in
+        check_bool "tag below size" true (tag >= 0 && tag < size);
+        match Hashtbl.find_opt by_tag tag with
+        | Some seen ->
+          check_bool "one tag, one representative" true (seen == rep)
+        | None -> Hashtbl.add by_tag tag rep)
+      outputs
+  in
+  check first mine;
+  check second theirs;
+  let reps = Hashtbl.length by_tag in
+  check_int "the overlap merged: one representative per distinct value" 9000
+    reps;
+  check_int "size is the constants plus every representative" (2 + reps) size;
+  check_bool "the slow path ran under the lock" true
+    ((Ctable.lock_stats table).Ctable.acquisitions > 0)
+
 let test_parallel_trace_has_lanes () =
   let circuit = Standard.random_circuit ~seed:17 ~qubits:5 ~gates:40 () in
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
@@ -378,6 +419,8 @@ let suite =
       test_sequential_run_leaves_instrumentation_dark;
     Alcotest.test_case "sequential table ops allocate nothing" `Quick
       test_sequential_table_ops_allocate_nothing;
+    Alcotest.test_case "two domains intern into one table" `Quick
+      test_concurrent_interning;
     Alcotest.test_case "parallel traced run has lanes" `Quick
       test_parallel_trace_has_lanes;
   ]
