@@ -86,7 +86,7 @@ let export_trace ~format ~meta = function
       | `Jsonl -> Obs.Trace_export.jsonl ~meta trace
       | `Chrome -> Obs.Trace_export.chrome ~meta trace
     in
-    Obs.Trace_export.write_file path contents;
+    Obs.Safe_io.write_file path contents;
     Printf.printf "wrote trace %s (%d events, %d dropped)\n" path
       (Obs.Trace.length trace) (Obs.Trace.dropped trace)
 
@@ -138,7 +138,7 @@ let attach_profile engine ~every = function
 let export_profile ~meta = function
   | None -> ()
   | Some (path, sink) ->
-    Obs.Trace_export.write_file path (Obs.Dd_profile.jsonl ~meta sink);
+    Obs.Safe_io.write_file path (Obs.Dd_profile.jsonl ~meta sink);
     Printf.printf "wrote profile %s (%d snapshots, %d dropped)\n" path
       (Obs.Dd_profile.length sink)
       (Obs.Dd_profile.dropped sink)
@@ -176,7 +176,7 @@ let export_ledger engine ~meta = function
           );
         ]
     in
-    Obs.Trace_export.write_file path (Obs.Ledger.jsonl ~meta sink);
+    Obs.Safe_io.write_file path (Obs.Ledger.jsonl ~meta sink);
     Printf.printf "wrote ledger %s (%d entries, %d dropped)\n" path
       (Obs.Ledger.length sink) (Obs.Ledger.dropped sink)
 
@@ -837,17 +837,11 @@ let trace_file_arg =
 
 let report_cmd =
   let action file =
-    let text = read_source file in
-    if String.trim text = "" then
-      (* a trace that never got a header is a run that recorded nothing,
-         not a corrupt artifact: summarise and succeed *)
-      print_string "trace report: no events (empty trace file)\n"
-    else
-      match Obs.Trace_report.parse_jsonl text with
-      | run -> print_string (Obs.Trace_report.render run)
-      | exception Failure message ->
-        Printf.eprintf "ddsim: %s\n" message;
-        exit 2
+    match Obs.Trace_report.parse_jsonl (read_source file) with
+    | run -> print_string (Obs.Trace_report.render run)
+    | exception Failure message ->
+      Printf.eprintf "ddsim: %s\n" message;
+      exit 2
   in
   let term = Term.(const action $ trace_file_arg) in
   Cmd.v
@@ -911,33 +905,21 @@ let diff_file_b_arg =
     & pos 1 (some file) None
     & info [] ~docv:"B.jsonl" ~doc:"Second run, same file family.")
 
-(* both sidecar families are JSONL with a schema-carrying header line;
-   peek at it to decide which parser applies *)
-let sniff_schema path text =
-  let first_line =
-    String.split_on_char '\n' text
-    |> List.find_opt (fun line -> String.trim line <> "")
-  in
-  match first_line with
+(* every sidecar family is a JSONL document whose header names its
+   schema; that decides which parser applies *)
+let schema_of path text =
+  match Obs.Jsonl.schema_of text with
+  | Some schema -> schema
   | None ->
-    Printf.eprintf "ddsim: %s: empty file\n" path;
+    Printf.eprintf "ddsim: %s: not a JSONL sidecar (no schema header line)\n"
+      path;
     exit 2
-  | Some line -> (
-    match Obs.Json.member (Obs.Json.parse line) "schema" with
-    | Some (Obs.Json.Str s) -> s
-    | Some _ | None ->
-      Printf.eprintf "ddsim: %s: header line carries no \"schema\" field\n"
-        path;
-      exit 2
-    | exception Failure message ->
-      Printf.eprintf "ddsim: %s: %s\n" path message;
-      exit 2)
 
 let diff_cmd =
   let action path_a path_b =
     let text_a = read_source path_a and text_b = read_source path_b in
-    let schema_a = sniff_schema path_a text_a in
-    let schema_b = sniff_schema path_b text_b in
+    let schema_a = schema_of path_a text_a in
+    let schema_b = schema_of path_b text_b in
     if schema_a <> schema_b then begin
       Printf.eprintf
         "ddsim: cannot diff %S against %S (one is a %s, the other a %s)\n"
@@ -972,11 +954,12 @@ let diff_cmd =
   Cmd.v
     (Cmd.info "diff"
        ~doc:
-         "Compare two recorded runs (JSONL traces or structural profiles \
-          of the same circuit): first divergence point, node-trajectory \
-          overlay, per-phase time deltas, compute-table hit-rate deltas; \
-          profiles additionally get a per-level breakdown at the \
-          divergence.")
+         "Compare two recorded runs of the same circuit (two JSONL \
+          traces, structural profiles or strategy ledgers): first \
+          divergence point, node-trajectory overlay, per-phase time \
+          deltas, compute-table hit-rate deltas; profiles additionally \
+          get a per-level breakdown at the divergence, ledgers \
+          per-strategy totals, break-even k and memory peaks.")
     term
 
 (* --- bench-check ------------------------------------------------------ *)

@@ -19,14 +19,9 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let first_line text =
-  match String.index_opt text '\n' with
-  | Some i -> String.sub text 0 i
-  | None -> text
-
-let is_prefix prefix line =
-  String.length line >= String.length prefix
-  && String.sub line 0 (String.length prefix) = prefix
+let is_prefix prefix text =
+  String.length text >= String.length prefix
+  && String.sub text 0 (String.length prefix) = prefix
 
 (* Parsing into a throwaway context exercises the full validation chain:
    checksum trailer, header, stats arity, DD reconstruction, height. *)
@@ -41,116 +36,78 @@ let check_checkpoint ~path text =
   | exception Error.Error e ->
     fail ~path ~family:"checkpoint" (Error.to_string e)
 
-let no_trailer_note text =
-  match Obs.Safe_io.split_jsonl_trailer text with
-  | _, Some _ -> ""
-  | _, None -> " (no checksum trailer)"
+(* A JSONL sidecar passes when its family's strict reader accepts it and
+   [rule] finds no fault in its records.  [rule i state record] sees each
+   record in order and returns the next state, or the fault. *)
+let check_jsonl ~path ~family ~summary parse rule init text =
+  match parse text with
+  | exception Failure message -> fail ~path ~family message
+  | records ->
+    let rec scan i state = function
+      | [] -> pass ~path ~family (summary (List.length records))
+      | record :: rest -> (
+        match rule i state record with
+        | Ok state -> scan (i + 1) state rest
+        | Error detail -> fail ~path ~family detail)
+    in
+    scan 0 init records
 
-let check_trace ~path text =
-  match Obs.Trace_report.parse_jsonl text with
-  | run ->
-    let events = run.Obs.Trace_report.events in
-    let bad = ref None in
-    let last = ref (-1) in
-    List.iteri
-      (fun i (e : Obs.Trace.event) ->
-        if !bad = None then
-          if e.dur < 0. then
-            bad :=
-              Some (Printf.sprintf "event %d carries a negative duration" i)
-          else if e.kind = Obs.Trace.Gate_applied && e.gate_index >= 0 then
-            if e.gate_index < !last then
-              bad :=
-                Some
-                  (Printf.sprintf
-                     "event %d: gate index %d goes backwards (after %d)" i
-                     e.gate_index !last)
-            else last := e.gate_index)
-      events;
-    (match !bad with
-    | Some detail -> fail ~path ~family:"trace" detail
-    | None ->
-      pass ~path ~family:"trace"
-        (Printf.sprintf "%d events, schema v%d%s" (List.length events)
-           run.Obs.Trace_report.version (no_trailer_note text)))
-  | exception Failure message -> fail ~path ~family:"trace" message
+let check_trace ~path =
+  check_jsonl ~path ~family:"trace"
+    ~summary:(fun n ->
+      Printf.sprintf "%d events, schema v%d" n Obs.Trace_export.version)
+    (fun text -> (Obs.Trace_report.parse_jsonl text).Obs.Trace_report.events)
+    (fun i last (e : Obs.Trace.event) ->
+      if e.dur < 0. then
+        Error (Printf.sprintf "event %d carries a negative duration" i)
+      else if e.kind = Obs.Trace.Gate_applied && e.gate_index >= 0 then
+        if e.gate_index < last then
+          Error
+            (Printf.sprintf "event %d: gate index %d goes backwards (after %d)"
+               i e.gate_index last)
+        else Ok e.gate_index
+      else Ok last)
+    (-1)
 
-let check_profile ~path text =
-  match Obs.Dd_profile.parse_jsonl text with
-  | run ->
-    let snapshots = run.Obs.Dd_profile.run_snapshots in
-    let bad = ref None in
-    let last = ref (-1) in
-    List.iteri
-      (fun i (s : Obs.Dd_profile.snapshot) ->
-        if !bad = None then
-          if s.Obs.Dd_profile.gate_index < !last then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "snapshot %d: gate index %d goes backwards (after %d)" i
-                   s.Obs.Dd_profile.gate_index !last)
-          else last := s.Obs.Dd_profile.gate_index)
-      snapshots;
-    (match !bad with
-    | Some detail -> fail ~path ~family:"profile" detail
-    | None ->
-      pass ~path ~family:"profile"
-        (Printf.sprintf "%d snapshots%s" (List.length snapshots)
-           (no_trailer_note text)))
-  | exception Failure message -> fail ~path ~family:"profile" message
+let check_profile ~path =
+  check_jsonl ~path ~family:"profile"
+    ~summary:(Printf.sprintf "%d snapshots")
+    (fun text -> (Obs.Dd_profile.parse_jsonl text).Obs.Dd_profile.run_snapshots)
+    (fun i last (s : Obs.Dd_profile.snapshot) ->
+      if s.gate_index < last then
+        Error
+          (Printf.sprintf "snapshot %d: gate index %d goes backwards (after %d)"
+             i s.gate_index last)
+      else Ok s.gate_index)
+    (-1)
 
-let check_ledger ~path text =
-  match Obs.Ledger.parse_jsonl text with
-  | run ->
-    let entries = run.Obs.Ledger.run_entries in
-    let bad = ref None in
-    let last_start = ref min_int in
-    List.iteri
-      (fun i (e : Obs.Ledger.entry) ->
-        if !bad = None then
-          if e.Obs.Ledger.gate_end < e.Obs.Ledger.gate_start then
-            bad :=
-              Some
-                (Printf.sprintf "entry %d: gate range [%d,%d) is inverted" i
-                   e.Obs.Ledger.gate_start e.Obs.Ledger.gate_end)
-          else if e.Obs.Ledger.build_seconds < 0. || e.Obs.Ledger.apply_seconds < 0.
-          then
-            bad := Some (Printf.sprintf "entry %d carries a negative duration" i)
-          else if e.Obs.Ledger.gate_start < !last_start then
-            bad :=
-              Some
-                (Printf.sprintf
-                   "entry %d: gate start %d goes backwards (after %d)" i
-                   e.Obs.Ledger.gate_start !last_start)
-          else last_start := e.Obs.Ledger.gate_start)
-      entries;
-    (match !bad with
-    | Some detail -> fail ~path ~family:"ledger" detail
-    | None ->
-      pass ~path ~family:"ledger"
-        (Printf.sprintf "%d entries%s" (List.length entries)
-           (no_trailer_note text)))
-  | exception Failure message -> fail ~path ~family:"ledger" message
+let check_ledger ~path =
+  check_jsonl ~path ~family:"ledger"
+    ~summary:(Printf.sprintf "%d entries")
+    (fun text -> (Obs.Ledger.parse_jsonl text).Obs.Ledger.run_entries)
+    (fun i last_start (e : Obs.Ledger.entry) ->
+      if e.gate_end < e.gate_start then
+        Error
+          (Printf.sprintf "entry %d: gate range [%d,%d) is inverted" i
+             e.gate_start e.gate_end)
+      else if e.build_seconds < 0. || e.apply_seconds < 0. then
+        Error (Printf.sprintf "entry %d carries a negative duration" i)
+      else if e.gate_start < last_start then
+        Error
+          (Printf.sprintf "entry %d: gate start %d goes backwards (after %d)" i
+             e.gate_start last_start)
+      else Ok e.gate_start)
+    min_int
 
 let check_file ~path =
   match read_file path with
   | exception Sys_error message -> fail ~path ~family:"unknown" message
-  | text ->
-    let line = first_line text in
-    if is_prefix "ddsim-checkpoint " line then check_checkpoint ~path text
-    else if is_prefix "{" line then begin
-      match Obs.Json.parse line with
-      | exception Failure _ ->
-        fail ~path ~family:"unknown" "unparseable header line"
-      | header -> (
-        match Obs.Json.member header "schema" with
-        | Some (Obs.Json.Str "ddsim-trace") -> check_trace ~path text
-        | Some (Obs.Json.Str "ddsim-profile") -> check_profile ~path text
-        | Some (Obs.Json.Str "ddsim-ledger") -> check_ledger ~path text
-        | Some (Obs.Json.Str s) ->
-          fail ~path ~family:"unknown"
-            (Printf.sprintf "unrecognised schema %S" s)
-        | _ -> fail ~path ~family:"unknown" "header line has no schema field")
-    end
-    else fail ~path ~family:"unknown" "unrecognised artifact format"
+  | text when is_prefix "ddsim-checkpoint " text -> check_checkpoint ~path text
+  | text -> (
+    match Obs.Jsonl.schema_of text with
+    | Some s when s = Obs.Trace_export.schema -> check_trace ~path text
+    | Some s when s = Obs.Dd_profile.schema -> check_profile ~path text
+    | Some s when s = Obs.Ledger.schema -> check_ledger ~path text
+    | Some s ->
+      fail ~path ~family:"unknown" (Printf.sprintf "unrecognised schema %S" s)
+    | None -> fail ~path ~family:"unknown" "unrecognised artifact format")

@@ -23,8 +23,11 @@ type report = {
 }
 
 val check_file : path:string -> report
-(** Sniff the artifact family from the first line and validate the whole
-    file.  Unreadable or unrecognised files report [ok = false]. *)
+(** Sniff the artifact family from the first line (the checkpoint magic,
+    or a JSONL header's schema via {!Obs.Jsonl.schema_of}) and validate
+    the whole file with that family's strict reader, so a sidecar
+    without its checksum trailer fails.  Unreadable or unrecognised
+    files report [ok = false]. *)
 
 val to_string : report -> string
 (** ["PATH: OK family (detail)"] / ["PATH: FAIL family (detail)"]. *)

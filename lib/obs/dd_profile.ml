@@ -99,30 +99,16 @@ let snapshot_to_json s =
     s.identity_fraction
     (String.concat "," (List.map level_to_json s.levels))
 
-let meta_json meta =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-         meta)
-  ^ "}"
-
 let jsonl ?(meta = []) sink =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"version\":%d,\"every\":%d,\"snapshots\":%d,\"dropped\":%d,\"meta\":%s}\n"
-       schema version sink.cadence sink.count sink.drop_count
-       (meta_json meta));
-  List.iter
-    (fun s ->
-      Buffer.add_string buffer (snapshot_to_json s);
-      Buffer.add_char buffer '\n')
-    (snapshots sink);
-  (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
-  let body = Buffer.contents buffer in
-  body ^ Safe_io.jsonl_trailer body
+  Jsonl.write ~schema ~version
+    ~counts:
+      [
+        ("every", sink.cadence);
+        ("snapshots", sink.count);
+        ("dropped", sink.drop_count);
+      ]
+    ~meta
+    (Seq.map snapshot_to_json (List.to_seq (snapshots sink)))
 
 (* -- bulge detection -------------------------------------------------- *)
 
@@ -151,22 +137,10 @@ let bulge ?(factor = 4.0) ?(min_nodes = 16) counts =
   end
 
 type run = {
-  run_version : int;
   run_meta : (string * string) list;
   run_every : int;
   run_snapshots : snapshot list;
 }
-
-let located line_number message =
-  failwith (Printf.sprintf "profile:%d: %s" line_number message)
-
-let int_field json key ~default =
-  match Json.member json key with
-  | Some (Json.Num v) -> int_of_float v
-  | _ -> default
-
-let num_field json key ~default =
-  match Json.member json key with Some (Json.Num v) -> v | _ -> default
 
 let parse_pairs = function
   | Json.Arr entries ->
@@ -179,15 +153,15 @@ let parse_pairs = function
   | _ -> failwith "expected an array of pairs"
 
 let parse_level json =
-  let level = int_field json "level" ~default:(-1) in
+  let level = Jsonl.int json "level" ~default:(-1) in
   {
     level;
     (* absent in sidecars written before variable reordering existed,
        which could only mean the identity order *)
-    qubit = int_field json "qubit" ~default:level;
-    nodes = int_field json "nodes" ~default:0;
-    edges = int_field json "edges" ~default:0;
-    zero_edges = int_field json "zero_edges" ~default:0;
+    qubit = Jsonl.int json "qubit" ~default:level;
+    nodes = Jsonl.int json "nodes" ~default:0;
+    edges = Jsonl.int json "edges" ~default:0;
+    zero_edges = Jsonl.int json "zero_edges" ~default:0;
     weights =
       (match Json.member json "weights" with
       | Some w -> parse_pairs w
@@ -196,16 +170,13 @@ let parse_level json =
 
 let parse_snapshot json =
   {
-    gate_index = int_field json "gate" ~default:(-1);
-    t = num_field json "t" ~default:0.;
-    dd =
-      (match Json.member json "dd" with
-      | Some (Json.Str s) -> s
-      | _ -> "vector");
-    nodes = int_field json "nodes" ~default:0;
-    edges = int_field json "edges" ~default:0;
-    sharing = num_field json "sharing" ~default:0.;
-    identity_fraction = num_field json "identity_fraction" ~default:0.;
+    gate_index = Jsonl.int json "gate" ~default:(-1);
+    t = Jsonl.num json "t" ~default:0.;
+    dd = Jsonl.str json "dd" ~default:"vector";
+    nodes = Jsonl.int json "nodes" ~default:0;
+    edges = Jsonl.int json "edges" ~default:0;
+    sharing = Jsonl.num json "sharing" ~default:0.;
+    identity_fraction = Jsonl.num json "identity_fraction" ~default:0.;
     levels =
       (match Json.member json "levels" with
       | Some (Json.Arr ls) -> List.map parse_level ls
@@ -213,55 +184,9 @@ let parse_snapshot json =
   }
 
 let parse_jsonl text =
-  (* newer writers append a checksum trailer line; verify it when present
-     (older files without one still parse) *)
-  let body, trailer = Safe_io.split_jsonl_trailer text in
-  (match trailer with
-  | Some expected when Safe_io.checksum body <> expected ->
-    failwith "profile: checksum mismatch (file truncated or corrupted)"
-  | _ -> ());
-  let lines =
-    String.split_on_char '\n' body
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter (fun (_, line) -> String.trim line <> "")
-  in
-  match lines with
-  | [] -> failwith "profile: empty file"
-  | (header_line, header_text) :: rest ->
-    let header =
-      try Json.parse header_text
-      with Failure message -> located header_line message
-    in
-    (match Json.member header "schema" with
-    | Some (Json.Str s) when s = schema -> ()
-    | Some (Json.Str s) ->
-      located header_line (Printf.sprintf "unexpected schema %S" s)
-    | _ -> located header_line "header line is missing \"schema\"");
-    let run_version =
-      match Json.member header "version" with
-      | Some (Json.Num v) -> int_of_float v
-      | _ -> located header_line "header line is missing \"version\""
-    in
-    if run_version <> version then
-      located header_line
-        (Printf.sprintf "unsupported schema version %d (expected %d)"
-           run_version version);
-    let run_meta =
-      match Json.member header "meta" with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with Json.Str s -> Some (k, s) | _ -> None)
-          fields
-      | _ -> []
-    in
-    let run_every = int_field header "every" ~default:1 in
-    let run_snapshots =
-      List.map
-        (fun (line_number, line) ->
-          match parse_snapshot (Json.parse line) with
-          | snapshot -> snapshot
-          | exception Failure message -> located line_number message)
-        rest
-    in
-    { run_version; run_meta; run_every; run_snapshots }
+  let doc = Jsonl.read ~schema ~version ~record:parse_snapshot text in
+  {
+    run_meta = doc.meta;
+    run_every = Jsonl.int doc.header "every" ~default:1;
+    run_snapshots = doc.records;
+  }

@@ -103,8 +103,8 @@ val snapshot_to_json : snapshot -> string
 (** One JSON object, no trailing newline. *)
 
 val jsonl : ?meta:(string * string) list -> sink -> string
-(** Header line carrying [schema]/[version]/[every]/[meta], then one line
-    per snapshot. *)
+(** A {!Jsonl} document: header counts [every]/[snapshots]/[dropped],
+    one line per snapshot. *)
 
 val bulge : ?factor:float -> ?min_nodes:int -> int array -> int option
 (** [bulge counts] — the worst "level bulge" in a per-level node-count
@@ -115,12 +115,13 @@ val bulge : ?factor:float -> ?min_nodes:int -> int array -> int option
     sifting trigger. *)
 
 type run = {
-  run_version : int;
   run_meta : (string * string) list;
   run_every : int;
   run_snapshots : snapshot list;
 }
 
 val parse_jsonl : string -> run
-(** Raises [Failure] with a line-located message on malformed JSON, a
-    missing or foreign [schema], or an unsupported [version]. *)
+(** Reads a {!Jsonl} document of this {!schema} and {!version} only.
+    Raises [Failure] with a ["profile:LINE:"]-located message on
+    malformed JSON, a missing or foreign [schema], another [version], or
+    a missing or mismatched checksum trailer. *)

@@ -1,10 +1,11 @@
-(** Minimal JSON reader/writer for the trace exporters and [ddsim report].
+(** Minimal JSON reader/writer for the sidecar formats ({!Jsonl}), the
+    bench documents and the tools that read them.
 
     Deliberately tiny: the repository bakes no JSON dependency, and the
     only documents parsed are the ones this repository writes (stable,
     machine-generated).  The parser nevertheless accepts any well-formed
     JSON value — objects, arrays, strings with escapes, numbers, booleans,
-    null — so hand-edited traces keep working. *)
+    null — not only the shapes those writers emit. *)
 
 type t =
   | Null

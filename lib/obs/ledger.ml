@@ -185,7 +185,6 @@ let schema = "ddsim-ledger"
 let version = 1
 
 type run = {
-  run_version : int;
   run_meta : (string * string) list;
   run_dropped : int;
   run_entries : entry list;
@@ -216,124 +215,46 @@ let entry_to_json e =
   Buffer.add_char buffer '}';
   Buffer.contents buffer
 
-let meta_json meta =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-         meta)
-  ^ "}"
-
 let jsonl ?(meta = []) t =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"version\":%d,\"entries\":%d,\"dropped\":%d,\"meta\":%s}\n"
-       schema version t.count t.drop_count (meta_json meta));
-  List.iter
-    (fun e ->
-      Buffer.add_string buffer (entry_to_json e);
-      Buffer.add_char buffer '\n')
-    (entries t);
-  (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
-  let body = Buffer.contents buffer in
-  body ^ Safe_io.jsonl_trailer body
-
-let located line_number message =
-  failwith (Printf.sprintf "ledger:%d: %s" line_number message)
-
-let int_field json key ~default =
-  match Json.member json key with
-  | Some (Json.Num v) -> int_of_float v
-  | _ -> default
-
-let num_field json key ~default =
-  match Json.member json key with Some (Json.Num v) -> v | _ -> default
-
-let str_field json key ~default =
-  match Json.member json key with Some (Json.Str s) -> s | _ -> default
+  Jsonl.write ~schema ~version
+    ~counts:[ ("entries", t.count); ("dropped", t.drop_count) ]
+    ~meta
+    (Seq.map entry_to_json (List.to_seq (entries t)))
 
 let parse_entry json =
-  let gates = int_field json "gates" ~default:0 in
+  let gates = Jsonl.int json "gates" ~default:0 in
   let strategy =
-    match str_field json "strategy" ~default:"" with
+    match Jsonl.str json "strategy" ~default:"" with
     | "mat_vec" -> Mat_vec
-    | "mat_mat" -> Mat_mat (int_field json "k" ~default:gates)
+    | "mat_mat" -> Mat_mat (Jsonl.int json "k" ~default:gates)
     | "fallback" -> Fallback
     | s -> failwith (Printf.sprintf "unknown strategy %S" s)
   in
   {
-    index = int_field json "i" ~default:(-1);
+    index = Jsonl.int json "i" ~default:(-1);
     strategy;
-    gate_start = int_field json "gate_start" ~default:0;
-    gate_end = int_field json "gate_end" ~default:0;
+    gate_start = Jsonl.int json "gate_start" ~default:0;
+    gate_end = Jsonl.int json "gate_end" ~default:0;
     gates;
-    build_seconds = num_field json "build_s" ~default:0.;
-    apply_seconds = num_field json "apply_s" ~default:0.;
-    peak_matrix_nodes = int_field json "peak_matrix_nodes" ~default:(-1);
-    state_nodes_before = int_field json "state_nodes_before" ~default:0;
-    state_nodes_after = int_field json "state_nodes_after" ~default:0;
-    hits = int_field json "hits" ~default:0;
-    misses = int_field json "misses" ~default:0;
-    heap_live_words = int_field json "heap_live_words" ~default:0;
-    table_bytes = int_field json "table_bytes" ~default:0;
-    detail = str_field json "detail" ~default:"";
+    build_seconds = Jsonl.num json "build_s" ~default:0.;
+    apply_seconds = Jsonl.num json "apply_s" ~default:0.;
+    peak_matrix_nodes = Jsonl.int json "peak_matrix_nodes" ~default:(-1);
+    state_nodes_before = Jsonl.int json "state_nodes_before" ~default:0;
+    state_nodes_after = Jsonl.int json "state_nodes_after" ~default:0;
+    hits = Jsonl.int json "hits" ~default:0;
+    misses = Jsonl.int json "misses" ~default:0;
+    heap_live_words = Jsonl.int json "heap_live_words" ~default:0;
+    table_bytes = Jsonl.int json "table_bytes" ~default:0;
+    detail = Jsonl.str json "detail" ~default:"";
   }
 
 let parse_jsonl text =
-  (* verify the checksum trailer when present (files written by hand or
-     truncated mid-write may lack one; they still parse) *)
-  let body, trailer = Safe_io.split_jsonl_trailer text in
-  (match trailer with
-  | Some expected when Safe_io.checksum body <> expected ->
-    failwith "ledger: checksum mismatch (file truncated or corrupted)"
-  | _ -> ());
-  let lines =
-    String.split_on_char '\n' body
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter (fun (_, line) -> String.trim line <> "")
-  in
-  match lines with
-  | [] -> failwith "ledger: empty file"
-  | (header_line, header_text) :: rest ->
-    let header =
-      try Json.parse header_text
-      with Failure message -> located header_line message
-    in
-    (match Json.member header "schema" with
-    | Some (Json.Str s) when s = schema -> ()
-    | Some (Json.Str s) ->
-      located header_line (Printf.sprintf "unexpected schema %S" s)
-    | _ -> located header_line "header line is missing \"schema\"");
-    let run_version =
-      match Json.member header "version" with
-      | Some (Json.Num v) -> int_of_float v
-      | _ -> located header_line "header line is missing \"version\""
-    in
-    if run_version <> version then
-      located header_line
-        (Printf.sprintf "unsupported schema version %d (expected %d)"
-           run_version version);
-    let run_meta =
-      match Json.member header "meta" with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with Json.Str s -> Some (k, s) | _ -> None)
-          fields
-      | _ -> []
-    in
-    let run_dropped = int_field header "dropped" ~default:0 in
-    let run_entries =
-      List.map
-        (fun (line_number, line) ->
-          match parse_entry (Json.parse line) with
-          | entry -> entry
-          | exception Failure message -> located line_number message)
-        rest
-    in
-    { run_version; run_meta; run_dropped; run_entries }
+  let doc = Jsonl.read ~schema ~version ~record:parse_entry text in
+  {
+    run_meta = doc.meta;
+    run_dropped = Jsonl.int doc.header "dropped" ~default:0;
+    run_entries = doc.records;
+  }
 
 (* -- aggregation ------------------------------------------------------- *)
 
@@ -453,7 +374,7 @@ let mib bytes = float_of_int bytes /. (1024. *. 1024.)
 let explain ?(top = 5) run =
   let buffer = Buffer.create 2048 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buffer (s ^ "\n")) fmt in
-  line "ledger (schema %s v%d)" schema run.run_version;
+  line "ledger (schema %s v%d)" schema version;
   if run.run_meta <> [] then
     line "meta: %s"
       (String.concat " "

@@ -146,19 +146,21 @@ val version : int
 (** 1 *)
 
 type run = {
-  run_version : int;
   run_meta : (string * string) list;
   run_dropped : int;
   run_entries : entry list;
 }
 
 val jsonl : ?meta:(string * string) list -> t -> string
-(** Header line, one JSON object per entry, checksum trailer
-    ({!Safe_io.jsonl_trailer}).  Write through {!Safe_io.write_file}. *)
+(** A {!Jsonl} document: header counts [entries]/[dropped], one JSON
+    object per entry, checksum trailer.  Write through
+    {!Safe_io.write_file}. *)
 
 val parse_jsonl : string -> run
-(** Raises [Failure] with a ["ledger:LINE:"]-located message on
-    malformed input; verifies the checksum trailer when present. *)
+(** Reads a {!Jsonl} document of this {!schema} and {!version} only.
+    Raises [Failure] with a ["ledger:LINE:"]-located message on
+    malformed input, including a missing or mismatched checksum
+    trailer. *)
 
 (* -- aggregation ------------------------------------------------------- *)
 

@@ -112,6 +112,15 @@ let add_divergence buffer = function
          (if d.detail = "" then "" else Printf.sprintf " (%s)" d.detail)
          d.nodes_a d.nodes_b)
 
+let add_meta buffer ~meta_a ~meta_b =
+  List.iter
+    (fun (label, meta) ->
+      if meta <> [] then
+        Buffer.add_string buffer
+          (Printf.sprintf "meta (%s): %s\n" label
+             (String.concat ", " (List.map (fun (k, v) -> k ^ "=" ^ v) meta))))
+    [ ("a", meta_a); ("b", meta_b) ]
+
 let add_peaks buffer trajectory_a trajectory_b =
   match (peak_of trajectory_a, peak_of trajectory_b) with
   | Some (ga, na), Some (gb, nb) ->
@@ -217,15 +226,7 @@ let render_traces ?(label_a = "A") ?(label_b = "B") (run_a : Trace_report.run)
     (run_b : Trace_report.run) =
   let buffer = Buffer.create 4096 in
   add_heading buffer label_a label_b;
-  let show_meta label (run : Trace_report.run) =
-    if run.meta <> [] then
-      Buffer.add_string buffer
-        (Printf.sprintf "meta (%s): %s\n" label
-           (String.concat ", "
-              (List.map (fun (k, v) -> k ^ "=" ^ v) run.meta)))
-  in
-  show_meta "a" run_a;
-  show_meta "b" run_b;
+  add_meta buffer ~meta_a:run_a.meta ~meta_b:run_b.meta;
   let trajectory_a = Trace_report.trajectory run_a in
   let trajectory_b = Trace_report.trajectory run_b in
   (match first_divergence trajectory_a trajectory_b with
@@ -327,15 +328,7 @@ let render_ledgers ?(label_a = "A") ?(label_b = "B") (run_a : Ledger.run)
     (run_b : Ledger.run) =
   let buffer = Buffer.create 4096 in
   add_heading buffer label_a label_b;
-  let show_meta label (run : Ledger.run) =
-    if run.Ledger.run_meta <> [] then
-      Buffer.add_string buffer
-        (Printf.sprintf "meta (%s): %s\n" label
-           (String.concat ", "
-              (List.map (fun (k, v) -> k ^ "=" ^ v) run.Ledger.run_meta)))
-  in
-  show_meta "a" run_a;
-  show_meta "b" run_b;
+  add_meta buffer ~meta_a:run_a.Ledger.run_meta ~meta_b:run_b.Ledger.run_meta;
   Buffer.add_string buffer
     (Printf.sprintf "entries: %d (a) vs %d (b)\n"
        (List.length run_a.Ledger.run_entries)

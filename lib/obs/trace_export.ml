@@ -30,40 +30,24 @@ let kind_of_string = function
   | "pool_section" -> Some Trace.Pool_section
   | _ -> None
 
-let meta_json meta =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v))
-         meta)
-  ^ "}"
-
 (* %.9g keeps nanosecond resolution on second-scale timestamps without
    printing 17 digits for every event *)
+let event_to_json (e : Trace.event) =
+  (* [domain] is emitted only for worker lanes, so a single-lane trace
+     carries no domain fields at all *)
+  let domain_field =
+    if e.domain > 0 then Printf.sprintf ",\"domain\":%d" e.domain else ""
+  in
+  Printf.sprintf
+    "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d%s,\"detail\":\"%s\"}"
+    (kind_to_string e.kind) e.t e.dur e.gate_index e.state_nodes
+    e.matrix_nodes e.hits e.misses domain_field (Json.escape e.detail)
+
 let jsonl ?(meta = []) trace =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "{\"schema\":\"%s\",\"version\":%d,\"events\":%d,\"dropped\":%d,\"meta\":%s}\n"
-       schema version (Trace.length trace) (Trace.dropped trace)
-       (meta_json meta));
-  Trace.iter
-    (fun (e : Trace.event) ->
-      (* [domain] is emitted only when non-zero, so a single-lane trace
-         serialises byte-identically to schema v1 events *)
-      let domain_field =
-        if e.domain > 0 then Printf.sprintf ",\"domain\":%d" e.domain else ""
-      in
-      Buffer.add_string buffer
-        (Printf.sprintf
-           "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d%s,\"detail\":\"%s\"}\n"
-           (kind_to_string e.kind) e.t e.dur e.gate_index e.state_nodes
-           e.matrix_nodes e.hits e.misses domain_field (Json.escape e.detail)))
-    trace;
-  (* checksum trailer: lets [ddsim fsck] detect truncation/garbling *)
-  let body = Buffer.contents buffer in
-  body ^ Safe_io.jsonl_trailer body
+  Jsonl.write ~schema ~version
+    ~counts:[ ("events", Trace.length trace); ("dropped", Trace.dropped trace) ]
+    ~meta
+    (Seq.map event_to_json (Array.to_seq (Trace.events trace)))
 
 let chrome_args (e : Trace.event) =
   let fields = ref [] in
@@ -102,7 +86,7 @@ let chrome ?(meta = []) trace =
   Buffer.add_string buffer "\n],";
   Buffer.add_string buffer
     (Printf.sprintf "\"displayTimeUnit\":\"ms\",\"otherData\":%s}"
-       (meta_json
+       (Jsonl.meta_json
           (meta
           @ [
               ("schema", schema);
@@ -156,5 +140,3 @@ let summary trace =
              (total *. 1e6 /. float_of_int n)))
     all_kinds;
   Buffer.contents buffer
-
-let write_file path contents = Safe_io.write_file path contents

@@ -1,14 +1,8 @@
 type run = {
-  version : int;
   meta : (string * string) list;
   events : Trace.event list;
   dropped : int;
 }
-
-let field json key ~default =
-  match Json.member json key with
-  | Some (Json.Num v) -> int_of_float v
-  | _ -> default
 
 let parse_event json =
   let kind =
@@ -16,98 +10,32 @@ let parse_event json =
     | Some (Json.Str s) -> (
       match Trace_export.kind_of_string s with
       | Some k -> k
-      | None -> failwith (Printf.sprintf "trace: unknown event kind %S" s))
-    | _ -> failwith "trace: event line is missing \"kind\""
-  in
-  let num key =
-    match Json.member json key with Some (Json.Num v) -> v | _ -> 0.
-  in
-  let detail =
-    match Json.member json "detail" with Some (Json.Str s) -> s | _ -> ""
+      | None -> failwith (Printf.sprintf "unknown event kind %S" s))
+    | _ -> failwith "event line is missing \"kind\""
   in
   {
     Trace.kind;
-    t = num "t";
-    dur = num "dur";
-    gate_index = field json "gate" ~default:(-1);
-    state_nodes = field json "state_nodes" ~default:(-1);
-    matrix_nodes = field json "matrix_nodes" ~default:(-1);
-    hits = field json "hits" ~default:0;
-    misses = field json "misses" ~default:0;
-    domain = field json "domain" ~default:0;
-    detail;
+    t = Jsonl.num json "t" ~default:0.;
+    dur = Jsonl.num json "dur" ~default:0.;
+    gate_index = Jsonl.int json "gate" ~default:(-1);
+    state_nodes = Jsonl.int json "state_nodes" ~default:(-1);
+    matrix_nodes = Jsonl.int json "matrix_nodes" ~default:(-1);
+    hits = Jsonl.int json "hits" ~default:0;
+    misses = Jsonl.int json "misses" ~default:0;
+    domain = Jsonl.int json "domain" ~default:0;
+    detail = Jsonl.str json "detail" ~default:"";
   }
 
-(* every parse failure names the 1-based line it came from, so a
-   truncated or hand-edited trace is diagnosable without a hex dump *)
-let located line_number message =
-  failwith (Printf.sprintf "trace:%d: %s" line_number message)
-
-let strip_prefix message =
-  (* parse_event messages already start with "trace: "; drop it before
-     re-wrapping with the line number *)
-  let prefix = "trace: " in
-  let n = String.length prefix in
-  if String.length message >= n && String.sub message 0 n = prefix then
-    String.sub message n (String.length message - n)
-  else message
-
 let parse_jsonl text =
-  (* newer writers append a checksum trailer line; verify it when present
-     (older files without one still parse) *)
-  let body, trailer = Safe_io.split_jsonl_trailer text in
-  (match trailer with
-  | Some expected when Safe_io.checksum body <> expected ->
-    failwith "trace: checksum mismatch (file truncated or corrupted)"
-  | _ -> ());
-  let lines =
-    String.split_on_char '\n' body
-    |> List.mapi (fun i line -> (i + 1, line))
-    |> List.filter (fun (_, line) -> String.trim line <> "")
+  let doc =
+    Jsonl.read ~schema:Trace_export.schema ~version:Trace_export.version
+      ~record:parse_event text
   in
-  match lines with
-  | [] -> failwith "trace: empty file"
-  | (header_line, header_text) :: rest ->
-    let header =
-      try Json.parse header_text
-      with Failure message -> located header_line message
-    in
-    (match Json.member header "schema" with
-    | Some (Json.Str s) when s = Trace_export.schema -> ()
-    | Some (Json.Str s) ->
-      located header_line (Printf.sprintf "unexpected schema %S" s)
-    | _ -> located header_line "header line is missing \"schema\"");
-    let version =
-      match Json.member header "version" with
-      | Some (Json.Num v) -> int_of_float v
-      | _ -> located header_line "header line is missing \"version\""
-    in
-    (* v1 (single-lane, no [domain] field) still parses: every v2
-       addition is optional-with-default at the event level *)
-    if version < 1 || version > Trace_export.version then
-      located header_line
-        (Printf.sprintf "unsupported schema version %d (expected 1..%d)"
-           version Trace_export.version);
-    let meta =
-      match Json.member header "meta" with
-      | Some (Json.Obj fields) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with Json.Str s -> Some (k, s) | _ -> None)
-          fields
-      | _ -> []
-    in
-    let dropped = field header "dropped" ~default:0 in
-    let events =
-      List.map
-        (fun (line_number, line) ->
-          match parse_event (Json.parse line) with
-          | event -> event
-          | exception Failure message ->
-            located line_number (strip_prefix message))
-        rest
-    in
-    { version; meta; events; dropped }
+  {
+    meta = doc.meta;
+    events = doc.records;
+    dropped = Jsonl.int doc.header "dropped" ~default:0;
+  }
 
 let trajectory run =
   let by_gate = Hashtbl.create 256 in
@@ -191,8 +119,7 @@ let lane_phases run =
     domains
 
 (* Amdahl view: wall time inside pool sections vs. the traced total.
-   [None] when the trace has no [pool_section] spans (sequential run or
-   pre-v2 writer). *)
+   [None] when the trace has no [pool_section] spans (sequential run). *)
 let serial_fraction run =
   let pool, span_end =
     List.fold_left
@@ -258,7 +185,7 @@ let render run =
   let buffer = Buffer.create 2048 in
   Buffer.add_string buffer
     (Printf.sprintf "trace report (schema %s v%d)\n" Trace_export.schema
-       run.version);
+       Trace_export.version);
   if run.meta <> [] then begin
     Buffer.add_string buffer "meta:\n";
     List.iter
@@ -295,7 +222,7 @@ let render run =
   let ps = phases run in
   if ps <> [] then phase_table ps;
   (* concurrency view: rendered only when the trace actually carries
-     parallel data, so v1 single-lane reports stay byte-identical *)
+     parallel data, so single-lane reports stay short *)
   let multi_lane =
     List.exists (fun (e : Trace.event) -> e.domain > 0) run.events
   in

@@ -7,16 +7,17 @@
     and an ASCII plot of the trajectory. *)
 
 type run = {
-  version : int;
   meta : (string * string) list;
   events : Trace.event list;  (** in file (= emission) order *)
   dropped : int;
 }
 
 val parse_jsonl : string -> run
-(** Raises [Failure] on malformed JSON, a missing/mismatched [schema]
-    field, or an unsupported [version].  Every message is located:
-    ["trace:LINE: ..."] with the 1-based line the problem came from. *)
+(** Reads a {!Jsonl} document of schema [ddsim-trace], version
+    {!Trace_export.version} only.  Raises [Failure] on malformed JSON, a
+    foreign [schema], another [version], or a missing or mismatched
+    checksum trailer.  Every message is located: ["trace:LINE: ..."]
+    with the 1-based line the problem came from. *)
 
 val trajectory : run -> (int * int) list
 (** [(gate_index, state_nodes)] per gate, ascending by gate index.  For
@@ -40,12 +41,12 @@ val phases : run -> phase list
 
 val lane_phases : run -> (int * phase list) list
 (** Per-domain phase breakdown, ascending by domain id.  A single-lane
-    (v1 or sequential) trace yields exactly [[(0, phases run)]]. *)
+    (sequential) trace yields exactly [[(0, phases run)]]. *)
 
 val serial_fraction : run -> float option
 (** Amdahl view: the fraction of the traced span spent {e outside}
     [pool_section] spans.  [None] when the trace carries no pool
-    sections (sequential run or v1 writer). *)
+    sections (sequential run). *)
 
 val render : run -> string
 (** The full human-readable report. *)

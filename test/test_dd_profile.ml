@@ -214,7 +214,6 @@ let test_jsonl_round_trip () =
   let _, sink = profiled_run ~every:2 circuit in
   let text = Obs.Dd_profile.jsonl ~meta:[ ("algo", "grover") ] sink in
   let run = Obs.Dd_profile.parse_jsonl text in
-  check_int "version survives" Obs.Dd_profile.version run.run_version;
   check_int "every survives" 2 run.run_every;
   check_bool "meta survives" true (run.run_meta = [ ("algo", "grover") ]);
   check_int "snapshot count survives" (Obs.Dd_profile.length sink)
@@ -249,14 +248,15 @@ let test_parse_errors_are_located () =
       Obs.Dd_profile.parse_jsonl "");
   expect_located_failure "foreign schema" "profile:1" (fun () ->
       Obs.Dd_profile.parse_jsonl
-        "{\"schema\":\"something-else\",\"version\":1}\n");
+        (sealed_jsonl "{\"schema\":\"something-else\",\"version\":1}\n"));
   expect_located_failure "bad version" "unsupported schema version" (fun () ->
       Obs.Dd_profile.parse_jsonl
-        "{\"schema\":\"ddsim-profile\",\"version\":99}\n");
+        (sealed_jsonl "{\"schema\":\"ddsim-profile\",\"version\":99}\n"));
   expect_located_failure "malformed snapshot line" "profile:3" (fun () ->
       Obs.Dd_profile.parse_jsonl
-        ("{\"schema\":\"ddsim-profile\",\"version\":1,\"every\":1}\n"
-       ^ "{\"gate\":0,\"nodes\":1}\n" ^ "{not json\n"))
+        (sealed_jsonl
+           ("{\"schema\":\"ddsim-profile\",\"version\":1,\"every\":1}\n"
+          ^ "{\"gate\":0,\"nodes\":1}\n" ^ "{not json\n")))
 
 let suite =
   [

@@ -239,9 +239,18 @@ let test_fsck_flags_truncated_trace () =
   check_bool "truncated trace flagged" false report.Dd_sim.Fsck.ok;
   cleanup path
 
+let mentions text fragment =
+  let n = String.length fragment in
+  let rec scan i =
+    i + n <= String.length text
+    && (String.sub text i n = fragment || scan (i + 1))
+  in
+  scan 0
+
 let test_fsck_flags_reordered_trace () =
-  (* keep the header, reverse the events, drop the (now wrong) trailer:
-     every line still parses, but gate indices run backwards *)
+  (* keep the header, reverse the events, re-seal with a correct trailer:
+     every line still parses and the checksum holds, but gate indices
+     run backwards *)
   let body, _ = Obs.Safe_io.split_jsonl_trailer (trace_text ()) in
   let lines =
     String.split_on_char '\n' body |> List.filter (fun l -> l <> "")
@@ -249,13 +258,81 @@ let test_fsck_flags_reordered_trace () =
   let header, events =
     match lines with h :: t -> (h, t) | [] -> assert false
   in
-  let text =
-    String.concat "\n" (header :: List.rev events) ^ "\n"
-  in
+  let text = sealed_jsonl (String.concat "\n" (header :: List.rev events)) in
   let path = temp_path ".trace.jsonl" in
   Obs.Safe_io.write_file path text;
   let report = fsck path in
   check_bool "backwards gate indices flagged" false report.Dd_sim.Fsck.ok;
+  check_bool
+    ("flagged by the gate-order rule: " ^ report.Dd_sim.Fsck.detail)
+    true
+    (mentions report.Dd_sim.Fsck.detail "goes backwards");
+  cleanup path
+
+(* One small run with every JSONL sink attached, and each family's
+   strict reader for the document it wrote. *)
+let sidecars () =
+  let trace = Obs.Trace.create () in
+  let profile = Obs.Dd_profile.create ~every:2 () in
+  let ledger = Obs.Ledger.create () in
+  let engine = Dd_sim.Engine.create 3 in
+  Dd_sim.Engine.set_trace engine trace;
+  Dd_sim.Engine.set_profile engine profile;
+  Dd_sim.Engine.set_ledger engine ledger;
+  Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 3) engine
+    (Standard.random_circuit ~seed:59 ~qubits:3 ~gates:12 ());
+  [
+    ( "trace",
+      Obs.Trace_export.jsonl trace,
+      fun text -> ignore (Obs.Trace_report.parse_jsonl text) );
+    ( "profile",
+      Obs.Dd_profile.jsonl profile,
+      fun text -> ignore (Obs.Dd_profile.parse_jsonl text) );
+    ( "ledger",
+      Obs.Ledger.jsonl ledger,
+      fun text -> ignore (Obs.Ledger.parse_jsonl text) );
+  ]
+
+(* ["<family>:LINE: ..."] *)
+let located ~family message =
+  let prefix = family ^ ":" in
+  let n = String.length prefix in
+  String.length message > n
+  && String.sub message 0 n = prefix
+  && message.[n] >= '0'
+  && message.[n] <= '9'
+
+(* A document cut at any line boundary — the header alone, a lost last
+   record, a lost trailer — is rejected by its reader with a located
+   message and failed by fsck under the right family. *)
+let test_truncated_sidecars_rejected () =
+  let path = temp_path ".jsonl" in
+  List.iter
+    (fun (family, text, parse) ->
+      parse text;
+      let cuts =
+        List.init (String.length text - 1) (fun i -> i + 1)
+        |> List.filter (fun n -> text.[n - 1] = '\n')
+      in
+      check_bool (family ^ ": header, records and trailer") true
+        (List.length cuts >= 2);
+      List.iter
+        (fun n ->
+          let prefix = String.sub text 0 n in
+          let what = Printf.sprintf "%s cut at byte %d" family n in
+          (match parse prefix with
+          | () -> Alcotest.failf "%s was accepted" what
+          | exception Failure message ->
+            check_bool
+              (Printf.sprintf "%s: %S is located" what message)
+              true (located ~family message));
+          Obs.Safe_io.write_file path prefix;
+          let report = fsck path in
+          check_bool (what ^ " fails fsck") false report.Dd_sim.Fsck.ok;
+          Alcotest.(check string) (what ^ ": family") family
+            report.Dd_sim.Fsck.family)
+        cuts)
+    (sidecars ());
   cleanup path
 
 let test_fsck_flags_garbage () =
@@ -300,6 +377,8 @@ let suite =
       test_fsck_flags_truncated_trace;
     Alcotest.test_case "fsck: reordered trace" `Quick
       test_fsck_flags_reordered_trace;
+    Alcotest.test_case "truncated sidecars rejected" `Quick
+      test_truncated_sidecars_rejected;
     Alcotest.test_case "fsck: unrecognised file" `Quick test_fsck_flags_garbage;
     Alcotest.test_case "fsck: missing file" `Quick test_fsck_missing_file;
   ]

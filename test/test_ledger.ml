@@ -270,8 +270,6 @@ let test_jsonl_roundtrip_and_fsck () =
   let meta = [ ("algo", "qft"); ("wall_seconds", "0.5") ] in
   let text = Obs.Ledger.jsonl ~meta ledger in
   let run = Obs.Ledger.parse_jsonl text in
-  check_int "round-trip preserves the version" Obs.Ledger.version
-    run.Obs.Ledger.run_version;
   check_bool "round-trip preserves the meta" true
     (List.assoc "algo" run.Obs.Ledger.run_meta = "qft");
   check_int "round-trip preserves every entry"
@@ -388,7 +386,7 @@ let test_memory_telemetry_family () =
 let test_report_header_only_trace () =
   let rendered =
     Obs.Trace_report.render
-      { Obs.Trace_report.version = 2; meta = []; events = []; dropped = 0 }
+      { Obs.Trace_report.meta = []; events = []; dropped = 0 }
   in
   check_bool "header-only trace reports cleanly" true
     (contains_sub rendered "no events recorded")

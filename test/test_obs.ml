@@ -146,8 +146,6 @@ let test_jsonl_roundtrip () =
   let meta = [ ("algo", "qft"); ("note", "with \"quotes\" and\nnewline") ] in
   let text = Obs.Trace_export.jsonl ~meta trace in
   let parsed = Obs.Trace_report.parse_jsonl text in
-  check_int "schema version" Obs.Trace_export.version
-    parsed.Obs.Trace_report.version;
   check_bool "meta survives escaping" true
     (parsed.Obs.Trace_report.meta = meta);
   check_int "dropped count" (Obs.Trace.dropped trace)
@@ -236,8 +234,7 @@ let check_trajectory_peak ~strategy circuit =
   let engine, trace = traced_run ~strategy circuit in
   let run =
     {
-      Obs.Trace_report.version = Obs.Trace_export.version;
-      meta = [];
+      Obs.Trace_report.meta = [];
       events = Array.to_list (Obs.Trace.events trace);
       dropped = Obs.Trace.dropped trace;
     }
@@ -598,7 +595,6 @@ let test_jsonl_v2_domain_roundtrip () =
     ~matrix_nodes:(-1) ~detail:"section";
   let text = Obs.Trace_export.jsonl ~meta:[] t in
   let parsed = Obs.Trace_report.parse_jsonl text in
-  check_int "v2 parses as v2" 2 parsed.Obs.Trace_report.version;
   let events = Array.of_list parsed.Obs.Trace_report.events in
   check_int "two events" 2 (Array.length events);
   check_int "worker-lane domain survives the round-trip" 1
@@ -606,8 +602,8 @@ let test_jsonl_v2_domain_roundtrip () =
   check_int "main-lane event stays domain 0" 0 events.(1).Obs.Trace.domain;
   check_bool "pool_section kind round-trips" true
     (kinds_equal Obs.Trace.Pool_section events.(1).Obs.Trace.kind);
-  (* the domain-0 event line must not carry a domain field at all, so a
-     single-lane v2 trace is byte-identical to v1 events *)
+  (* the domain-0 event line must not carry a domain field at all: a
+     single-lane trace stays free of per-event lane noise *)
   let lines = String.split_on_char '\n' text in
   let section_line =
     List.find (fun l -> contains "pool_section" l) lines
@@ -615,20 +611,21 @@ let test_jsonl_v2_domain_roundtrip () =
   check_bool "domain field omitted for domain 0" false
     (contains "\"domain\"" section_line)
 
-let test_parses_v1_header () =
-  (* a hand-built v1 document (the committed fixture format) must keep
-     parsing, defaulting [domain] to 0 *)
+(* Only the current version is read.  A well-formed v1 document (the
+   pre-lane format, trailer and all) must be refused by version, not
+   misparsed. *)
+let test_rejects_v1_header () =
   let v1 =
-    "{\"schema\":\"ddsim-trace\",\"version\":1,\"events\":1,\"dropped\":0,\"meta\":{}}\n\
-     {\"kind\":\"mat_vec\",\"t\":0.5,\"dur\":0.25,\"gate\":3,\"state_nodes\":7,\"matrix_nodes\":-1,\"hits\":1,\"misses\":2,\"detail\":\"x\"}\n"
+    sealed_jsonl
+      "{\"schema\":\"ddsim-trace\",\"version\":1,\"events\":1,\"dropped\":0,\"meta\":{}}\n\
+       {\"kind\":\"mat_vec\",\"t\":0.5,\"dur\":0.25,\"gate\":3,\"state_nodes\":7,\"matrix_nodes\":-1,\"hits\":1,\"misses\":2,\"detail\":\"x\"}\n"
   in
-  let run = Obs.Trace_report.parse_jsonl v1 in
-  check_int "v1 version preserved" 1 run.Obs.Trace_report.version;
-  match run.Obs.Trace_report.events with
-  | [ e ] ->
-    check_int "v1 events default to domain 0" 0 e.Obs.Trace.domain;
-    check_int "other fields parse" 3 e.Obs.Trace.gate_index
-  | events -> Alcotest.failf "expected 1 event, got %d" (List.length events)
+  match Obs.Trace_report.parse_jsonl v1 with
+  | _ -> Alcotest.fail "a v1 trace was accepted"
+  | exception Failure message ->
+    Alcotest.(check string)
+      "names the version it refuses"
+      "trace:1: unsupported schema version 1 (current is 2)" message
 
 let lane_event ?(domain = 0) ?(dur = 0.) ~kind ~t () : Obs.Trace.event =
   {
@@ -647,8 +644,7 @@ let lane_event ?(domain = 0) ?(dur = 0.) ~kind ~t () : Obs.Trace.event =
 let test_serial_fraction_and_lane_phases () =
   let run =
     {
-      Obs.Trace_report.version = 2;
-      meta = [];
+      Obs.Trace_report.meta = [];
       dropped = 0;
       events =
         [
@@ -679,8 +675,7 @@ let test_serial_fraction_and_lane_phases () =
   (* no pool section -> no estimate, no lane table *)
   let sequential =
     {
-      Obs.Trace_report.version = 2;
-      meta = [];
+      Obs.Trace_report.meta = [];
       dropped = 0;
       events = [ lane_event ~kind:Obs.Trace.Mat_vec ~t:0. ~dur:10. () ];
     }
@@ -763,7 +758,7 @@ let suite =
       test_lane_lookup_allocates_nothing;
     Alcotest.test_case "jsonl_v2_domain_roundtrip" `Quick
       test_jsonl_v2_domain_roundtrip;
-    Alcotest.test_case "parses_v1_header" `Quick test_parses_v1_header;
+    Alcotest.test_case "rejects_v1_header" `Quick test_rejects_v1_header;
     Alcotest.test_case "serial_fraction_and_lane_phases" `Quick
       test_serial_fraction_and_lane_phases;
     Alcotest.test_case "telemetry_concurrency_families" `Quick

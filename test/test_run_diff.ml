@@ -123,30 +123,30 @@ let expect_failure name fragment thunk =
       (Printf.sprintf "%s: %S mentions %S" name message fragment)
       true (contains_sub message fragment)
 
-let trace_header = "{\"schema\":\"ddsim-trace\",\"version\":1}"
+let trace_header = "{\"schema\":\"ddsim-trace\",\"version\":2}"
+
+(* every hand-built document carries a valid trailer, so each case
+   reaches the line it is about *)
+let parse_sealed body = Obs.Trace_report.parse_jsonl (sealed_jsonl body)
 
 let test_trace_report_locates_errors () =
   expect_failure "empty trace" "empty" (fun () ->
       Obs.Trace_report.parse_jsonl "  \n \n");
   expect_failure "foreign schema" "trace:1" (fun () ->
-      Obs.Trace_report.parse_jsonl
-        "{\"schema\":\"ddsim-profile\",\"version\":1}\n");
+      parse_sealed "{\"schema\":\"ddsim-profile\",\"version\":1}\n");
   expect_failure "unknown version" "unsupported schema version" (fun () ->
-      Obs.Trace_report.parse_jsonl
-        "{\"schema\":\"ddsim-trace\",\"version\":42}\n");
+      parse_sealed "{\"schema\":\"ddsim-trace\",\"version\":42}\n");
   expect_failure "truncated event line" "trace:2" (fun () ->
-      Obs.Trace_report.parse_jsonl
-        (trace_header ^ "\n{\"kind\":\"mat_vec\",\"t\":0.1"));
+      parse_sealed (trace_header ^ "\n{\"kind\":\"mat_vec\",\"t\":0.1"));
   expect_failure "malformed third line" "trace:3" (fun () ->
-      Obs.Trace_report.parse_jsonl
+      parse_sealed
         (trace_header
        ^ "\n{\"kind\":\"gate_applied\",\"t\":0.1,\"dur\":0,\"gate\":0}\n\
           garbage"));
   expect_failure "unknown event kind" "unknown event kind" (fun () ->
-      Obs.Trace_report.parse_jsonl
-        (trace_header ^ "\n{\"kind\":\"not_a_kind\",\"t\":0.1}"));
+      parse_sealed (trace_header ^ "\n{\"kind\":\"not_a_kind\",\"t\":0.1}"));
   expect_failure "event without kind" "trace:2" (fun () ->
-      Obs.Trace_report.parse_jsonl (trace_header ^ "\n{\"t\":0.1}"))
+      parse_sealed (trace_header ^ "\n{\"t\":0.1}"))
 
 let suite =
   [

@@ -90,3 +90,10 @@ let dense_state_of_circuit circuit =
   Dense_state.to_array state
 
 let fresh_ctx () = Dd.Context.create ()
+
+(* A hand-built JSONL sidecar made readable: newline-terminated and
+   closed by the checksum trailer every sidecar reader requires. *)
+let sealed_jsonl body =
+  let n = String.length body in
+  let body = if n = 0 || body.[n - 1] = '\n' then body else body ^ "\n" in
+  body ^ Obs.Safe_io.jsonl_trailer body
