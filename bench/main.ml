@@ -7,7 +7,7 @@
      Table I  - grover benchmarks: sota / general / DD-repeating
      Table II - shor benchmarks: sota / general / DD-construct
 
-   Usage: dune exec bench/main.exe [-- fig5|fig8|fig9|table1|table2|ablation|backends|guard|kernel|kernel-smoke|apply|apply-smoke|reorder|reorder-smoke|parallel|parallel-smoke|bechamel]*
+   Usage: dune exec bench/main.exe [-- fig5|fig8|fig9|table1|table2|ablation|backends|guard|kernel|kernel-smoke|apply|apply-smoke|reorder|reorder-smoke|bechamel]*
                                    [-- --paper]
 
    [kernel] runs the shipped benchmarks/ circuits with a low GC
@@ -696,9 +696,9 @@ let kernel ~smoke () =
    fast and generic sequential runs must agree on the final state DD
    exactly; CI checks that invariant on the smoke variant. *)
 
-(* The strategy-ledger columns shared by the apply and parallel rows:
-   windows and fallbacks committed, attributed seconds per strategy, and
-   the share of the wall clock the ledger covers. *)
+(* The strategy-ledger columns of the apply rows: windows and fallbacks
+   committed, attributed seconds per strategy, and the share of the wall
+   clock the ledger covers. *)
 let ledger_fields ledger (stats : Dd_sim.Sim_stats.t) =
   let lt = Obs.Ledger.totals (Obs.Ledger.entries ledger) in
   let attributed =
@@ -1105,132 +1105,6 @@ let reorder_bench ~smoke () =
   write_runs ~out ~schema:"ddsim-reorder-bench-1" runs
 
 (* ------------------------------------------------------------------ *)
-(* Domain-parallel kernel: BENCH_parallel.json                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Each circuit runs under a k-operations strategy at several domain-pool
-   sizes; domains:1 is the sequential kernel every other bench measures
-   and is the speedup baseline.  The "domains" field joins the bench-check
-   identity (value "1" is dropped so older baselines still pair).  The
-   acceptance bar for the parallel kernel is >= 1.5x wall-clock on
-   qft_14 / k:4 at 4 domains. *)
-
-let parallel_run_json ~circuit_name ~k ~domains circuit =
-  let one ?ledger () =
-    let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
-    Dd_sim.Engine.set_domains engine domains;
-    (match ledger with
-    | None -> ()
-    | Some sink -> Dd_sim.Engine.set_ledger engine sink);
-    let (), seconds =
-      wall (fun () ->
-          Dd_sim.Engine.run
-            ~strategy:(Dd_sim.Strategy.K_operations k)
-            engine circuit)
-    in
-    (engine, seconds)
-  in
-  let _, t1 = one () in
-  let _, t2 = one () in
-  (* ledger on the last repetition only, as in the apply bench *)
-  let ledger = Obs.Ledger.create () in
-  let engine, t3 = one ~ledger () in
-  let seconds = min t1 (min t2 t3) in
-  let stats = Dd_sim.Engine.stats engine in
-  (* concurrency section (last repetition only): pool utilization from
-     Sim_stats plus lock contention summed over every lockable shared
-     structure.  pool_* / lock_* leaves are the bench-check
-     "informational" class — recorded, never gated. *)
-  let lock_acq, lock_cont, lock_wait =
-    List.fold_left
-      (fun (a, c, w) (_, (l : Dd.Compute_table.lock_stats)) ->
-        (a + l.acquisitions, c + l.contended, w +. l.wait_seconds))
-      (0, 0, 0.)
-      (Dd.Context.lock_stats (Dd_sim.Engine.context engine))
-  in
-  ( seconds,
-    Printf.sprintf
-      "    {\n\
-       \      \"circuit\": %S,\n\
-       \      \"strategy\": %S,\n\
-       \      \"domains\": \"%d\",\n\
-       \      \"wall_seconds\": %.6f,\n\
-       \      \"final_state_nodes\": %d,\n\
-       \      \"mat_mat_mults\": %d,\n\
-       \      \"combined_applications\": %d,\n\
-       %s,\n\
-       \      \"parallel\": {\n\
-       \        \"pool_batches\": %d,\n\
-       \        \"pool_tasks\": %d,\n\
-       \        \"pool_busy_seconds\": %.6f,\n\
-       \        \"pool_idle_seconds\": %.6f,\n\
-       \        \"pool_section_seconds\": %.6f,\n\
-       \        \"lock_acquisitions\": %d,\n\
-       \        \"lock_contended\": %d,\n\
-       \        \"lock_wait_seconds\": %.6f\n\
-       \      }\n\
-       \    }"
-      circuit_name
-      (Dd_sim.Strategy.to_string (Dd_sim.Strategy.K_operations k))
-      domains seconds
-      (Dd_sim.Engine.state_node_count engine)
-      stats.Dd_sim.Sim_stats.mat_mat_mults
-      stats.Dd_sim.Sim_stats.combined_applications
-      (ledger_fields ledger stats)
-      stats.Dd_sim.Sim_stats.pool_batches
-      stats.Dd_sim.Sim_stats.pool_tasks
-      stats.Dd_sim.Sim_stats.pool_busy_seconds
-      stats.Dd_sim.Sim_stats.pool_idle_seconds
-      stats.Dd_sim.Sim_stats.pool_section_seconds
-      lock_acq lock_cont lock_wait )
-
-let parallel_bench ~smoke () =
-  let out =
-    if smoke then "BENCH_parallel_smoke.json" else "BENCH_parallel.json"
-  in
-  Printf.printf "\n=== Domain-parallel kernel (%s) ===\n" out;
-  let circuits =
-    if smoke then
-      [ ("qft_8", Qft.circuit 8); ("grover_8", Grover.circuit ~n:8 ~marked:5 ()) ]
-    else
-      [
-        ("qft_14", Qft.circuit 14);
-        ("grover_16", Grover.circuit ~n:16 ~marked:12345 ());
-        ("supremacy_4x4_8", Supremacy.circuit ~rows:4 ~cols:4 ~cycles:8 ());
-      ]
-  in
-  let ks = if smoke then [ 4 ] else [ 2; 4 ] in
-  let domain_counts = if smoke then [ 1; 4 ] else [ 1; 2; 4 ] in
-  let runs =
-    List.concat_map
-      (fun (circuit_name, circuit) ->
-        List.concat_map
-          (fun k ->
-            let baseline = ref None in
-            List.map
-              (fun domains ->
-                Printf.printf "  %s / k:%d / %d domain%s" circuit_name k
-                  domains
-                  (if domains = 1 then "" else "s");
-                flush stdout;
-                let seconds, json =
-                  parallel_run_json ~circuit_name ~k ~domains circuit
-                in
-                (match !baseline with
-                | None ->
-                  baseline := Some seconds;
-                  Printf.printf "  (%.3f s)\n" seconds
-                | Some base ->
-                  Printf.printf "  (%.3f s, %.2fx)\n" seconds (base /. seconds));
-                flush stdout;
-                json)
-              domain_counts)
-          ks)
-      circuits
-  in
-  write_runs ~out ~schema:"ddsim-parallel-bench-1" runs
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1269,7 +1143,6 @@ let () =
   smoke_or_full "kernel" kernel;
   smoke_or_full "apply" apply_bench;
   smoke_or_full "reorder" reorder_bench;
-  smoke_or_full "parallel" parallel_bench;
   timed "trace" (fun () -> trace_bench ());
   timed "bechamel" (fun () -> bechamel_suite ());
   Printf.printf "\ndone.\n"

@@ -188,18 +188,6 @@ let no_fused_apply_arg =
   in
   Arg.(value & flag & info [ "no-fused-apply" ] ~doc)
 
-let domains_arg =
-  let doc =
-    "Domain-pool size for the parallel kernel: k-operations window \
-     products are tree-reduced over $(docv) domains and --samples shots \
-     are drawn in parallel.  At 1 (the default) the engine takes the \
-     sequential code paths and results are bitwise identical to the \
-     pre-parallel kernel; above 1, final states agree within the \
-     interning tolerance and sampling outcomes are exactly reproduced \
-     whatever the pool size."
-  in
-  Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
-
 (* resource budgets and checkpointing, shared by run / simulate *)
 
 let max_nodes_arg =
@@ -488,13 +476,9 @@ let finish engine samples stats seconds =
   print_top_amplitudes engine;
   if samples > 0 then begin
     Printf.printf "samples:";
-    if Dd_sim.Engine.domains engine > 1 then
-      Array.iter (Printf.printf " %d")
-        (Dd_sim.Engine.sample_shots engine samples)
-    else
-      for _ = 1 to samples do
-        Printf.printf " %d" (Dd_sim.Engine.sample engine)
-      done;
+    for _ = 1 to samples do
+      Printf.printf " %d" (Dd_sim.Engine.sample engine)
+    done;
     print_newline ()
   end;
   if stats then begin
@@ -527,7 +511,7 @@ let construct_arg =
 
 let run_cmd =
   let action algo qubits marked modulus base rows cols cycles gates seed
-      strategy repeating construct samples stats no_fused domains max_nodes
+      strategy repeating construct samples stats no_fused max_nodes
       max_matrix deadline norm_tol auto_gc checkpoint checkpoint_every
       resume trace trace_format metrics profile profile_every stats_json
       ledger audit_every audit_tol reorder order bulge_factor reorder_every =
@@ -540,7 +524,6 @@ let run_cmd =
       Format.printf "%a@." Circuit.pp circuit;
       let engine = Dd_sim.Engine.create ~seed Circuit.(circuit.qubits) in
       if no_fused then Dd_sim.Engine.set_fused_apply engine false;
-      Dd_sim.Engine.set_domains engine domains;
       arm_audit engine ~tolerance:audit_tol audit_every;
       arm_reorder engine ~policy:reorder ~order ~bulge_factor
         ~every:reorder_every;
@@ -560,8 +543,7 @@ let run_cmd =
           ("qubits", string_of_int Circuit.(circuit.qubits));
           ("strategy", Dd_sim.Strategy.to_string strategy);
           ("reorder", reorder_to_string reorder);
-          ("domains", string_of_int domains);
-        ]
+          ]
       in
       export_trace ~format:trace_format ~meta traced;
       export_profile ~meta profiled;
@@ -575,7 +557,7 @@ let run_cmd =
       const action $ algo_arg $ qubits_arg $ marked_arg $ modulus_arg
       $ base_arg $ rows_arg $ cols_arg $ cycles_arg $ gates_arg $ seed_arg
       $ strategy_arg $ repeating_arg $ construct_arg $ samples_arg
-      $ stats_arg $ no_fused_apply_arg $ domains_arg $ max_nodes_arg
+      $ stats_arg $ no_fused_apply_arg $ max_nodes_arg
       $ max_matrix_arg
       $ deadline_arg $ norm_tol_arg $ auto_gc_arg $ checkpoint_arg
       $ checkpoint_every_arg $ resume_arg $ trace_arg $ trace_format_arg
@@ -602,7 +584,7 @@ let detect_repeats_arg =
            DD-repeating treatment to them.")
 
 let simulate_cmd =
-  let action file strategy seed samples stats no_fused domains detect
+  let action file strategy seed samples stats no_fused detect
       max_nodes max_matrix deadline norm_tol auto_gc checkpoint
       checkpoint_every resume trace trace_format metrics profile
       profile_every stats_json ledger audit_every audit_tol reorder order
@@ -620,7 +602,6 @@ let simulate_cmd =
     Format.printf "%a@." Circuit.pp circuit;
     let engine = Dd_sim.Engine.create ~seed Circuit.(circuit.qubits) in
     if no_fused then Dd_sim.Engine.set_fused_apply engine false;
-    Dd_sim.Engine.set_domains engine domains;
     arm_audit engine ~tolerance:audit_tol audit_every;
     arm_reorder engine ~policy:reorder ~order ~bulge_factor
       ~every:reorder_every;
@@ -640,7 +621,6 @@ let simulate_cmd =
         ("qubits", string_of_int Circuit.(circuit.qubits));
         ("strategy", Dd_sim.Strategy.to_string strategy);
         ("reorder", reorder_to_string reorder);
-        ("domains", string_of_int domains);
       ]
     in
     export_trace ~format:trace_format ~meta traced;
@@ -652,7 +632,7 @@ let simulate_cmd =
   let term =
     Term.(
       const action $ qasm_file_arg $ strategy_arg $ seed_arg $ samples_arg
-      $ stats_arg $ no_fused_apply_arg $ domains_arg $ detect_repeats_arg
+      $ stats_arg $ no_fused_apply_arg $ detect_repeats_arg
       $ max_nodes_arg $ max_matrix_arg $ deadline_arg $ norm_tol_arg
       $ auto_gc_arg
       $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ trace_arg

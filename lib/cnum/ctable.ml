@@ -11,40 +11,7 @@ type t = {
   mutable slots : cell array;
   mutable cells : int;
   mutable next_tag : int;
-  (* Taken around the slow path of [intern] when [parallel] is set, so
-     worker domains can funnel weights through one shared table.  A single
-     mutex (not a stripe array): the neighbour-cell scan of
-     [find_existing] crosses cell boundaries, so striping could not keep a
-     lookup and a racing insert apart, and [grow] replaces [slots]
-     wholesale.  The common case — an already-tagged weight — never
-     reaches the lock. *)
-  lock : Mutex.t;
-  mutable parallel : bool;
-  (* contention counters, mutated only while holding [lock] *)
-  mutable lock_acquisitions : int;
-  mutable lock_contended : int;
-  mutable lock_wait : float;
-  wait_buckets : int array;
 }
-
-(* Mirror of [Dd.Compute_table.lock_stats] (this library sits below
-   [dd], so the shape is duplicated rather than shared). *)
-type lock_stats = {
-  acquisitions : int;
-  contended : int;
-  wait_seconds : float;
-  wait_buckets : int array;
-}
-
-let hist_buckets = 64
-
-(* local copy of Obs.Metrics.bucket_exponent: bucket [e] holds values in
-   [2^(e-1), 2^e), clamped to [-32, 31] *)
-let bucket_exponent v =
-  if v <= 0. then -32
-  else
-    let _, e = Float.frexp v in
-    if e < -32 then -32 else if e > 31 then 31 else e
 
 let zero_tag = 0
 let one_tag = 1
@@ -102,12 +69,6 @@ let create ?(tolerance = 1e-12) () =
       slots = Array.make initial_slots empty;
       cells = 0;
       next_tag = 2;
-      lock = Mutex.create ();
-      parallel = false;
-      lock_acquisitions = 0;
-      lock_contended = 0;
-      lock_wait = 0.;
-      wait_buckets = Array.make hist_buckets 0;
     }
   in
   let register z =
@@ -118,7 +79,6 @@ let create ?(tolerance = 1e-12) () =
   table
 
 let tolerance table = table.tolerance
-let set_parallel table flag = table.parallel <- flag
 
 (* [Cnum.approx_equal] written out: passing its optional [~tol] would box
    the tolerance on every probe. *)
@@ -148,57 +108,18 @@ let rec find_existing table z bre bim d =
     let found = scan table.tolerance z c.entries in
     if found != missing then found else find_existing table z bre bim (d + 1)
 
-let intern_locked table z =
-  let bre = cell_coord table z.Cnum.re and bim = cell_coord table z.Cnum.im in
-  let found = find_existing table z bre bim 0 in
-  if found != missing then found
-  else begin
-    let tag = table.next_tag in
-    table.next_tag <- tag + 1;
-    let canonical = Cnum.with_tag z tag in
-    add_entry table bre bim canonical;
-    canonical
-  end
-
 let intern table z =
   if Cnum.tag z >= 0 then z
-  else if table.parallel then begin
-    (* contention-instrumented acquisition: try_lock success is the
-       uncontended path; a failure times the blocking wait *)
-    if Mutex.try_lock table.lock then
-      table.lock_acquisitions <- table.lock_acquisitions + 1
+  else
+    let bre = cell_coord table z.Cnum.re and bim = cell_coord table z.Cnum.im in
+    let found = find_existing table z bre bim 0 in
+    if found != missing then found
     else begin
-      let t0 = Unix.gettimeofday () in
-      Mutex.lock table.lock;
-      let wait = Float.max 0. (Unix.gettimeofday () -. t0) in
-      table.lock_acquisitions <- table.lock_acquisitions + 1;
-      table.lock_contended <- table.lock_contended + 1;
-      table.lock_wait <- table.lock_wait +. wait;
-      let b = bucket_exponent wait + 32 in
-      table.wait_buckets.(b) <- table.wait_buckets.(b) + 1
-    end;
-    match intern_locked table z with
-    | canonical ->
-      Mutex.unlock table.lock;
+      let tag = table.next_tag in
+      table.next_tag <- tag + 1;
+      let canonical = Cnum.with_tag z tag in
+      add_entry table bre bim canonical;
       canonical
-    | exception e ->
-      Mutex.unlock table.lock;
-      raise e
-  end
-  else intern_locked table z
+    end
 
 let size table = table.next_tag
-
-let lock_stats table =
-  {
-    acquisitions = table.lock_acquisitions;
-    contended = table.lock_contended;
-    wait_seconds = table.lock_wait;
-    wait_buckets = Array.copy table.wait_buckets;
-  }
-
-let reset_lock_stats table =
-  table.lock_acquisitions <- 0;
-  table.lock_contended <- 0;
-  table.lock_wait <- 0.;
-  Array.fill table.wait_buckets 0 hist_buckets 0

@@ -24,13 +24,6 @@ val one_tag : int
 
 val tolerance : t -> float
 
-val set_parallel : t -> bool -> unit
-(** Enable (or disable) cross-domain sharing: when set, the slow path of
-    {!intern} — tag assignment for a weight the table has not seen — runs
-    under a mutex so concurrent domains cannot assign duplicate tags.
-    The fast path (an already-tagged weight) is lock-free either way.
-    Toggle only while no other domain is using the table. *)
-
 val intern : t -> Cnum.t -> Cnum.t
 (** [intern table z] returns the canonical representative of [z]: the first
     existing entry within [tolerance] component-wise, or [z] itself freshly
@@ -46,24 +39,3 @@ val intern : t -> Cnum.t -> Cnum.t
 
 val size : t -> int
 (** Number of distinct canonical values. *)
-
-(** {2 Lock-contention accounting}
-
-    Counted only while {!set_parallel} is armed; the sequential intern
-    path never touches these.  Structurally identical to
-    [Dd.Compute_table.lock_stats] (this library sits below [dd], so the
-    shape is mirrored rather than shared). *)
-
-type lock_stats = {
-  acquisitions : int;  (** slow-path lock acquisitions while parallel *)
-  contended : int;  (** acquisitions that had to block *)
-  wait_seconds : float;  (** total time spent blocked *)
-  wait_buckets : int array;
-      (** log2 histogram of contended waits: index [e + 32] holds waits
-          in [2^(e-1), 2^e) seconds; 64 buckets *)
-}
-
-val lock_stats : t -> lock_stats
-(** Read at quiescence. *)
-
-val reset_lock_stats : t -> unit

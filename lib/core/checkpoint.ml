@@ -15,10 +15,12 @@ let format_magic = "ddsim-checkpoint"
    reordering counters (reorders_run, reorder_swaps,
    reorder_nodes_before, reorder_nodes_after);
    version 7: the stats line gained domains (the [--domains] pool size,
-   so a resumed run keeps its parallelism).
+   so a resumed run keeps its parallelism);
+   version 8: the stats line dropped domains again (the engine runs on
+   one domain), leaving 23 fields.
    Only the current version is read: every checkpoint is regenerable by
    re-running, so an older header is rejected with a message saying so. *)
-let format_version = 7
+let format_version = 8
 
 type t = {
   qubits : int;
@@ -75,7 +77,7 @@ let to_string checkpoint =
           (hex_encode (Marshal.to_string checkpoint.rng []));
         Printf.sprintf
           "stats %d %d %d %d %d %d %d %d %d %d %d %d %d %h %d %h %d %d %d %d \
-           %d %d %d %d"
+           %d %d %d"
           stats.Sim_stats.mat_vec_mults stats.Sim_stats.mat_mat_mults
           stats.Sim_stats.gates_seen stats.Sim_stats.combined_applications
           stats.Sim_stats.peak_state_nodes stats.Sim_stats.peak_matrix_nodes
@@ -88,7 +90,7 @@ let to_string checkpoint =
           stats.Sim_stats.audit_violations stats.Sim_stats.audit_repairs
           stats.Sim_stats.reorders_run stats.Sim_stats.reorder_swaps
           stats.Sim_stats.reorder_nodes_before
-          stats.Sim_stats.reorder_nodes_after stats.Sim_stats.domains;
+          stats.Sim_stats.reorder_nodes_after;
         "state";
         Dd.Serialize.vector_to_string checkpoint.state;
       ]
@@ -175,7 +177,7 @@ let of_string context ?(source = "<string>") text =
     in
     (match field ~name:"stats" stats |> String.split_on_char ' ' with
     | [ mv; mm; gs; ca; ps; pm; fb; gc; rn; cw; fp; ga; gr; gp; td; wt; au;
-        av; ar; rr; rs; rb; ra; dm ] ->
+        av; ar; rr; rs; rb; ra ] ->
       stats_record.Sim_stats.mat_vec_mults <- stats_int mv;
       stats_record.Sim_stats.mat_mat_mults <- stats_int mm;
       stats_record.Sim_stats.gates_seen <- stats_int gs;
@@ -198,11 +200,8 @@ let of_string context ?(source = "<string>") text =
       stats_record.Sim_stats.reorders_run <- stats_int rr;
       stats_record.Sim_stats.reorder_swaps <- stats_int rs;
       stats_record.Sim_stats.reorder_nodes_before <- stats_int rb;
-      stats_record.Sim_stats.reorder_nodes_after <- stats_int ra;
-      stats_record.Sim_stats.domains <- stats_int dm;
-      if stats_record.Sim_stats.domains < 1 then
-        invalid ~source "domains must be >= 1"
-    | _ -> invalid ~source "stats line must carry exactly 24 fields");
+      stats_record.Sim_stats.reorder_nodes_after <- stats_int ra
+    | _ -> invalid ~source "stats line must carry exactly 23 fields");
     if marker <> "state" then
       invalid ~source (Printf.sprintf "expected \"state\" marker, got %S" marker);
     let state =

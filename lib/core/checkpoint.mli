@@ -55,7 +55,9 @@ val save : Engine.t -> strategy:Strategy.t -> gate_index:int -> path:string -> u
 val load : Dd.Context.t -> path:string -> t
 (** Read and parse [path].  Raises {!Error.Error} ([Invalid_checkpoint]) —
     also for I/O failures, a missing or mismatched [checksum] trailer, and
-    files in an older format version (re-run to regenerate them). *)
+    files in an older format version (re-run to regenerate them).  The
+    current format is v8; v7 files, whose stats line still carried the
+    [--domains] pool size, are refused like every older version. *)
 
 type generation = Current | Previous
 

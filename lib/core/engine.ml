@@ -33,10 +33,6 @@ type t = {
      and one branch per applied gate *)
   mutable reorder_policy : reorder_policy;
   mutable bulge_factor : float;
-  (* domain-pool size for parallel window products and multi-shot
-     sampling; 1 (the default) keeps every legacy sequential code path —
-     no pool, no locks, bitwise-identical results *)
-  mutable domains : int;
   (* minimum applied-gate gap between bulge probes (each probe walks the
      state DD to count nodes per level, so it must not run every gate) *)
   mutable reorder_every : int;
@@ -69,7 +65,6 @@ let create ?(seed = 0xDD) ?context n =
     last_audit = 0;
     reorder_policy = Reorder_off;
     bulge_factor = 4.0;
-    domains = 1;
     reorder_every = 64;
     last_reorder = 0;
     reorder_done = false;
@@ -103,14 +98,10 @@ let set_track_peaks engine flag = engine.track_peaks <- flag
 let set_fused_apply engine flag = engine.fused_apply <- flag
 let fused_apply engine = engine.fused_apply
 
-let set_domains engine d =
-  if d < 1 then
+let set_domains _engine d =
+  if d <> 1 then
     Error.invalid_parameter ~what:"Engine.set_domains"
-      (Printf.sprintf "need at least one domain (got %d)" d);
-  engine.domains <- d;
-  engine.stats.domains <- d
-
-let domains engine = engine.domains
+      (Printf.sprintf "the engine runs on one domain (got %d)" d)
 
 let set_trace engine trace =
   engine.trace <- trace;
@@ -466,147 +457,14 @@ let combine engine gates =
   engine.stats.gates_seen <- engine.stats.gates_seen + List.length gates;
   product_of engine gates
 
-(* -- pool sections ------------------------------------------------------ *)
-
-(* Fold a pool's utilization counters into the run stats and zero them —
-   call only at quiescence.  Idle time is the crew capacity inside pool
-   sections not spent running tasks (waiting on the scatter cursor or on
-   stragglers), clamped at zero against clock jitter. *)
-let absorb_pool_stats engine pool =
-  let s = Domain_pool.stats pool in
-  let crew = Domain_pool.size pool in
-  let busy = Array.fold_left ( +. ) 0. s.Domain_pool.worker_busy_seconds in
-  let tasks = Array.fold_left ( + ) 0 s.Domain_pool.worker_tasks in
-  let stats = engine.stats in
-  stats.pool_batches <- stats.pool_batches + s.Domain_pool.batches;
-  stats.pool_tasks <- stats.pool_tasks + tasks;
-  stats.pool_busy_seconds <- stats.pool_busy_seconds +. busy;
-  stats.pool_idle_seconds <-
-    stats.pool_idle_seconds
-    +. Float.max 0.
-         ((s.Domain_pool.section_seconds *. float_of_int crew) -. busy);
-  stats.pool_section_seconds <-
-    stats.pool_section_seconds +. s.Domain_pool.section_seconds;
-  Domain_pool.reset_stats pool
-
-(* One parallel section over [pool]: the shared tables are armed for
-   concurrent interning, and the trace's per-domain lanes for the
-   duration of [body].  [body] scatters work through the [run] it is
-   given; a task that raised surfaces as a structured
-   {!Error.Worker_failure} naming [task] — worker domains never die.  At
-   quiescence the pool's utilization is absorbed, the lanes merge back and
-   one [Pool_section] span covers the section (merged first, so buffer
-   end times stay monotone: the section ends after every lane event). *)
-let pool_section engine pool ~task ~detail body =
-  let ctx = engine.context and trace = engine.trace in
-  let traced = Obs.Trace.is_on trace in
-  if traced then Obs.Trace.arm_lanes trace (Domain_pool.size pool);
-  let t0 = if traced then Obs.Trace.now trace else 0. in
-  let run thunks =
-    Array.map
-      (function
-        | Ok v -> v
-        | Error e ->
-          Error.raise_error
-            (Error.Worker_failure { task; message = Printexc.to_string e }))
-      (Domain_pool.run_all pool thunks)
-  in
-  Dd.Context.set_parallel ctx true;
-  Fun.protect
-    ~finally:(fun () ->
-      Dd.Context.set_parallel ctx false;
-      absorb_pool_stats engine pool;
-      if traced then begin
-        Obs.Trace.merge_lanes trace;
-        Obs.Trace.span trace Obs.Trace.Pool_section ~t0
-          ~gate:(Obs.Trace.gate trace) ~state_nodes:(-1) ~matrix_nodes:(-1)
-          ~hits:0 ~misses:0
-          ~detail:
-            (Printf.sprintf "%s, %d domains" detail (Domain_pool.size pool))
-      end)
-    (fun () -> body run)
-
-(* [f pool] over a fresh pool that is always joined afterwards *)
-let with_pool ~domains f =
-  let pool = Domain_pool.create ~domains in
-  Fun.protect ~finally:(fun () -> Domain_pool.shutdown pool) (fun () -> f pool)
-
-(* [f ()] timed as one span on the private lane of the crew member running
-   it, so nothing touches the shared buffer before the section merges *)
-let lane_span trace kind ~gate ~nodes ~detail f =
-  if not (Obs.Trace.is_on trace) then f ()
-  else begin
-    let lane = Obs.Trace.lane trace (Domain_pool.self_index ()) in
-    let t0 = Obs.Trace.now lane in
-    let r = f () in
-    Obs.Trace.span lane kind ~t0 ~gate ~state_nodes:(-1) ~matrix_nodes:(nodes r)
-      ~hits:0 ~misses:0 ~detail;
-    r
-  end
-
-(* Tree-reduce a window of gate DDs (newest first: [m_p; ...; m_1]) into
-   the product m_p x ... x m_1 across the pool.  Each round pairs
-   consecutive matrices — association changes, operand order (and hence
-   the product) does not.  The final two-element round goes through
-   [Mdd.mul_par], which additionally scatters its eight top-level inner
-   products, so the reduction's last — largest — multiplication is not a
-   single-domain bottleneck.  Stats stay main-domain-only (workers run
-   pure [Mdd.mul]).  Every product is one [Mat_mat] span on the lane that
-   computed it (the [mul_par] root on the caller's, lane 0), so spans
-   match [mat_mat_mults] at any pool size. *)
-let reduce_window engine pool mats =
-  let ctx = engine.context and trace = engine.trace and stats = engine.stats in
-  let gate = Obs.Trace.gate trace in
-  let mul_span detail f =
-    lane_span trace Obs.Trace.Mat_mat ~gate ~nodes:Dd.Mdd.node_count ~detail f
-  in
-  pool_section engine pool ~task:"window product"
-    ~detail:(Printf.sprintf "window reduce, %d matrices" (List.length mats))
-    (fun run ->
-      let rec reduce = function
-        | [] -> Dd.Mdd.identity ctx engine.n
-        | [ m ] -> m
-        | [ a; b ] ->
-          stats.mat_mat_mults <- stats.mat_mat_mults + 1;
-          mul_span "window root" (fun () -> Dd.Mdd.mul_par ctx ~par:run a b)
-        | mats ->
-          let arr = Array.of_list mats in
-          let n = Array.length arr in
-          let pairs = n / 2 in
-          let products =
-            run
-              (Array.init pairs (fun i () ->
-                   mul_span "window pair" (fun () ->
-                       Dd.Mdd.mul ctx arr.(2 * i) arr.((2 * i) + 1))))
-          in
-          stats.mat_mat_mults <- stats.mat_mat_mults + pairs;
-          let tail = if n land 1 = 1 then [ arr.(n - 1) ] else [] in
-          reduce (Array.to_list products @ tail)
-      in
-      reduce mats)
-
-(* Parallel composition of pre-built operation DDs, in application order
-   (first applied first): returns [m_k x ... x m_1] reduced over a fresh
-   pool of [domains engine] domains.  Exposed for direct use and for
-   fault-injection tests — a worker failure raises the structured
-   {!Error.Worker_failure}, never kills a domain. *)
-let combine_parallel engine mats =
-  match mats with
-  | [] -> Dd.Mdd.identity engine.context engine.n
-  | mats ->
-    with_pool ~domains:engine.domains (fun pool ->
-        reduce_window engine pool (List.rev mats))
-
 (* -- Engine.run: a run-state record and named steps --------------------- *)
 
 (* The open combination window, shared by the k-operations and max-size
-   strategies: gates accumulate into a product (mat-mat multiplications,
-   or gate DDs collected for a tree reduction when [pool] is set), which
-   [flush] applies onto the state as one mat-vec. *)
+   strategies: gates accumulate into a product by mat-mat
+   multiplications, which [flush] applies onto the state as one
+   mat-vec. *)
 type window = {
-  pool : Domain_pool.t option;
-  mutable product : Dd.Mdd.edge option;  (* sequential partial product *)
-  mutable mats : Dd.Mdd.edge list;  (* pooled gate DDs, newest first *)
+  mutable product : Dd.Mdd.edge option;  (* partial product *)
   mutable count : int;  (* gates in the window; 0 = no window open *)
   mutable tail : int;  (* breached window's gates left to apply singly *)
 }
@@ -648,9 +506,7 @@ let validate ~strategy ~start_gate ~checkpoint_every engine circuit =
   require_width engine ~what:"Engine.run" Circuit.(circuit.qubits)
 
 let window_nodes w =
-  match w.product with
-  | Some p -> Dd.Mdd.node_count p
-  | None -> List.fold_left (fun acc m -> acc + Dd.Mdd.node_count m) 0 w.mats
+  match w.product with Some p -> Dd.Mdd.node_count p | None -> 0
 
 let write_checkpoint rs ~force =
   match rs.on_checkpoint with
@@ -696,7 +552,7 @@ let collect engine ~m_roots =
 
 let auto_gc rs =
   let w = rs.window in
-  let m_roots = w.mats @ List.filter_map Fun.id [ w.product; rs.block_root ] in
+  let m_roots = List.filter_map Fun.id [ w.product; rs.block_root ] in
   ignore (collect rs.engine ~m_roots);
   rs.engine.stats.auto_gcs <- rs.engine.stats.auto_gcs + 1
 
@@ -762,10 +618,10 @@ let led_open rs ~seq =
       ~state_nodes:(Dd.Vdd.node_count rs.engine.state_edge)
   end
 
-(* Apply the open window onto the state: the product (tree-reduced first
-   when pooled) goes on as one mat-vec, a window of several gates emits
-   one [Window_combined] span, and the window's ledger entry commits —
-   unless a breached window's sequential tail still belongs to it. *)
+(* Apply the open window onto the state: the product goes on as one
+   mat-vec, a window of several gates emits one [Window_combined] span,
+   and the window's ledger entry commits — unless a breached window's
+   sequential tail still belongs to it. *)
 let flush rs =
   let engine = rs.engine and w = rs.window in
   if w.count > 0 then begin
@@ -774,18 +630,8 @@ let flush rs =
       engine.stats.combined_applications <-
         engine.stats.combined_applications + 1;
     let t0 = trace_now engine in
-    let product =
-      match w.pool with
-      | Some pool ->
-        let mark = op_start engine Build in
-        let product = reduce_window engine pool w.mats in
-        op_done engine Build mark product;
-        note_matrix_peak engine product;
-        product
-      | None -> Option.get w.product
-    in
+    let product = Option.get w.product in
     w.product <- None;
-    w.mats <- [];
     apply_matrix engine product;
     if rs.traced && combined then
       Obs.Trace.span engine.trace Obs.Trace.Window_combined ~t0
@@ -793,12 +639,7 @@ let flush rs =
         ~state_nodes:(Dd.Vdd.node_count engine.state_edge)
         ~matrix_nodes:(Dd.Mdd.node_count product)
         ~hits:0 ~misses:0
-        ~detail:
-          (match w.pool with
-          | Some pool ->
-            Printf.sprintf "%d gates (parallel, %d domains)" w.count
-              (Domain_pool.size pool)
-          | None -> Printf.sprintf "%d gates" w.count);
+        ~detail:(Printf.sprintf "%d gates" w.count);
     rs.applied <- rs.applied + w.count;
     w.count <- 0;
     if w.tail = 0 then led_commit rs
@@ -891,11 +732,11 @@ let absorb_window rs gate =
     if w.count = 0 then led_open rs ~seq:false;
     Obs.Ledger.add_gates engine.ledger 1;
     let matrix = gate_dd engine gate in
-    (match (w.pool, w.product) with
-    | Some _, _ -> w.mats <- matrix :: w.mats
-    | None, None -> w.product <- Some matrix
-    | None, Some product ->
-      w.product <- Some (multiply_onto engine matrix product));
+    w.product <-
+      Some
+        (match w.product with
+        | None -> matrix
+        | Some product -> multiply_onto engine matrix product);
     w.count <- w.count + 1;
     let full =
       match (rs.strategy, w.product) with
@@ -1010,12 +851,10 @@ let finish rs =
   if rs.applied > rs.last_checkpoint then write_checkpoint rs ~force:true
 
 (* runs on every exit, including structured aborts out of [walk]: the
-   pool is joined before anything else (no leaked domains, quiescent
-   tables), the open ledger entry of an aborted run commits, and wall
-   time and the dropped-event count survive *)
+   open ledger entry of an aborted run commits, and wall time and the
+   dropped-event count survive *)
 let teardown rs =
   let engine = rs.engine in
-  Option.iter Domain_pool.shutdown rs.window.pool;
   led_commit rs;
   if rs.ledgered then
     engine.stats.ledger_entries <- Obs.Ledger.length engine.ledger;
@@ -1032,17 +871,6 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
     ?(start_gate = 0) engine circuit =
   validate ~strategy ~start_gate ~checkpoint_every engine circuit;
   let run_t0 = Obs.Clock.now () in
-  engine.stats.domains <- engine.domains;
-  (* Parallel windows need the whole window's gate DDs at once (the tree
-     reduction), which forfeits the per-multiplication matrix-budget
-     check — so a [max_matrix_nodes] guard keeps the sequential
-     accumulate-and-degrade path even when domains are available. *)
-  let pooled =
-    match strategy with
-    | Strategy.K_operations _ ->
-      engine.domains > 1 && guard.Guard.max_matrix_nodes = None
-    | _ -> false
-  in
   let rs =
     {
       engine;
@@ -1056,16 +884,7 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
       checkpoint_every;
       on_checkpoint;
       run_t0;
-      window =
-        {
-          pool =
-            (if pooled then Some (Domain_pool.create ~domains:engine.domains)
-             else None);
-          product = None;
-          mats = [];
-          count = 0;
-          tail = 0;
-        };
+      window = { product = None; count = 0; tail = 0 };
       applied = start_gate;
       cursor = 0;
       last_checkpoint = start_gate;
@@ -1117,40 +936,6 @@ let measure_all engine =
 
 let sample engine =
   Dd.Measure.sample engine.context engine.rng_state engine.state_edge
-
-(* Multi-shot sampling with pool-size-independent outcomes: the engine
-   RNG is consumed exactly [shots] times — one derived seed per shot,
-   drawn sequentially — and shot [i] walks the DD under its own
-   [Random.State.make [| seed_i |]].  The outcome array therefore depends
-   only on the engine RNG stream and the state DD, never on how shots
-   were scheduled over domains; [--domains 1] and [--domains 4] agree
-   exactly.  (The per-shot walk only reads the DD and memoises subtree
-   norms in the context's norm table — float results, identical from
-   every shot, so racy table traffic is harmless and locked anyway.) *)
-let sample_shots engine shots =
-  if shots < 0 then
-    Error.invalid_parameter ~what:"Engine.sample_shots"
-      (Printf.sprintf "shots must be >= 0 (got %d)" shots);
-  let seeds = Array.init shots (fun _ -> Random.State.bits engine.rng_state) in
-  let ctx = engine.context and state = engine.state_edge in
-  let run_shot seed =
-    Dd.Measure.sample ctx (Random.State.make [| seed |]) state
-  in
-  if shots = 0 then [||]
-  else if engine.domains <= 1 || shots = 1 then
-    Array.init shots (fun i -> run_shot seeds.(i))
-  else begin
-    with_pool ~domains:(min engine.domains shots) (fun pool ->
-        pool_section engine pool ~task:"multi-shot sampling"
-          ~detail:(Printf.sprintf "multi-shot sampling, %d shots" shots)
-          (fun run ->
-            run
-              (Array.init shots (fun i () ->
-                   lane_span engine.trace Obs.Trace.Measure ~gate:(-1)
-                     ~nodes:(fun _ -> -1)
-                     ~detail:(Printf.sprintf "shot %d" i)
-                     (fun () -> run_shot seeds.(i))))))
-  end
 
 let fidelity_dense engine reference =
   if Array.length reference <> 1 lsl engine.n then

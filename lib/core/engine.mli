@@ -49,19 +49,9 @@ val set_fused_apply : t -> bool -> unit
 val fused_apply : t -> bool
 
 val set_domains : t -> int -> unit
-(** Domain-pool size for the parallel sections ([--domains]; default 1).
-    At 1 the engine takes exactly the legacy sequential code paths — no
-    pool is created, no lock is ever taken, and results are bitwise
-    identical to the pre-parallel kernel.  Above 1, {!run} tree-reduces
-    k-operations window products over a pool of that many domains and
-    {!sample_shots} fans shots out per-domain; final states are equal
-    within the interning tolerance but not bitwise reproducible (the
-    reduction associates differently and node-id creation order is racy),
-    while sampling outcomes remain exactly deterministic.  Raises
-    {!Error.Error} ([Invalid_parameter]) below 1.
-    [Domain.recommended_domain_count ()] is a sensible upper bound. *)
-
-val domains : t -> int
+(** The engine runs on one domain: [set_domains e 1] is accepted and
+    changes nothing; any other count raises {!Error.Error}
+    ([Invalid_parameter]). *)
 
 val set_track_peaks : t -> bool -> unit
 (** When enabled, {!Sim_stats.t.peak_state_nodes} and [peak_matrix_nodes]
@@ -182,16 +172,6 @@ val combine : t -> Gate.t list -> Dd.Mdd.edge
     [combine e [g1; g2]] is [M_g2 x M_g1]), via matrix-matrix
     multiplications (the Eq. 2 step). *)
 
-val combine_parallel : t -> Dd.Mdd.edge list -> Dd.Mdd.edge
-(** Product of pre-built operation DDs in application order
-    ([combine_parallel e [m1; m2]] is [M2 x M1]), tree-reduced over a
-    fresh pool of {!domains} domains (sequential when that is 1).  The
-    result is the same matrix as the sequential fold, canonical under
-    the context's interning, but not bitwise-identical across domain
-    counts.  A task failing in a worker raises the structured
-    {!Error.Error} ([Worker_failure]); worker domains are always joined,
-    never leaked or crashed. *)
-
 val run :
   ?strategy:Strategy.t ->
   ?use_repeating:bool ->
@@ -253,18 +233,6 @@ val measure_all : t -> int
 
 val sample : t -> int
 (** Sample a basis index without collapsing. *)
-
-val sample_shots : t -> int -> int array
-(** [sample_shots e n] draws [n] basis indices without collapsing,
-    fanned over {!domains} domains when that is above 1.  Outcomes are
-    exactly deterministic and independent of the pool size: the engine
-    RNG is consumed once per shot to derive a per-shot seed (in shot
-    order), and each shot samples under its own RNG seeded from that —
-    so [--domains 1] and [--domains 4] return identical arrays.  Note
-    the per-shot derivation means [sample_shots e n] is not the same
-    stream as [n] successive {!sample} calls.  Raises {!Error.Error}
-    ([Invalid_parameter]) on negative [n], ([Worker_failure]) if a shot
-    fails in a worker domain. *)
 
 val fidelity_dense : t -> Dd_complex.Cnum.t array -> float
 (** [|<dense|state>|^2] against a dense reference vector (tests). *)

@@ -19,7 +19,6 @@ type t =
   | Width_mismatch of { what : string; expected : int; actual : int }
   | Invalid_parameter of { what : string; message : string }
   | Audit_failure of { violations : string list; site : run_site }
-  | Worker_failure of { task : string; message : string }
 
 exception Error of t
 
@@ -55,8 +54,6 @@ let to_string = function
       (if List.length violations = 1 then "" else "s")
       (site_to_string site)
       (String.concat "; " violations)
-  | Worker_failure { task; message } ->
-    Printf.sprintf "worker domain failed during %s: %s" task message
 
 let pp fmt e = Format.pp_print_string fmt (to_string e)
 let raise_error e = raise (Error e)

@@ -51,12 +51,6 @@ type t =
           violation string names its fault site; the run state cannot be
           trusted past [site.gate_index] — resume from the last good
           checkpoint. *)
-  | Worker_failure of { task : string; message : string }
-      (** A task running on a pool worker domain raised.  The pool
-          captures the exception (the domain itself survives and is
-          joined normally); the engine re-raises it as this structured
-          error naming the parallel section ([task]) and the printed
-          original exception ([message]). *)
 
 exception Error of t
 

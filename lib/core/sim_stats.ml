@@ -22,12 +22,6 @@ type t = {
   mutable reorder_swaps : int;
   mutable reorder_nodes_before : int;
   mutable reorder_nodes_after : int;
-  mutable domains : int;
-  mutable pool_batches : int;
-  mutable pool_tasks : int;
-  mutable pool_busy_seconds : float;
-  mutable pool_idle_seconds : float;
-  mutable pool_section_seconds : float;
   mutable ledger_entries : int;
 }
 
@@ -56,12 +50,6 @@ let create () =
     reorder_swaps = 0;
     reorder_nodes_before = 0;
     reorder_nodes_after = 0;
-    domains = 1;
-    pool_batches = 0;
-    pool_tasks = 0;
-    pool_busy_seconds = 0.;
-    pool_idle_seconds = 0.;
-    pool_section_seconds = 0.;
     ledger_entries = 0;
   }
 
@@ -89,12 +77,6 @@ let reset stats =
   stats.reorder_swaps <- 0;
   stats.reorder_nodes_before <- 0;
   stats.reorder_nodes_after <- 0;
-  stats.domains <- 1;
-  stats.pool_batches <- 0;
-  stats.pool_tasks <- 0;
-  stats.pool_busy_seconds <- 0.;
-  stats.pool_idle_seconds <- 0.;
-  stats.pool_section_seconds <- 0.;
   stats.ledger_entries <- 0
 
 let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
@@ -123,12 +105,6 @@ let assign dst src =
   dst.reorder_swaps <- src.reorder_swaps;
   dst.reorder_nodes_before <- src.reorder_nodes_before;
   dst.reorder_nodes_after <- src.reorder_nodes_after;
-  dst.domains <- src.domains;
-  dst.pool_batches <- src.pool_batches;
-  dst.pool_tasks <- src.pool_tasks;
-  dst.pool_busy_seconds <- src.pool_busy_seconds;
-  dst.pool_idle_seconds <- src.pool_idle_seconds;
-  dst.pool_section_seconds <- src.pool_section_seconds;
   dst.ledger_entries <- src.ledger_entries
 
 let pp fmt stats =
@@ -169,12 +145,5 @@ let pp fmt stats =
       " reorders=%d reorder-swaps=%d reorder-nodes=%d->%d"
       stats.reorders_run stats.reorder_swaps stats.reorder_nodes_before
       stats.reorder_nodes_after;
-  if stats.domains > 1 then Format.fprintf fmt " domains=%d" stats.domains;
-  if stats.pool_batches > 0 then
-    Format.fprintf fmt
-      " pool-batches=%d pool-tasks=%d pool-busy=%.3fs pool-idle=%.3fs \
-       pool-sections=%.3fs"
-      stats.pool_batches stats.pool_tasks stats.pool_busy_seconds
-      stats.pool_idle_seconds stats.pool_section_seconds;
   if stats.ledger_entries > 0 then
     Format.fprintf fmt " ledger-entries=%d" stats.ledger_entries

@@ -61,31 +61,10 @@ type t = {
       (** cumulative state-DD node count entering reordering passes *)
   mutable reorder_nodes_after : int;
       (** cumulative state-DD node count leaving reordering passes *)
-  mutable domains : int;
-      (** domain-pool size the run was configured with ([--domains]);
-          [1] = sequential.  Persisted in checkpoints (format v7) so a
-          resumed run keeps its pool size. *)
-  mutable pool_batches : int;
-      (** domain-pool scatter/gather sections completed; [0] when the run
-          never fanned out.  The pool-utilization family
-          ([pool_batches .. pool_section_seconds]) is absorbed from
-          {!Domain_pool.stats} at quiescence, is inherently
-          nondeterministic (scheduling-dependent), and is {e not}
-          persisted in checkpoints. *)
-  mutable pool_tasks : int;
-      (** tasks executed across all crew members *)
-  mutable pool_busy_seconds : float;
-      (** summed per-crew-member time spent running tasks *)
-  mutable pool_idle_seconds : float;
-      (** [section_seconds * crew - busy]: crew capacity inside pool
-          sections not spent on tasks (waiting on the cursor or on
-          stragglers), clamped at 0 *)
-  mutable pool_section_seconds : float;
-      (** wall time spent inside pool sections, scatter to gather *)
   mutable ledger_entries : int;
       (** entries committed to the attached {!Obs.Ledger} ([--ledger]);
-          [0] when no ledger is attached.  Observability-only, like the
-          pool family: not persisted in checkpoints. *)
+          [0] when no ledger is attached.  Observability-only: not
+          persisted in checkpoints. *)
 }
 
 val create : unit -> t

@@ -36,7 +36,6 @@ let populate registry engine =
     stats.Sim_stats.reorder_nodes_before;
   set_count registry "sim.reorder_nodes_after"
     stats.Sim_stats.reorder_nodes_after;
-  set_count registry "sim.domains" stats.Sim_stats.domains;
   set_count registry "sim.ledger_entries" stats.Sim_stats.ledger_entries;
   set_value registry "sim.wall_time_seconds" stats.Sim_stats.wall_time_seconds;
   set_count registry "nodes.live_vector" (Dd.Context.live_v_nodes ctx);
@@ -64,22 +63,6 @@ let populate registry engine =
   set_count registry "mem.compute_table_bytes"
     (Dd.Context.compute_table_bytes ctx);
   set_count registry "mem.residency_bytes" (Dd.Context.residency_bytes ctx);
-  (* concurrency families: pool utilization from Sim_stats (absorbed at
-     pool teardown) and stripe-lock contention per shared structure.
-     All zero — but present — on a sequential run. *)
-  set_count registry "pool.batches" stats.Sim_stats.pool_batches;
-  set_count registry "pool.tasks" stats.Sim_stats.pool_tasks;
-  set_value registry "pool.busy_seconds" stats.Sim_stats.pool_busy_seconds;
-  set_value registry "pool.idle_seconds" stats.Sim_stats.pool_idle_seconds;
-  set_value registry "pool.section_seconds"
-    stats.Sim_stats.pool_section_seconds;
-  List.iter
-    (fun (label, (l : Dd.Compute_table.lock_stats)) ->
-      let field suffix = Printf.sprintf "lock.%s.%s" label suffix in
-      set_count registry (field "acquisitions") l.acquisitions;
-      set_count registry (field "contended") l.contended;
-      set_value registry (field "wait_seconds") l.wait_seconds)
-    (Dd.Context.lock_stats ctx);
   let gc = Dd.Context.gc_stats ctx in
   set_count registry "gc.collections" gc.Dd.Context.collections;
   set_value registry "gc.pause_seconds" gc.Dd.Context.pause_total;

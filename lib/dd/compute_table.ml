@@ -9,54 +9,29 @@
    comparison — a collision can therefore never return the value of a
    different key, it only reads as a miss.
 
-   Cross-domain sharing ([set_parallel]): a slot's three key words and its
-   value are written non-atomically, so an unguarded racing reader could
-   match the keys of one store against the value of another.  When the
-   parallel flag is armed, [find] and [store] take a per-slot-group mutex
-   (64 lock stripes indexed by low slot bits) — entries stay lossy memo
-   hints, but a hit is always the value that was stored with its key.
-   Counters are [Atomic.t] so they stay coherent without widening the
-   critical section; [sweep]/[clear]/[iter] run only while the domain
-   pool is quiescent and take no locks. *)
+   The [2^bits] slots are allocated by the first [store].  Until then the
+   table is one unoccupied slot under [mask = 0], so every [find] lands
+   on it and misses — exactly what an empty full-size table answers — and
+   a context pays only for the tables its run actually fills. *)
 
 type 'v t = {
   name : string;
   dummy : 'v;  (* fills unoccupied slots; also the Table_poison payload *)
-  mask : int;
-  occupied : Bytes.t;
-  k1 : int array;
-  k2 : int array;
-  k3 : int array;
-  value : 'v array;
-  stamp : int array;  (* generation the entry was written / last validated *)
-  locks : Mutex.t array;
-  lock_acquisitions : int array;
-  lock_contended : int array;
-  lock_wait : float array;
-  lock_wait_buckets : int array array;
-  mutable parallel : bool;
-  entries : int Atomic.t;
-  mutable generation : int;
-  lookups : int Atomic.t;
-  hits : int Atomic.t;
-  stores : int Atomic.t;
-  evictions : int Atomic.t;
-  invalidated : int Atomic.t;
+  bits : int;
+  mutable mask : int;  (* 0 until the first store allocates the slots *)
+  mutable occupied : Bytes.t;
+  mutable k1 : int array;
+  mutable k2 : int array;
+  mutable k3 : int array;
+  mutable value : 'v array;
+  mutable entries : int;
+  mutable generation : int;  (* sweeps so far *)
+  mutable lookups : int;
+  mutable hits : int;
+  mutable stores : int;
+  mutable evictions : int;
+  mutable invalidated : int;
 }
-
-(* Aggregated contention counters for one lock-striped structure; the
-   per-stripe counters are plain ints mutated only while holding that
-   stripe's lock, so they cost no atomics and read consistently at
-   quiescence.  [wait_buckets] is a log2 histogram of contended wait
-   times: index [e + 32] holds waits in [2^(e-1), 2^e) seconds. *)
-type lock_stats = {
-  acquisitions : int;
-  contended : int;
-  wait_seconds : float;
-  wait_buckets : int array;
-}
-
-let hist_buckets = 64
 
 type stats = {
   table : string;
@@ -71,43 +46,32 @@ type stats = {
   generation : int;
 }
 
-let lock_count = 64
-let lock_mask = lock_count - 1
-
 let create ~name ~bits ~dummy =
   if bits < 1 || bits > 28 then
     invalid_arg "Compute_table.create: bits must be in [1, 28]";
-  let capacity = 1 lsl bits in
   {
     name;
     dummy;
-    mask = capacity - 1;
-    occupied = Bytes.make capacity '\000';
-    k1 = Array.make capacity 0;
-    k2 = Array.make capacity 0;
-    k3 = Array.make capacity 0;
-    value = Array.make capacity dummy;
-    stamp = Array.make capacity 0;
-    locks = Array.init lock_count (fun _ -> Mutex.create ());
-    lock_acquisitions = Array.make lock_count 0;
-    lock_contended = Array.make lock_count 0;
-    lock_wait = Array.make lock_count 0.;
-    lock_wait_buckets = Array.init lock_count (fun _ -> Array.make hist_buckets 0);
-    parallel = false;
-    entries = Atomic.make 0;
+    bits;
+    mask = 0;
+    occupied = Bytes.make 1 '\000';
+    k1 = [| 0 |];
+    k2 = [| 0 |];
+    k3 = [| 0 |];
+    value = [| dummy |];
+    entries = 0;
     generation = 0;
-    lookups = Atomic.make 0;
-    hits = Atomic.make 0;
-    stores = Atomic.make 0;
-    evictions = Atomic.make 0;
-    invalidated = Atomic.make 0;
+    lookups = 0;
+    hits = 0;
+    stores = 0;
+    evictions = 0;
+    invalidated = 0;
   }
 
-let capacity (t : _ t) = t.mask + 1
+let capacity (t : _ t) = 1 lsl t.bits
 let name (t : _ t) = t.name
-let length (t : _ t) = Atomic.get t.entries
+let length (t : _ t) = t.entries
 let generation (t : _ t) = t.generation
-let set_parallel (t : _ t) flag = t.parallel <- flag
 
 (* Multiplicative mixing of the three key words; the constants are the
    usual 64-bit golden-ratio/xxhash primes.  Only the low bits survive the
@@ -121,10 +85,12 @@ let slot (t : _ t) k1 k2 k3 =
 let key_matches (t : _ t) i k1 k2 k3 =
   t.k1.(i) = k1 && t.k2.(i) = k2 && t.k3.(i) = k3
 
-let probe (t : 'v t) i k1 k2 k3 =
+let find (t : 'v t) ~k1 ~k2 ~k3 =
+  t.lookups <- t.lookups + 1;
+  let i = slot t k1 k2 k3 in
   if Bytes.unsafe_get t.occupied i = '\001' && key_matches t i k1 k2 k3
   then begin
-    Atomic.incr t.hits;
+    t.hits <- t.hits + 1;
     (* fault harness: a poisoned hit hands back the dummy value — the
        corruption a collision-checking bug or torn store would produce *)
     if Fault.fire Fault.Table_poison then Some t.dummy
@@ -132,66 +98,30 @@ let probe (t : 'v t) i k1 k2 k3 =
   end
   else None
 
-(* Contention-instrumented acquisition: a [try_lock] success is the
-   uncontended path; a failure counts as contended and times the
-   blocking wait.  Runs only when [parallel] is armed, so [--domains 1]
-   stays lock- and allocation-free. *)
-let lock_stripe (t : _ t) s =
-  let lock = t.locks.(s) in
-  if Mutex.try_lock lock then
-    t.lock_acquisitions.(s) <- t.lock_acquisitions.(s) + 1
-  else begin
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock lock;
-    let wait = Float.max 0. (Unix.gettimeofday () -. t0) in
-    t.lock_acquisitions.(s) <- t.lock_acquisitions.(s) + 1;
-    t.lock_contended.(s) <- t.lock_contended.(s) + 1;
-    t.lock_wait.(s) <- t.lock_wait.(s) +. wait;
-    let b = Obs.Metrics.bucket_exponent wait + 32 in
-    let h = t.lock_wait_buckets.(s) in
-    h.(b) <- h.(b) + 1
-  end
+let allocate (t : 'v t) =
+  let capacity = capacity t in
+  t.occupied <- Bytes.make capacity '\000';
+  t.k1 <- Array.make capacity 0;
+  t.k2 <- Array.make capacity 0;
+  t.k3 <- Array.make capacity 0;
+  t.value <- Array.make capacity t.dummy;
+  t.mask <- capacity - 1
 
-let find (t : 'v t) ~k1 ~k2 ~k3 =
-  Atomic.incr t.lookups;
+let store (t : 'v t) ~k1 ~k2 ~k3 v =
+  if t.mask = 0 then allocate t;
   let i = slot t k1 k2 k3 in
-  if t.parallel then begin
-    let s = i land lock_mask in
-    lock_stripe t s;
-    match probe t i k1 k2 k3 with
-    | r ->
-      Mutex.unlock t.locks.(s);
-      r
-    | exception e ->
-      Mutex.unlock t.locks.(s);
-      raise e
-  end
-  else probe t i k1 k2 k3
-
-let write (t : 'v t) i k1 k2 k3 v =
   if Bytes.unsafe_get t.occupied i = '\001' then begin
-    if not (key_matches t i k1 k2 k3) then Atomic.incr t.evictions
+    if not (key_matches t i k1 k2 k3) then t.evictions <- t.evictions + 1
   end
   else begin
     Bytes.unsafe_set t.occupied i '\001';
-    Atomic.incr t.entries
+    t.entries <- t.entries + 1
   end;
   t.k1.(i) <- k1;
   t.k2.(i) <- k2;
   t.k3.(i) <- k3;
   t.value.(i) <- v;
-  t.stamp.(i) <- t.generation;
-  Atomic.incr t.stores
-
-let store (t : 'v t) ~k1 ~k2 ~k3 v =
-  let i = slot t k1 k2 k3 in
-  if t.parallel then begin
-    let s = i land lock_mask in
-    lock_stripe t s;
-    write t i k1 k2 k3 v;
-    Mutex.unlock t.locks.(s)
-  end
-  else write t i k1 k2 k3 v
+  t.stores <- t.stores + 1
 
 let iter f (t : 'v t) =
   for i = 0 to t.mask do
@@ -201,81 +131,54 @@ let iter f (t : 'v t) =
 
 let clear (t : _ t) =
   Bytes.fill t.occupied 0 (Bytes.length t.occupied) '\000';
-  Atomic.set t.entries 0
+  t.entries <- 0
 
 (* Generation-aware sweep: entries whose keys/values still refer to live
-   nodes survive the collection and are re-stamped with the new
-   generation; the rest are dropped (and counted).  Returns the number of
-   dropped entries. *)
+   nodes survive the collection and stay warm; the rest are dropped (and
+   counted).  Returns the number of dropped entries. *)
 let sweep (t : 'v t) ~keep =
   t.generation <- t.generation + 1;
   let dropped = ref 0 in
   for i = 0 to t.mask do
-    if Bytes.unsafe_get t.occupied i = '\001' then
-      if keep t.k1.(i) t.k2.(i) t.k3.(i) t.value.(i) then
-        t.stamp.(i) <- t.generation
-      else begin
-        Bytes.unsafe_set t.occupied i '\000';
-        Atomic.decr t.entries;
-        incr dropped
-      end
+    if
+      Bytes.unsafe_get t.occupied i = '\001'
+      && not (keep t.k1.(i) t.k2.(i) t.k3.(i) t.value.(i))
+    then begin
+      Bytes.unsafe_set t.occupied i '\000';
+      incr dropped
+    end
   done;
-  ignore (Atomic.fetch_and_add t.invalidated !dropped);
+  t.entries <- t.entries - !dropped;
+  t.invalidated <- t.invalidated + !dropped;
   !dropped
 
 let reset_counters (t : _ t) =
-  Atomic.set t.lookups 0;
-  Atomic.set t.hits 0;
-  Atomic.set t.stores 0;
-  Atomic.set t.evictions 0;
-  Atomic.set t.invalidated 0
-
-let lock_stats (t : _ t) =
-  let buckets = Array.make hist_buckets 0 in
-  let acq = ref 0 and cont = ref 0 and wait = ref 0. in
-  for s = 0 to lock_count - 1 do
-    acq := !acq + t.lock_acquisitions.(s);
-    cont := !cont + t.lock_contended.(s);
-    wait := !wait +. t.lock_wait.(s);
-    Array.iteri
-      (fun b n -> buckets.(b) <- buckets.(b) + n)
-      t.lock_wait_buckets.(s)
-  done;
-  {
-    acquisitions = !acq;
-    contended = !cont;
-    wait_seconds = !wait;
-    wait_buckets = buckets;
-  }
-
-let reset_lock_stats (t : _ t) =
-  Array.fill t.lock_acquisitions 0 lock_count 0;
-  Array.fill t.lock_contended 0 lock_count 0;
-  Array.fill t.lock_wait 0 lock_count 0.;
-  Array.iter (fun h -> Array.fill h 0 hist_buckets 0) t.lock_wait_buckets
+  t.lookups <- 0;
+  t.hits <- 0;
+  t.stores <- 0;
+  t.evictions <- 0;
+  t.invalidated <- 0
 
 let stats (t : 'v t) : stats =
-  let lookups = Atomic.get t.lookups and hits = Atomic.get t.hits in
   {
     table = t.name;
     capacity = capacity t;
-    entries = Atomic.get t.entries;
-    lookups;
-    hits;
-    misses = lookups - hits;
-    stores = Atomic.get t.stores;
-    evictions = Atomic.get t.evictions;
-    invalidated = Atomic.get t.invalidated;
+    entries = t.entries;
+    lookups = t.lookups;
+    hits = t.hits;
+    misses = t.lookups - t.hits;
+    stores = t.stores;
+    evictions = t.evictions;
+    invalidated = t.invalidated;
     generation = t.generation;
   }
 
-let hits (t : _ t) = Atomic.get t.hits
-let lookups (t : _ t) = Atomic.get t.lookups
+let hits (t : _ t) = t.hits
+let lookups (t : _ t) = t.lookups
 
 let hit_rate (t : _ t) =
-  let lookups = Atomic.get t.lookups in
-  if lookups = 0 then 0.
-  else float_of_int (Atomic.get t.hits) /. float_of_int lookups
+  if t.lookups = 0 then 0.
+  else float_of_int t.hits /. float_of_int t.lookups
 
 let pp_stats fmt s =
   Format.fprintf fmt

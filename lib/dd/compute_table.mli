@@ -5,9 +5,12 @@
     overwrites the previous entry (lossy — memoisation is purely an
     optimisation, every recursion is structural); a {!find} compares the
     full key, so a collision can never return the value of a different
-    key, it only reads as a miss.  Entries carry the generation of the
-    last garbage collection that validated them; {!sweep} drops entries a
-    collection invalidated and keeps the rest warm. *)
+    key, it only reads as a miss.  {!sweep} drops the entries a garbage
+    collection invalidated and keeps the rest warm.
+
+    The slots are allocated by the first {!store}: a table that is never
+    stored into costs a few words, answers every {!find} with a miss and
+    still reports [2^bits] as its {!capacity}. *)
 
 type 'v t
 
@@ -21,22 +24,16 @@ type stats = {
   stores : int;
   evictions : int;  (** live entries overwritten by a colliding store *)
   invalidated : int;  (** entries dropped by {!sweep} *)
-  generation : int;
+  generation : int;  (** number of sweeps so far *)
 }
 
 val create : name:string -> bits:int -> dummy:'v -> 'v t
-(** [2^bits] slots ([bits] in [1, 28]); [dummy] fills unoccupied value
-    slots and is never returned. *)
+(** A table of [2^bits] slots ([bits] in [1, 28]), allocated on the
+    first {!store}; [dummy] fills unoccupied value slots and is never
+    returned. *)
 
 val find : 'v t -> k1:int -> k2:int -> k3:int -> 'v option
 val store : 'v t -> k1:int -> k2:int -> k3:int -> 'v -> unit
-
-val set_parallel : 'v t -> bool -> unit
-(** Arm (or disarm) the per-slot-group mutexes taken by {!find}/{!store}
-    so concurrent domains cannot tear a slot's key/value pair.  Off by
-    default (no locks, the pre-sharing behaviour).  {!sweep}, {!clear}
-    and {!iter} remain unlocked — run them only while the domain pool is
-    quiescent. *)
 
 val clear : 'v t -> unit
 (** Drop every entry.  Counters are kept. *)
@@ -46,14 +43,18 @@ val iter : (int -> int -> int -> 'v -> unit) -> 'v t -> unit
     auditor's table-consistency walk. *)
 
 val sweep : 'v t -> keep:(int -> int -> int -> 'v -> bool) -> int
-(** One garbage collection over the table: bump the generation, re-stamp
+(** One garbage collection over the table: bump the generation, keep
     every entry for which [keep k1 k2 k3 v] holds, drop the rest.  Returns
     the number of entries dropped. *)
 
 val capacity : 'v t -> int
+(** [2^bits], allocated or not. *)
+
 val name : 'v t -> string
 val length : 'v t -> int
 val generation : 'v t -> int
+(** Number of sweeps so far. *)
+
 val hits : 'v t -> int
 (** Running hit count — cheap accessor for per-operation deltas, so
     tracing need not build a full {!stats} record per op. *)
@@ -63,31 +64,3 @@ val hit_rate : 'v t -> float
 val stats : 'v t -> stats
 val reset_counters : 'v t -> unit
 val pp_stats : Format.formatter -> stats -> unit
-
-(** {2 Lock-contention accounting}
-
-    When {!set_parallel} is armed, every stripe acquisition is counted;
-    an acquisition whose initial [Mutex.try_lock] fails is additionally
-    counted as {e contended} and its blocking wait is timed.  The
-    per-stripe counters are mutated only under that stripe's lock (no
-    atomics, no allocation on the uncontended path) and nothing at all
-    runs when the flag is off — [--domains 1] behaviour is bitwise
-    unchanged.  This record shape is shared by {!Hashcons} and mirrored
-    by [Cnum.Ctable]. *)
-
-type lock_stats = {
-  acquisitions : int;  (** stripe acquisitions while [parallel] was armed *)
-  contended : int;  (** acquisitions that had to block *)
-  wait_seconds : float;  (** total time spent blocked *)
-  wait_buckets : int array;
-      (** log2 histogram of contended waits: index [e + 32] holds waits
-          in [2^(e-1), 2^e) seconds; 64 buckets *)
-}
-
-val hist_buckets : int
-(** Number of wait-histogram buckets (64). *)
-
-val lock_stats : 'v t -> lock_stats
-(** Aggregated over all 64 stripes.  Read at quiescence. *)
-
-val reset_lock_stats : 'v t -> unit

@@ -157,48 +157,6 @@ let table_stats ctx =
     Compute_table.stats ctx.max_mag;
   ]
 
-(* Stripe-lock contention, one entry per lockable shared structure.  The
-   Ctable record is mirrored (dd_complex sits below dd), so convert it
-   here into the shared shape. *)
-let lock_stats ctx =
-  let of_ctable (s : Ctable.lock_stats) =
-    {
-      Compute_table.acquisitions = s.Ctable.acquisitions;
-      contended = s.Ctable.contended;
-      wait_seconds = s.Ctable.wait_seconds;
-      wait_buckets = s.Ctable.wait_buckets;
-    }
-  in
-  let table t = (Compute_table.name t, Compute_table.lock_stats t) in
-  [
-    ("cnum", of_ctable (Ctable.lock_stats ctx.ctable));
-    ("unique_v", Hashcons.V.lock_stats ctx.v_unique);
-    ("unique_m", Hashcons.M.lock_stats ctx.m_unique);
-    table ctx.add_v;
-    table ctx.add_m;
-    table ctx.mul_mv;
-    table ctx.mul_mm;
-    table ctx.apply_v;
-    table ctx.dot;
-    table ctx.adjoint;
-    table ctx.norm;
-    table ctx.max_mag;
-  ]
-
-let reset_lock_stats ctx =
-  Ctable.reset_lock_stats ctx.ctable;
-  Hashcons.V.reset_lock_stats ctx.v_unique;
-  Hashcons.M.reset_lock_stats ctx.m_unique;
-  Compute_table.reset_lock_stats ctx.add_v;
-  Compute_table.reset_lock_stats ctx.add_m;
-  Compute_table.reset_lock_stats ctx.mul_mv;
-  Compute_table.reset_lock_stats ctx.mul_mm;
-  Compute_table.reset_lock_stats ctx.apply_v;
-  Compute_table.reset_lock_stats ctx.dot;
-  Compute_table.reset_lock_stats ctx.adjoint;
-  Compute_table.reset_lock_stats ctx.norm;
-  Compute_table.reset_lock_stats ctx.max_mag
-
 (* -- table residency estimates ---------------------------------------- *)
 
 (* Per-entry heap-word costs, from the record layouts in types.ml / the
@@ -226,8 +184,10 @@ let unique_table_bytes ctx =
     + (live_m_nodes ctx * mnode_words)
     + (Ctable.size ctx.ctable * cnum_entry_words))
 
-(* O(1): every Compute_table.length is one atomic load, never the
-   [table_stats] allocation path — this runs on the ledger commit path. *)
+(* O(1): every Compute_table.length is one field read, never the
+   [table_stats] allocation path — this runs on the ledger commit path.
+   Entries, not allocated slots, so a table's first store does not move
+   the gauge. *)
 let compute_table_bytes ctx =
   let entries =
     Compute_table.length ctx.add_v
@@ -247,27 +207,6 @@ let residency_bytes ctx = unique_table_bytes ctx + compute_table_bytes ctx
 let gc_stats ctx = ctx.gc
 let apply_skips ctx = ctx.apply_skips
 let note_apply_skip ctx = ctx.apply_skips <- ctx.apply_skips + 1
-
-(* Arm (or disarm) every shared table for cross-domain use: the canonical
-   weight table, both unique tables and all nine compute tables.  The
-   Hashtbl-backed members (identity_cache, apply_kind_ids,
-   apply_layout_ids, apply_stable) are NOT made concurrent — worker
-   domains must not touch them, which the engine guarantees by building
-   gate DDs and layout ids on the main domain before fanning out and by
-   running only Vdd.add / Mdd.mul / Measure.sample in workers. *)
-let set_parallel ctx flag =
-  Ctable.set_parallel ctx.ctable flag;
-  Hashcons.V.set_parallel ctx.v_unique flag;
-  Hashcons.M.set_parallel ctx.m_unique flag;
-  Compute_table.set_parallel ctx.add_v flag;
-  Compute_table.set_parallel ctx.add_m flag;
-  Compute_table.set_parallel ctx.mul_mv flag;
-  Compute_table.set_parallel ctx.mul_mm flag;
-  Compute_table.set_parallel ctx.apply_v flag;
-  Compute_table.set_parallel ctx.dot flag;
-  Compute_table.set_parallel ctx.adjoint flag;
-  Compute_table.set_parallel ctx.norm flag;
-  Compute_table.set_parallel ctx.max_mag flag
 
 let per_level_v_nodes ctx ~levels =
   Hashcons.V.per_level_counts ctx.v_unique ~levels

@@ -2,7 +2,8 @@
     unique (hash-consing) tables for vector and matrix nodes, and the
     fixed-capacity compute tables that memoise addition and multiplication —
     the machinery the paper relies on when it argues that "re-occurring
-    sub-products only have to be computed once". *)
+    sub-products only have to be computed once".  A context belongs to one
+    domain: nothing in it is synchronised. *)
 
 open Dd_complex
 
@@ -55,7 +56,9 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
 (** Fresh package instance.  [tolerance] is forwarded to {!Ctable.create}.
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
-    [2^(cache_bits - 4)].  Raises [Invalid_argument] outside [4, 24]. *)
+    [2^(cache_bits - 4)].  Each table allocates its slots on its first
+    store, so creating a context costs little more than the two unique
+    tables.  Raises [Invalid_argument] outside [4, 24]. *)
 
 val cnum : t -> Cnum.t -> Cnum.t
 (** Intern a complex number in this context's table. *)
@@ -102,15 +105,6 @@ val live_m_nodes : t -> int
 val table_stats : t -> Compute_table.stats list
 (** Hit/miss/eviction counters of every compute table, in a fixed order. *)
 
-val lock_stats : t -> (string * Compute_table.lock_stats) list
-(** Stripe-lock contention counters of every lockable shared structure,
-    labelled: ["cnum"] (the canonical weight table), ["unique_v"] /
-    ["unique_m"] (the hash-cons tables), then one entry per compute
-    table under its {!Compute_table.name}.  Counters only advance while
-    {!set_parallel} is armed; read at quiescence. *)
-
-val reset_lock_stats : t -> unit
-
 val unique_table_bytes : t -> int
 (** Estimated bytes resident in the unique tables and the canonical
     weight table, from live entry counts times documented per-entry
@@ -119,7 +113,8 @@ val unique_table_bytes : t -> int
 
 val compute_table_bytes : t -> int
 (** Estimated bytes resident across all nine compute tables (8 words
-    per packed entry).  O(1). *)
+    per packed entry).  Counts entries, so a table whose slots were
+    allocated by its first store reads the same as before.  O(1). *)
 
 val residency_bytes : t -> int
 (** {!unique_table_bytes} + {!compute_table_bytes} — the [mem.*]
@@ -136,14 +131,6 @@ val apply_skips : t -> int
 
 val note_apply_skip : t -> unit
 (** Count one rebuild-stable short-circuit (called by the apply kernel). *)
-
-val set_parallel : t -> bool -> unit
-(** Arm (or disarm) every shared table — the canonical weight table, both
-    unique tables, all compute tables — for concurrent interning from
-    worker domains.  The plain-Hashtbl members (identity cache, apply
-    kind/layout ids, rebuild-stable flags) stay single-domain: the engine
-    only runs [Vdd.add]/[Mdd.mul]/[Measure.sample] in workers, which
-    never touch them.  Toggle only while no worker domain is running. *)
 
 val per_level_v_nodes : t -> levels:int -> int array
 (** Resident vector nodes per level, straight from the unique table's

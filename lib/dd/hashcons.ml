@@ -6,20 +6,7 @@
    (3) look the node up in a unique table keyed by (level, child weight
    tags, child node ids).  The functor below is that code path once,
    over an open-addressed table specialised to the node type — no tuple
-   keys, no polymorphic hashing.
-
-   The table is sharded into [stripes] independent sub-tables selected by
-   high bits of the key hash, each with its own slot array, resize cycle
-   and mutex.  In the default sequential mode no lock is ever taken and
-   the behaviour is identical to a single flat table (striping only moves
-   slots around; which node a key resolves to never depends on placement).
-   When [set_parallel] arms the locks, concurrent domains intern through
-   the same table: two domains only contend when their keys land in the
-   same stripe, and node ids stay unique because the creation counter is
-   atomic.  Id *order* under concurrency is racy by design — ids feed the
-   commutativity-normalising swaps of Vdd.add/Mdd.add, so parallel runs
-   are canonical but not bitwise-reproducible (see docs/dd-internals.md,
-   "Concurrency model"). *)
+   keys, no polymorphic hashing. *)
 
 open Dd_complex
 
@@ -62,13 +49,7 @@ module type S = sig
      dropped from, or never entered, the unique table. *)
   val mem : t -> node -> bool
 
-  val set_parallel : t -> bool -> unit
   val per_level_counts : t -> levels:int -> int array
-
-  (* Aggregated stripe-lock contention counters (see
-     Compute_table.lock_stats); read at quiescence. *)
-  val lock_stats : t -> Compute_table.lock_stats
-  val reset_lock_stats : t -> unit
 end
 
 module Make (N : NODE) :
@@ -76,69 +57,34 @@ module Make (N : NODE) :
   type node = N.node
   type edge = N.edge
 
-  type stripe = {
-    lock : Mutex.t;
-    (* contention counters, mutated only while holding [lock] *)
-    mutable lock_acquisitions : int;
-    mutable lock_contended : int;
-    mutable lock_wait : float;
-    wait_buckets : int array;
+  type t = {
+    intern : Cnum.t -> Cnum.t;
     mutable slots : N.node array; (* N.terminal (id 0) marks empty *)
     mutable mask : int;
     mutable entries : int;
+    mutable created : int; (* ids handed out so far; monotone *)
     (* resident nodes per level, maintained on insert and rebuilt on
        prune — the O(levels) bulge probe reads these instead of walking
-       the DD (each stripe owns its own array, so under [parallel] the
-       updates stay inside the stripe lock) *)
+       the DD *)
     mutable level_counts : int array;
   }
 
-  type t = {
-    intern : Cnum.t -> Cnum.t;
-    stripes : stripe array;
-    created : int Atomic.t; (* ids handed out so far; monotone *)
-    mutable parallel : bool;
-  }
-
-  let stripe_bits = 4
-  let stripe_count = 1 lsl stripe_bits
-
-  (* 16 stripes x 2^12 slots = the 2^16 initial capacity the flat table
-     had *)
-  let initial_bits = 12
+  let initial_bits = 16
 
   let create ~intern () =
     let capacity = 1 lsl initial_bits in
     {
       intern;
-      stripes =
-        Array.init stripe_count (fun _ ->
-            {
-              lock = Mutex.create ();
-              lock_acquisitions = 0;
-              lock_contended = 0;
-              lock_wait = 0.;
-              wait_buckets = Array.make Compute_table.hist_buckets 0;
-              slots = Array.make capacity N.terminal;
-              mask = capacity - 1;
-              entries = 0;
-              level_counts = Array.make 8 0;
-            });
-      created = Atomic.make 0;
-      parallel = false;
+      slots = Array.make capacity N.terminal;
+      mask = capacity - 1;
+      entries = 0;
+      created = 0;
+      level_counts = Array.make 8 0;
     }
 
-  let set_parallel t flag = t.parallel <- flag
-
-  let length t =
-    Array.fold_left (fun acc s -> acc + s.entries) 0 t.stripes
-
-  let created t = Atomic.get t.created
-
-  let iter f t =
-    Array.iter
-      (fun s -> Array.iter (fun n -> if N.id n <> 0 then f n) s.slots)
-      t.stripes
+  let length t = t.entries
+  let created t = t.created
+  let iter f t = Array.iter (fun n -> if N.id n <> 0 then f n) t.slots
 
   let mix1 = 0x2545F4914F6CDD1D
   let mix2 = 0x27D4EB2F165667C5
@@ -163,10 +109,6 @@ module Make (N : NODE) :
     done;
     !h lxor (!h lsr 29)
 
-  (* stripe selection uses hash bits far above any in-stripe mask, so the
-     two indices stay independent *)
-  let stripe_of t h = t.stripes.((h lsr 48) land (stripe_count - 1))
-
   let node_matches n ~level (children : N.edge array) =
     N.level n = level
     &&
@@ -180,64 +122,56 @@ module Make (N : NODE) :
     done;
     !ok
 
-  let insert_rehashed s n =
-    let i = ref (hash_node n land s.mask) in
-    while N.id s.slots.(!i) <> 0 do
-      i := (!i + 1) land s.mask
+  let insert_rehashed t n =
+    let i = ref (hash_node n land t.mask) in
+    while N.id t.slots.(!i) <> 0 do
+      i := (!i + 1) land t.mask
     done;
-    s.slots.(!i) <- n
+    t.slots.(!i) <- n
 
-  let resize s =
-    let old = s.slots in
+  let resize t =
+    let old = t.slots in
     let capacity = 2 * Array.length old in
-    s.slots <- Array.make capacity N.terminal;
-    s.mask <- capacity - 1;
-    Array.iter (fun n -> if N.id n <> 0 then insert_rehashed s n) old
+    t.slots <- Array.make capacity N.terminal;
+    t.mask <- capacity - 1;
+    Array.iter (fun n -> if N.id n <> 0 then insert_rehashed t n) old
 
   (* keep the load factor at or below 1/2 so linear probes stay short *)
-  let ensure_room s =
-    if 2 * (s.entries + 1) > s.mask + 1 then resize s
+  let ensure_room t =
+    if 2 * (t.entries + 1) > t.mask + 1 then resize t
 
-  let count_level s level =
-    let len = Array.length s.level_counts in
+  let count_level t level =
+    let len = Array.length t.level_counts in
     if level >= len then begin
       let grown = Array.make (max (level + 1) (2 * len)) 0 in
-      Array.blit s.level_counts 0 grown 0 len;
-      s.level_counts <- grown
+      Array.blit t.level_counts 0 grown 0 len;
+      t.level_counts <- grown
     end;
-    s.level_counts.(level) <- s.level_counts.(level) + 1
+    t.level_counts.(level) <- t.level_counts.(level) + 1
 
   let per_level_counts t ~levels =
     let out = Array.make levels 0 in
-    Array.iter
-      (fun s ->
-        let len = min levels (Array.length s.level_counts) in
-        for level = 0 to len - 1 do
-          out.(level) <- out.(level) + s.level_counts.(level)
-        done)
-      t.stripes;
+    Array.blit t.level_counts 0 out 0 (min levels (Array.length t.level_counts));
     out
 
-  (* probe-or-insert under an armed stripe lock; split out so [make] can
-     release the lock on the Alloc_fail fault path *)
-  let find_or_insert t s ~level ~h (children : N.edge array) =
-    ensure_room s;
-    let i = ref (h land s.mask) in
+  let find_or_insert t ~level ~h (children : N.edge array) =
+    ensure_room t;
+    let i = ref (h land t.mask) in
     while
-      let n = s.slots.(!i) in
+      let n = t.slots.(!i) in
       N.id n <> 0 && not (node_matches n ~level children)
     do
-      i := (!i + 1) land s.mask
+      i := (!i + 1) land t.mask
     done;
-    let n = s.slots.(!i) in
+    let n = t.slots.(!i) in
     if N.id n <> 0 then n
     else begin
       if Fault.fire Fault.Alloc_fail then raise Out_of_memory;
-      let id = Atomic.fetch_and_add t.created 1 + 1 in
-      let node = N.build ~id ~level children in
-      s.slots.(!i) <- node;
-      s.entries <- s.entries + 1;
-      count_level s level;
+      t.created <- t.created + 1;
+      let node = N.build ~id:t.created ~level children in
+      t.slots.(!i) <- node;
+      t.entries <- t.entries + 1;
+      count_level t level;
       node
     end
 
@@ -280,97 +214,39 @@ module Make (N : NODE) :
             N.edge (t.intern (Cnum.div (N.weight c) pivot)) (N.target c)
       done;
       let h = hash_children ~level children in
-      let s = stripe_of t h in
-      let node =
-        if t.parallel then begin
-          (* contention-instrumented acquisition: try_lock success is
-             the uncontended path; a failure times the blocking wait *)
-          if Mutex.try_lock s.lock then
-            s.lock_acquisitions <- s.lock_acquisitions + 1
-          else begin
-            let t0 = Unix.gettimeofday () in
-            Mutex.lock s.lock;
-            let wait = Float.max 0. (Unix.gettimeofday () -. t0) in
-            s.lock_acquisitions <- s.lock_acquisitions + 1;
-            s.lock_contended <- s.lock_contended + 1;
-            s.lock_wait <- s.lock_wait +. wait;
-            let b = Obs.Metrics.bucket_exponent wait + 32 in
-            s.wait_buckets.(b) <- s.wait_buckets.(b) + 1
-          end;
-          match find_or_insert t s ~level ~h children with
-          | node ->
-            Mutex.unlock s.lock;
-            node
-          | exception e ->
-            Mutex.unlock s.lock;
-            raise e
-        end
-        else find_or_insert t s ~level ~h children
-      in
-      N.edge pivot node
+      N.edge pivot (find_or_insert t ~level ~h children)
     end
 
   let mem t node =
-    let s = stripe_of t (hash_node node) in
-    let i = ref (hash_node node land s.mask) in
+    let i = ref (hash_node node land t.mask) in
     let result = ref false in
     let probing = ref true in
     while !probing do
-      let n = s.slots.(!i) in
+      let n = t.slots.(!i) in
       if N.id n = 0 then probing := false
       else if n == node then begin
         result := true;
         probing := false
       end
-      else i := (!i + 1) land s.mask
+      else i := (!i + 1) land t.mask
     done;
     !result
 
-  let lock_stats t =
-    let buckets = Array.make Compute_table.hist_buckets 0 in
-    let acq = ref 0 and cont = ref 0 and wait = ref 0. in
-    Array.iter
-      (fun s ->
-        acq := !acq + s.lock_acquisitions;
-        cont := !cont + s.lock_contended;
-        wait := !wait +. s.lock_wait;
-        Array.iteri (fun b n -> buckets.(b) <- buckets.(b) + n) s.wait_buckets)
-      t.stripes;
-    {
-      Compute_table.acquisitions = !acq;
-      contended = !cont;
-      wait_seconds = !wait;
-      wait_buckets = buckets;
-    }
-
-  let reset_lock_stats t =
-    Array.iter
-      (fun s ->
-        s.lock_acquisitions <- 0;
-        s.lock_contended <- 0;
-        s.lock_wait <- 0.;
-        Array.fill s.wait_buckets 0 (Array.length s.wait_buckets) 0)
-      t.stripes
-
   let prune t ~keep =
-    let removed = ref 0 in
+    let survivors = ref [] and removed = ref 0 in
     Array.iter
-      (fun s ->
-        let survivors = ref [] in
-        Array.iter
-          (fun n ->
-            if N.id n <> 0 then
-              if keep n then survivors := n :: !survivors else incr removed)
-          s.slots;
-        Array.fill s.slots 0 (Array.length s.slots) N.terminal;
-        Array.fill s.level_counts 0 (Array.length s.level_counts) 0;
-        List.iter
-          (fun n ->
-            insert_rehashed s n;
-            count_level s (N.level n))
-          !survivors;
-        s.entries <- List.length !survivors)
-      t.stripes;
+      (fun n ->
+        if N.id n <> 0 then
+          if keep n then survivors := n :: !survivors else incr removed)
+      t.slots;
+    Array.fill t.slots 0 (Array.length t.slots) N.terminal;
+    Array.fill t.level_counts 0 (Array.length t.level_counts) 0;
+    List.iter
+      (fun n ->
+        insert_rehashed t n;
+        count_level t (N.level n))
+      !survivors;
+    t.entries <- t.entries - !removed;
     !removed
 end
 

@@ -1,6 +1,8 @@
 (** Shared hash-consing core for vector and matrix DD nodes: one
     normalisation + unique-table code path, instantiated per node arity.
-    See {!Vdd.make} / {!Mdd.make} for the public entry points. *)
+    Each unique table is one open-addressed array of nodes (2^16 slots
+    to start, doubled to keep the load factor at or below 1/2).  See
+    {!Vdd.make} / {!Mdd.make} for the public entry points. *)
 
 open Dd_complex
 
@@ -53,24 +55,11 @@ module type S = sig
       representative?  False for a node that was pruned or forged —
       the auditor's canonicity probe. *)
 
-  val set_parallel : t -> bool -> unit
-  (** Arm (or disarm) the per-stripe mutexes so concurrent domains can
-      intern through this table.  Sequential mode ([false], the default)
-      takes no locks and behaves exactly as the pre-sharded table.
-      Toggle only while no other domain is using the table. *)
-
   val per_level_counts : t -> levels:int -> int array
   (** Resident-node count per level, [0 .. levels-1], maintained
       incrementally on insert and rebuilt on {!prune} — O(levels), not a
       DD walk.  Counts nodes in the unique table, which between GC
       sweeps is a superset of any single root's reachable set. *)
-
-  val lock_stats : t -> Compute_table.lock_stats
-  (** Stripe-lock contention counters aggregated over the 16 stripes
-      (counted only while {!set_parallel} is armed).  Read at
-      quiescence. *)
-
-  val reset_lock_stats : t -> unit
 end
 
 module Make (N : NODE) : S with type node = N.node and type edge = N.edge

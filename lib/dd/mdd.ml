@@ -245,58 +245,6 @@ let rec mul ctx ae be =
     scale ctx (Cnum.mul ae.mw be.mw) unit_result
   end
 
-(* Top-split parallel product: the eight inner products of Eq. 2's four
-   quadrant entries are independent recursions, so on a memo miss at the
-   root they are handed to [par] — the engine's domain-pool scatter — and
-   only the four additions, the node build and the store run on the
-   calling domain.  Everything below the top level is plain [mul]; the
-   compute tables are shared, so concurrent tasks still see each other's
-   sub-products (locked, when the context is armed for parallel use).
-   Results are canonical but not bitwise-reproducible: node-id creation
-   order feeds [add]'s commutativity swap, and that order is racy across
-   domains.  [par] must evaluate every thunk and return the results in
-   order; it may run them on any domain, including the caller's. *)
-let mul_par ctx ~par ae be =
-  if m_is_zero ae || m_is_zero be then m_zero
-  else if m_is_terminal ae.mt then begin
-    assert (m_is_terminal be.mt);
-    terminal_edge ctx (Cnum.mul ae.mw be.mw)
-  end
-  else begin
-    assert (ae.mt.level = be.mt.level);
-    let table = ctx.Context.mul_mm in
-    let k1 = ae.mt.mid and k2 = be.mt.mid in
-    let unit_result =
-      match Compute_table.find table ~k1 ~k2 ~k3:0 with
-      | Some r -> r
-      | None ->
-        let a = ae.mt and b = be.mt in
-        let p =
-          par
-            [|
-              (fun () -> mul ctx a.m00 b.m00);
-              (fun () -> mul ctx a.m01 b.m10);
-              (fun () -> mul ctx a.m00 b.m01);
-              (fun () -> mul ctx a.m01 b.m11);
-              (fun () -> mul ctx a.m10 b.m00);
-              (fun () -> mul ctx a.m11 b.m10);
-              (fun () -> mul ctx a.m10 b.m01);
-              (fun () -> mul ctx a.m11 b.m11);
-            |]
-        in
-        let r =
-          make ctx a.level
-            (add ctx p.(0) p.(1))
-            (add ctx p.(2) p.(3))
-            (add ctx p.(4) p.(5))
-            (add ctx p.(6) p.(7))
-        in
-        Compute_table.store table ~k1 ~k2 ~k3:0 r;
-        r
-    in
-    scale ctx (Cnum.mul ae.mw be.mw) unit_result
-  end
-
 let rec adjoint ctx e =
   if m_is_zero e then m_zero
   else if m_is_terminal e.mt then terminal_edge ctx (Cnum.conj e.mw)

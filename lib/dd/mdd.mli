@@ -55,19 +55,6 @@ val mul : Context.t -> edge -> edge -> edge
 (** Matrix-matrix multiplication on DDs (Eq. 2 step): [mul ctx a b] is the
     matrix product [A x B]. *)
 
-val mul_par :
-  Context.t ->
-  par:((unit -> edge) array -> edge array) ->
-  edge -> edge -> edge
-(** [mul ctx a b] with the top level split for a domain pool: on a memo
-    miss at the root, the eight independent inner products of the four
-    quadrant entries are passed as thunks to [par], which must evaluate
-    all of them (on any domains) and return their results in order; the
-    additions and the node build stay on the calling domain.  Requires
-    {!Context.set_parallel} when [par] actually runs thunks concurrently.
-    The product is canonical but not bitwise-reproducible across domain
-    counts (node-id creation order feeds [add]'s operand swap). *)
-
 val add : Context.t -> edge -> edge -> edge
 
 val adjoint : Context.t -> edge -> edge

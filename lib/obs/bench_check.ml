@@ -27,16 +27,12 @@ let starts_with text prefix =
   let n = String.length text and m = String.length prefix in
   n >= m && String.sub text 0 m = prefix
 
-(* The informational check must come first: contention and utilization
-   metrics are scheduling-dependent (a "pool_busy_seconds" leaf would
-   otherwise classify as Time and gate on a 10x ratio that an unloaded
-   CI runner trips freely). *)
+(* The informational check must come first: ledger-derived timing columns
+   (attributed seconds, wall-clock coverage) are scheduling-dependent, and
+   a "ledger_mat_vec_seconds" leaf would otherwise classify as Time.  The
+   deterministic ledger columns (windows, fallbacks) stay Count. *)
 let classify name =
-  if starts_with name "pool_" || starts_with name "lock_" then Informational
-  else if
-    (* ledger-derived timing columns (attributed seconds, wall-clock
-       coverage) are as scheduling-dependent as the pool family; the
-       deterministic ledger columns (windows, fallbacks) stay Count *)
+  if
     starts_with name "ledger_"
     && (contains_sub name "seconds" || contains_sub name "coverage")
   then Informational
@@ -47,18 +43,15 @@ let classify name =
 (* -- identity-keyed array pairing ------------------------------------ *)
 
 let identity_keys =
-  [ "name"; "benchmark"; "circuit"; "mode"; "strategy"; "reorder"; "domains" ]
+  [ "name"; "benchmark"; "circuit"; "mode"; "strategy"; "reorder" ]
 
-(* "reorder" and "domains" joined the identity after baselines without
-   the fields were already committed; a missing key means "off" / "1".
-   The default value is dropped from the identity string, so an explicit
-   reorder:"off" or domains:"1" candidate still pairs with an older
-   baseline, while any other value forms a distinct run. *)
+(* "reorder" joined the identity after baselines without the field were
+   already committed; a missing key means "off".  The default value is
+   dropped from the identity string, so an explicit reorder:"off"
+   candidate still pairs with an older baseline, while any other value
+   forms a distinct run. *)
 let identity_part key value =
-  match key with
-  | "reorder" when value = "off" -> None
-  | "domains" when value = "1" -> None
-  | _ -> Some value
+  match key with "reorder" when value = "off" -> None | _ -> Some value
 
 let identity_of = function
   | Json.Obj _ as obj ->

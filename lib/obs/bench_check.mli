@@ -1,5 +1,5 @@
 (** Baseline comparison over the committed [BENCH_*.json] files — the
-    engine behind [ddsim bench-check] and [bench/compare.exe].
+    engine behind [ddsim bench-check].
 
     A benchmark document is an object with a [schema] string and a [runs]
     array; each run carries string identity fields (benchmark / circuit /
@@ -8,12 +8,13 @@
     and candidate in lockstep, pairing runs (and nested table entries) by
     their identity fields, and classifies every numeric metric by name:
 
-    - {e informational} metrics ([pool_*] / [lock_*] leaves): contention
-      and pool-utilization counters are scheduling-dependent and
-      nondeterministic from run to run, so they are recorded in the
-      documents but never compared — no tolerance, no finding.  Checked
-      before the other classes ([pool_busy_seconds] would otherwise
-      classify as a time metric);
+    - {e informational} metrics (ledger timing leaves: [ledger_*] with
+      [seconds] or [coverage] in the name): attributed seconds are
+      scheduling-dependent and nondeterministic from run to run, so they
+      are recorded in the documents but never compared — no tolerance,
+      no finding.  Checked before the other classes
+      ([ledger_mat_vec_seconds] would otherwise classify as a time
+      metric);
     - {e time} metrics ([*seconds*]): noisy across machines — a candidate
       may regress by at most [time_ratio] times the baseline; faster
       always passes;

@@ -10,7 +10,6 @@ type kind =
   | Measure
   | Audit
   | Reorder
-  | Pool_section
 
 type event = {
   kind : kind;
@@ -21,7 +20,6 @@ type event = {
   matrix_nodes : int;
   hits : int;
   misses : int;
-  domain : int;
   detail : string;
 }
 
@@ -34,8 +32,6 @@ type t = {
   epoch : float;
   mutable gate_index : int;
   is_null : bool;
-  domain_id : int;
-  mutable lanes : t array;
 }
 
 let dummy_event =
@@ -48,7 +44,6 @@ let dummy_event =
     matrix_nodes = -1;
     hits = 0;
     misses = 0;
-    domain = 0;
     detail = "";
   }
 
@@ -62,8 +57,6 @@ let null =
     epoch = 0.;
     gate_index = -1;
     is_null = true;
-    domain_id = 0;
-    lanes = [||];
   }
 
 let create ?(max_events = 1 lsl 20) () =
@@ -78,8 +71,6 @@ let create ?(max_events = 1 lsl 20) () =
     epoch = Clock.now ();
     gate_index = -1;
     is_null = false;
-    domain_id = 0;
-    lanes = [||];
   }
 
 let is_on t = t.enabled
@@ -117,7 +108,6 @@ let instant t kind ~gate ~state_nodes ~matrix_nodes ~detail =
         matrix_nodes;
         hits = 0;
         misses = 0;
-        domain = t.domain_id;
         detail;
       }
 
@@ -134,7 +124,6 @@ let span t kind ~t0 ~gate ~state_nodes ~matrix_nodes ~hits ~misses ~detail =
         matrix_nodes;
         hits;
         misses;
-        domain = t.domain_id;
         detail;
       }
   end
@@ -151,56 +140,3 @@ let iter f t =
 let clear t =
   t.len <- 0;
   t.dropped <- 0
-
-(* -- per-domain lanes --------------------------------------------------- *)
-
-(* A lane is a private append buffer for one pool member, sharing the
-   parent's epoch so lane timestamps land on the same timebase.  Lanes
-   exist only between [arm_lanes] and [merge_lanes] — the engine arms
-   them when a pool section starts and merges at quiescence, so the main
-   buffer is never touched concurrently. *)
-
-let arm_lanes t crew =
-  if t.enabled && t.domain_id = 0 && crew > 1 then
-    t.lanes <-
-      Array.init crew (fun i ->
-          {
-            enabled = true;
-            events = Array.make 256 dummy_event;
-            len = 0;
-            max_events = t.max_events;
-            dropped = 0;
-            epoch = t.epoch;
-            gate_index = t.gate_index;
-            is_null = false;
-            domain_id = i;
-            lanes = [||];
-          })
-
-let lanes_armed t = Array.length t.lanes > 0
-
-let lane t i =
-  let lanes = t.lanes in
-  if i >= 0 && i < Array.length lanes then lanes.(i) else t
-
-let merge_lanes t =
-  let lanes = t.lanes in
-  if Array.length lanes > 0 then begin
-    t.lanes <- [||];
-    let collected = ref [] in
-    Array.iter
-      (fun l ->
-        t.dropped <- t.dropped + l.dropped;
-        for i = l.len - 1 downto 0 do
-          collected := l.events.(i) :: !collected
-        done)
-      lanes;
-    (* append in end-time order so the merged buffer keeps the
-       completion-order / monotone-end-time streaming property *)
-    let merged =
-      List.stable_sort
-        (fun a b -> Float.compare (a.t +. a.dur) (b.t +. b.dur))
-        !collected
-    in
-    List.iter (emit t) merged
-  end

@@ -32,10 +32,6 @@ type kind =
   | Measure  (** a qubit was measured and the state collapsed *)
   | Audit  (** one invariant-auditor pass over the live DDs (span) *)
   | Reorder  (** one variable-reordering (sifting) pass on the state DD (span) *)
-  | Pool_section
-      (** one domain-pool parallel section (span): a window tree-reduction
-          or a sampling batch.  Total wall time minus the sum of these
-          spans is the run's serial fraction (Amdahl view). *)
 
 type event = {
   kind : kind;
@@ -46,9 +42,6 @@ type event = {
   matrix_nodes : int;  (** matrix-DD nodes involved; [-1] unknown *)
   hits : int;  (** compute-table hits the operation scored *)
   misses : int;  (** compute-table misses the operation scored *)
-  domain : int;
-      (** pool member that emitted the event: [0] is the caller domain
-          (and every event of a sequential run), workers are [1..crew-1] *)
   detail : string;  (** free-form: gate name, window size, ... *)
 }
 
@@ -113,28 +106,3 @@ val events : t -> event array
 val iter : (event -> unit) -> t -> unit
 val clear : t -> unit
 (** Drop recorded events and the dropped count; the epoch is kept. *)
-
-(** {2 Per-domain lanes}
-
-    A pool section must not append to the shared buffer from several
-    domains at once.  [arm_lanes t crew] gives each pool member
-    ([0..crew-1], index [0] being the caller) a private lane sharing the
-    parent's epoch; tasks fetch theirs with [lane] and emit normally.
-    [merge_lanes] folds every lane back into the main buffer in end-time
-    order, stamping each event's [domain], and disarms.  Arming a
-    disabled trace (or [null]) is a no-op: [lane] then returns [t]
-    itself and emissions stay free. *)
-
-val arm_lanes : t -> int -> unit
-(** [arm_lanes t crew] — allocate [crew] private lanes ([crew <= 1],
-    a disabled [t], or a lane itself: no-op). *)
-
-val lanes_armed : t -> bool
-
-val lane : t -> int -> t
-(** [lane t i] — the lane for pool member [i]; [t] itself when unarmed
-    or [i] is out of range. *)
-
-val merge_lanes : t -> unit
-(** Merge all lane events into [t] (end-time order, lane drop counts
-    folded into {!dropped}) and disarm.  Call only at quiescence. *)

@@ -13,7 +13,6 @@ let kind_to_string = function
   | Trace.Measure -> "measure"
   | Trace.Audit -> "audit"
   | Trace.Reorder -> "reorder"
-  | Trace.Pool_section -> "pool_section"
 
 let kind_of_string = function
   | "gate_applied" -> Some Trace.Gate_applied
@@ -27,21 +26,15 @@ let kind_of_string = function
   | "measure" -> Some Trace.Measure
   | "audit" -> Some Trace.Audit
   | "reorder" -> Some Trace.Reorder
-  | "pool_section" -> Some Trace.Pool_section
   | _ -> None
 
 (* %.9g keeps nanosecond resolution on second-scale timestamps without
    printing 17 digits for every event *)
 let event_to_json (e : Trace.event) =
-  (* [domain] is emitted only for worker lanes, so a single-lane trace
-     carries no domain fields at all *)
-  let domain_field =
-    if e.domain > 0 then Printf.sprintf ",\"domain\":%d" e.domain else ""
-  in
   Printf.sprintf
-    "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d%s,\"detail\":\"%s\"}"
+    "{\"kind\":\"%s\",\"t\":%.9g,\"dur\":%.9g,\"gate\":%d,\"state_nodes\":%d,\"matrix_nodes\":%d,\"hits\":%d,\"misses\":%d,\"detail\":\"%s\"}"
     (kind_to_string e.kind) e.t e.dur e.gate_index e.state_nodes
-    e.matrix_nodes e.hits e.misses domain_field (Json.escape e.detail)
+    e.matrix_nodes e.hits e.misses (Json.escape e.detail)
 
 let jsonl ?(meta = []) trace =
   Jsonl.write ~schema ~version
@@ -74,14 +67,13 @@ let chrome ?(meta = []) trace =
       if e.dur > 0. then
         Buffer.add_string buffer
           (Printf.sprintf
-             "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":%s}"
-             (kind_to_string e.kind) ts_us (e.dur *. 1e6) (e.domain + 1)
-             (chrome_args e))
+             "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":%s}"
+             (kind_to_string e.kind) ts_us (e.dur *. 1e6) (chrome_args e))
       else
         Buffer.add_string buffer
           (Printf.sprintf
-             "\n{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,\"tid\":%d,\"args\":%s}"
-             (kind_to_string e.kind) ts_us (e.domain + 1) (chrome_args e)))
+             "\n{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%.3f,\"s\":\"t\",\"pid\":1,\"tid\":1,\"args\":%s}"
+             (kind_to_string e.kind) ts_us (chrome_args e)))
     trace;
   Buffer.add_string buffer "\n],";
   Buffer.add_string buffer
@@ -108,7 +100,6 @@ let all_kinds =
     Trace.Measure;
     Trace.Audit;
     Trace.Reorder;
-    Trace.Pool_section;
   ]
 
 let summary trace =

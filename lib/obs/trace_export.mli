@@ -19,8 +19,7 @@ val schema : string
 
 val version : int
 (** JSONL schema version (2), the only one {!Trace_report.parse_jsonl}
-    reads.  Events carry a [domain] field only when a worker lane
-    (domain > 0) emitted them. *)
+    reads. *)
 
 val kind_to_string : Trace.kind -> string
 val kind_of_string : string -> Trace.kind option

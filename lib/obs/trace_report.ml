@@ -22,7 +22,6 @@ let parse_event json =
     matrix_nodes = Jsonl.int json "matrix_nodes" ~default:(-1);
     hits = Jsonl.int json "hits" ~default:0;
     misses = Jsonl.int json "misses" ~default:0;
-    domain = Jsonl.int json "domain" ~default:0;
     detail = Jsonl.str json "detail" ~default:"";
   }
 
@@ -75,9 +74,8 @@ let kind_order = function
   | Trace.Measure -> 8
   | Trace.Audit -> 9
   | Trace.Reorder -> 10
-  | Trace.Pool_section -> 11
 
-let phases_of_events events =
+let phases run =
   let acc = Hashtbl.create 16 in
   List.iter
     (fun (e : Trace.event) ->
@@ -88,7 +86,7 @@ let phases_of_events events =
       in
       Hashtbl.replace acc e.kind
         (count + 1, total +. e.dur, Float.max max_d e.dur))
-    events;
+    run.events;
   Hashtbl.fold
     (fun kind (count, total, max_d) out ->
       {
@@ -101,41 +99,6 @@ let phases_of_events events =
       :: out)
     acc []
   |> List.sort (fun a b -> compare (kind_order a.kind) (kind_order b.kind))
-
-let phases run = phases_of_events run.events
-
-(* -- concurrency view -------------------------------------------------- *)
-
-let lane_phases run =
-  let domains =
-    List.sort_uniq compare
-      (List.map (fun (e : Trace.event) -> e.domain) run.events)
-  in
-  List.map
-    (fun d ->
-      ( d,
-        phases_of_events
-          (List.filter (fun (e : Trace.event) -> e.domain = d) run.events) ))
-    domains
-
-(* Amdahl view: wall time inside pool sections vs. the traced total.
-   [None] when the trace has no [pool_section] spans (sequential run). *)
-let serial_fraction run =
-  let pool, span_end =
-    List.fold_left
-      (fun (pool, span_end) (e : Trace.event) ->
-        ( (if e.kind = Trace.Pool_section then pool +. e.dur else pool),
-          Float.max span_end (e.t +. e.dur) ))
-      (0., 0.) run.events
-  in
-  if
-    span_end <= 0.
-    || not
-         (List.exists
-            (fun (e : Trace.event) -> e.kind = Trace.Pool_section)
-            run.events)
-  then None
-  else Some (Float.max 0. (span_end -. pool) /. span_end)
 
 (* terminal-friendly plot: 12 rows of '#' columns over <= 72 buckets *)
 let plot_width = 72
@@ -204,46 +167,19 @@ let render run =
     Buffer.contents buffer
   end
   else begin
-  let phase_table ps =
-    Buffer.add_string buffer
-      (Printf.sprintf "\n%-16s %8s %12s %12s %12s\n" "phase" "count"
-         "total(ms)" "mean(us)" "max(us)");
-    List.iter
-      (fun p ->
-        Buffer.add_string buffer
-          (Printf.sprintf "%-16s %8d %12.3f %12.2f %12.2f\n"
-             (Trace_export.kind_to_string p.kind)
-             p.count
-             (p.total_seconds *. 1e3)
-             (p.mean_seconds *. 1e6)
-             (p.max_seconds *. 1e6)))
-      ps
-  in
-  let ps = phases run in
-  if ps <> [] then phase_table ps;
-  (* concurrency view: rendered only when the trace actually carries
-     parallel data, so single-lane reports stay short *)
-  let multi_lane =
-    List.exists (fun (e : Trace.event) -> e.domain > 0) run.events
-  in
-  if multi_lane then begin
-    List.iter
-      (fun (d, lane_ps) ->
-        Buffer.add_string buffer
-          (Printf.sprintf "\nlane %d%s:" d
-             (if d = 0 then " (caller)" else ""));
-        phase_table lane_ps)
-      (lane_phases run)
-  end;
-  (match serial_fraction run with
-  | Some f ->
-    Buffer.add_string buffer
-      (Printf.sprintf
-         "\nestimated serial fraction: %.1f%% (pool sections cover %.1f%% \
-          of the traced span)\n"
-         (f *. 100.)
-         ((1. -. f) *. 100.))
-  | None -> ());
+  Buffer.add_string buffer
+    (Printf.sprintf "\n%-16s %8s %12s %12s %12s\n" "phase" "count"
+       "total(ms)" "mean(us)" "max(us)");
+  List.iter
+    (fun p ->
+      Buffer.add_string buffer
+        (Printf.sprintf "%-16s %8d %12.3f %12.2f %12.2f\n"
+           (Trace_export.kind_to_string p.kind)
+           p.count
+           (p.total_seconds *. 1e3)
+           (p.mean_seconds *. 1e6)
+           (p.max_seconds *. 1e6)))
+    (phases run);
   let points = trajectory run in
   Buffer.add_string buffer "\nstate-DD node-count trajectory:\n";
   Buffer.add_string buffer (render_plot points);

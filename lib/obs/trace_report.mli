@@ -39,14 +39,5 @@ type phase = {
 val phases : run -> phase list
 (** One entry per kind present in the trace, in declaration order. *)
 
-val lane_phases : run -> (int * phase list) list
-(** Per-domain phase breakdown, ascending by domain id.  A single-lane
-    (sequential) trace yields exactly [[(0, phases run)]]. *)
-
-val serial_fraction : run -> float option
-(** Amdahl view: the fraction of the traced span spent {e outside}
-    [pool_section] spans.  [None] when the trace carries no pool
-    sections (sequential run). *)
-
 val render : run -> string
 (** The full human-readable report. *)

@@ -163,27 +163,33 @@ let test_render_verdict () =
 
 
 let test_informational_metrics_never_gate () =
-  (* pool_* / lock_* leaves are scheduling-dependent: any drift passes,
+  (* ledger timing leaves are scheduling-dependent: any drift passes,
      even wild ones, and produces no finding at all *)
-  let doc busy contended =
+  let doc seconds coverage =
     Printf.sprintf
-      "{\"runs\":[{\"name\":\"r1\",\"nodes\":5,\"parallel\":{\"pool_busy_seconds\":%g,\"pool_tasks\":%d,\"lock_contended\":%d}}]}"
-      busy (int_of_float (busy *. 100.)) contended
+      "{\"runs\":[{\"name\":\"r1\",\"nodes\":5,\"ledger_windows\":3,\"ledger_mat_vec_seconds\":%g,\"ledger_wall_coverage\":%g}]}"
+      seconds coverage
   in
-  let findings = compare (doc 0.001 0) (doc 50.0 99999) in
+  let findings = compare (doc 0.001 0.99) (doc 50.0 0.2) in
   check_bool "wild informational drift passes" false
     (Obs.Bench_check.regressed findings);
   check_bool "and produces no finding" true (findings = []);
-  (* pool_busy_seconds contains "seconds": the informational class must
-     win over the time class, so even a >10x-with-floor move passes *)
+  (* ledger_mat_vec_seconds contains "seconds": the informational class
+     must win over the time class, so even a >10x-with-floor move passes *)
   check_bool "informational beats the time classifier" false
-    (Obs.Bench_check.regressed (compare (doc 0.01 0) (doc 10.0 0)));
+    (Obs.Bench_check.regressed (compare (doc 0.01 1.) (doc 10.0 1.)));
   (* a *missing* informational metric is still a structural failure *)
   let without =
-    "{\"runs\":[{\"name\":\"r1\",\"nodes\":5,\"parallel\":{\"pool_tasks\":1,\"lock_contended\":0}}]}"
+    "{\"runs\":[{\"name\":\"r1\",\"nodes\":5,\"ledger_windows\":3,\"ledger_wall_coverage\":1}]}"
   in
   check_bool "dropping an informational metric still fails" true
-    (Obs.Bench_check.regressed (compare (doc 1.0 0) without))
+    (Obs.Bench_check.regressed (compare (doc 1.0 1.) without));
+  (* the deterministic ledger columns stay counts *)
+  let windows n =
+    Printf.sprintf "{\"runs\":[{\"name\":\"r1\",\"ledger_windows\":%d}]}" n
+  in
+  check_bool "ledger_windows is gated as a count" true
+    (Obs.Bench_check.regressed (compare (windows 3) (windows 30)))
 
 let suite =
   [

@@ -1,5 +1,6 @@
 (* Compute-table invariants: lossy collisions are misses (never wrong
-   values), counter bookkeeping, eviction accounting, sweep semantics. *)
+   values), counter bookkeeping, eviction accounting, sweep semantics,
+   slots allocated on the first store. *)
 
 open Util
 
@@ -53,7 +54,20 @@ let test_hits_plus_misses () =
   done;
   let s = Dd.Compute_table.stats t in
   check_int "hits + misses = lookups" s.Dd.Compute_table.lookups
-    (s.Dd.Compute_table.hits + s.Dd.Compute_table.misses)
+    (s.Dd.Compute_table.hits + s.Dd.Compute_table.misses);
+  (* a never-stored table has no slots yet: every find misses, and is
+     still counted, against the full 2^bits capacity *)
+  let fresh = make ~bits:6 () in
+  for k = 0 to 99 do
+    check_bool "find on a never-stored table misses" true
+      (Dd.Compute_table.find fresh ~k1:k ~k2:(k * 7) ~k3:(-k) = None)
+  done;
+  let s = Dd.Compute_table.stats fresh in
+  check_int "every lookup counted" 100 s.Dd.Compute_table.lookups;
+  check_int "all of them misses" 100 s.Dd.Compute_table.misses;
+  check_int "capacity is 2^bits before any store" 64
+    (Dd.Compute_table.capacity fresh);
+  check_int "stats report 2^bits too" 64 s.Dd.Compute_table.capacity
 
 let test_eviction_counting () =
   let t = make ~bits:1 () in
@@ -91,7 +105,17 @@ let test_clear_drops_entries_keeps_counters () =
     (Dd.Compute_table.find t ~k1:1 ~k2:1 ~k3:1 = None);
   let s = Dd.Compute_table.stats t in
   check_bool "lookup counter survives clear" true
-    (s.Dd.Compute_table.lookups >= 1)
+    (s.Dd.Compute_table.lookups >= 1);
+  let fresh = make () in
+  Dd.Compute_table.clear fresh;
+  check_int "clearing a never-stored table leaves it empty" 0
+    (Dd.Compute_table.length fresh);
+  let visited = ref 0 in
+  Dd.Compute_table.iter (fun _ _ _ _ -> incr visited) fresh;
+  check_int "iter visits nothing on a never-stored table" 0 !visited;
+  Dd.Compute_table.store fresh ~k1:1 ~k2:1 ~k3:1 5;
+  check_bool "the first store after a clear is found" true
+    (Dd.Compute_table.find fresh ~k1:1 ~k2:1 ~k3:1 = Some 5)
 
 let test_sweep_keeps_and_drops () =
   let t = make ~bits:8 () in
@@ -129,7 +153,12 @@ let test_sweep_keeps_and_drops () =
         (Dd.Compute_table.find t ~k1:k ~k2:0 ~k3:0 = None))
     odd_in;
   check_int "invalidated counter" (List.length odd_in)
-    (Dd.Compute_table.stats t).Dd.Compute_table.invalidated
+    (Dd.Compute_table.stats t).Dd.Compute_table.invalidated;
+  let fresh = make () in
+  check_int "sweeping a never-stored table drops nothing" 0
+    (Dd.Compute_table.sweep fresh ~keep:(fun _ _ _ _ -> false));
+  check_int "and still counts as a sweep" 1
+    (Dd.Compute_table.generation fresh)
 
 let test_create_rejects_bad_bits () =
   check_bool "bits 0 rejected" true
@@ -143,6 +172,36 @@ let test_create_rejects_bad_bits () =
        false
      with Invalid_argument _ -> true)
 
+let test_find_store_allocate_nothing () =
+  (* after the first store has allocated the slots, the hot find/store
+     paths allocate nothing *)
+  let table = Dd.Compute_table.create ~name:"zeroalloc" ~bits:8 ~dummy:0 in
+  Dd.Compute_table.store table ~k1:1 ~k2:2 ~k3:3 42;
+  ignore (Sys.opaque_identity (Dd.Compute_table.find table ~k1:9 ~k2:9 ~k3:9));
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Dd.Compute_table.store table ~k1:1 ~k2:2 ~k3:3 42;
+    ignore
+      (Sys.opaque_identity (Dd.Compute_table.find table ~k1:9 ~k2:9 ~k3:9))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "100k find/store allocated %.0f words" allocated)
+    true (allocated < 256.)
+
+(* A fresh context pays for its two unique tables and a small complex
+   table; its nine compute tables allocate their slots on first store. *)
+let test_context_create_is_small () =
+  let before = Gc.allocated_bytes () in
+  let ctx = Sys.opaque_identity (Dd.Context.create ()) in
+  let allocated = Gc.allocated_bytes () -. before in
+  ignore ctx;
+  check_bool
+    (Printf.sprintf "Context.create allocated %.2f MiB (< 2 MiB)"
+       (allocated /. 1048576.))
+    true
+    (allocated < 2. *. 1048576.)
+
 let suite =
   [
     Alcotest.test_case "find_after_store" `Quick test_find_after_store;
@@ -154,4 +213,8 @@ let suite =
       test_clear_drops_entries_keeps_counters;
     Alcotest.test_case "sweep" `Quick test_sweep_keeps_and_drops;
     Alcotest.test_case "create_bounds" `Quick test_create_rejects_bad_bits;
+    Alcotest.test_case "find_store_allocate_nothing" `Quick
+      test_find_store_allocate_nothing;
+    Alcotest.test_case "context_create_is_small" `Quick
+      test_context_create_is_small;
   ]

@@ -141,6 +141,22 @@ let test_apply_matrix_direct () =
   Dd_sim.Engine.apply_matrix engine shift;
   check_cnum "|0> shifted twice" Cnum.one (Dd_sim.Engine.amplitude engine 2)
 
+(* the engine runs on one domain: 1 is accepted, every other count is a
+   structured parameter error *)
+let test_set_domains_accepts_only_one () =
+  let engine = Dd_sim.Engine.create 2 in
+  Dd_sim.Engine.set_domains engine 1;
+  List.iter
+    (fun d ->
+      check_bool
+        (Printf.sprintf "%d domains rejected" d)
+        true
+        (match Dd_sim.Engine.set_domains engine d with
+        | exception Dd_sim.Error.Error (Dd_sim.Error.Invalid_parameter _) ->
+          true
+        | () -> false))
+    [ 0; 2 ]
+
 let suite =
   [
     Alcotest.test_case "initial_state" `Quick test_initial_state;
@@ -163,4 +179,6 @@ let suite =
     Alcotest.test_case "combine_empty" `Quick test_combine_empty_is_identity;
     Alcotest.test_case "track_peaks" `Quick test_track_peaks;
     Alcotest.test_case "apply_matrix_direct" `Quick test_apply_matrix_direct;
+    Alcotest.test_case "set_domains_accepts_only_one" `Quick
+      test_set_domains_accepts_only_one;
   ]

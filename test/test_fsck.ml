@@ -156,40 +156,52 @@ let test_load_latest_falls_back () =
 
 let fsck path = Dd_sim.Fsck.check_file ~path
 
-(* Only the current format is read.  A v7 checkpoint rewritten as v6 (its
-   header, the 23-field stats line v6 wrote, a fresh valid trailer) must be
-   refused by version, not misparsed — by the loader and by fsck alike. *)
+(* Only the current format is read.  A v8 checkpoint rewritten as v7 (its
+   header, the 24-field stats line v7 wrote with its pool size, a fresh
+   valid trailer) or as v6 (23 fields, like v8) must be refused by
+   version, not misparsed — by the loader and by fsck alike. *)
 let test_rejects_old_version () =
   let body, _ = Obs.Safe_io.split_text_trailer (checkpoint_text ()) in
-  let body =
-    String.split_on_char '\n' body
-    |> List.map (fun line ->
-           if line = "ddsim-checkpoint 7" then "ddsim-checkpoint 6"
-           else if String.length line > 6 && String.sub line 0 6 = "stats "
-           then
-             String.split_on_char ' ' line
-             |> List.filteri (fun i _ -> i <= 23)
-             |> String.concat " "
-           else line)
-    |> String.concat "\n"
+  let rewrite version ~stats_suffix =
+    let body =
+      String.split_on_char '\n' body
+      |> List.map (fun line ->
+             if line = "ddsim-checkpoint 8" then
+               Printf.sprintf "ddsim-checkpoint %d" version
+             else if String.length line > 6 && String.sub line 0 6 = "stats "
+             then line ^ stats_suffix
+             else line)
+      |> String.concat "\n"
+    in
+    body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n"
   in
-  let v6 = body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n" in
-  (match Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"v6" v6 with
-  | _ -> Alcotest.fail "a v6 checkpoint was accepted"
-  | exception
-      Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ }) ->
-    Alcotest.(check string)
-      "names the version and says to re-run"
-      "checkpoint format version 6 is no longer readable (current is 7); \
-       re-run the simulation to regenerate it"
-      message);
-  let path = temp_path ".ckpt" in
-  Obs.Safe_io.write_file path v6;
-  let report = fsck path in
-  check_bool ("fsck flags it: " ^ Dd_sim.Fsck.to_string report) false
-    report.Dd_sim.Fsck.ok;
-  Alcotest.(check string) "family" "checkpoint" report.Dd_sim.Fsck.family;
-  cleanup path
+  List.iter
+    (fun (version, text) ->
+      let source = Printf.sprintf "v%d" version in
+      (match Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source text with
+      | _ -> Alcotest.failf "a %s checkpoint was accepted" source
+      | exception
+          Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ })
+        ->
+        Alcotest.(check string)
+          (source ^ ": names the version and says to re-run")
+          (Printf.sprintf
+             "checkpoint format version %d is no longer readable (current \
+              is 8); re-run the simulation to regenerate it"
+             version)
+          message);
+      let path = temp_path ".ckpt" in
+      Obs.Safe_io.write_file path text;
+      let report = fsck path in
+      check_bool
+        (source ^ ": fsck flags it: " ^ Dd_sim.Fsck.to_string report)
+        false report.Dd_sim.Fsck.ok;
+      Alcotest.(check string) "family" "checkpoint" report.Dd_sim.Fsck.family;
+      cleanup path)
+    [
+      (7, rewrite 7 ~stats_suffix:" 1");
+      (6, rewrite 6 ~stats_suffix:"");
+    ]
 
 let test_fsck_good_checkpoint () =
   let path = temp_path ".ckpt" in

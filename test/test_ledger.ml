@@ -7,12 +7,8 @@ let check_int = Alcotest.(check int)
 let temp_path suffix =
   Filename.temp_file "ddsim_ledger_test" suffix
 
-let ledgered_run ?(strategy = Dd_sim.Strategy.Sequential) ?guard ?domains
-    circuit =
+let ledgered_run ?(strategy = Dd_sim.Strategy.Sequential) ?guard circuit =
   let engine = Dd_sim.Engine.create ~seed:7 Circuit.(circuit.qubits) in
-  (match domains with
-  | None -> ()
-  | Some d -> Dd_sim.Engine.set_domains engine d);
   let ledger = Obs.Ledger.create () in
   Dd_sim.Engine.set_ledger engine ledger;
   (match guard with

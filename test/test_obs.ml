@@ -7,9 +7,8 @@
 
 open Util
 
-let traced_run ?strategy ?guard ?(domains = 1) ?max_events circuit =
+let traced_run ?strategy ?guard ?max_events circuit =
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
-  Dd_sim.Engine.set_domains engine domains;
   let trace = Obs.Trace.create ?max_events () in
   Dd_sim.Engine.set_trace engine trace;
   Dd_sim.Engine.run ?strategy ?guard engine circuit;
@@ -168,15 +167,23 @@ let test_jsonl_roundtrip () =
     original
 
 let test_jsonl_rejects_bad_input () =
-  let rejects text =
+  let rejects ?message text =
     match Obs.Trace_report.parse_jsonl text with
     | _ -> Alcotest.fail "malformed trace accepted"
-    | exception Failure _ -> ()
+    | exception Failure got ->
+      Option.iter (fun m -> Alcotest.(check string) "located message" m got)
+        message
   in
   rejects "";
   rejects "{\"schema\":\"something-else\",\"version\":1,\"meta\":{}}";
   rejects "{\"schema\":\"ddsim-trace\",\"version\":99,\"meta\":{}}";
-  rejects "not json at all"
+  rejects "not json at all";
+  (* a v2 trace recorded with more than one domain carries pool_section
+     spans, a kind the reader no longer knows *)
+  rejects ~message:"trace:2: unknown event kind \"pool_section\""
+    (sealed_jsonl
+       "{\"schema\":\"ddsim-trace\",\"version\":2,\"events\":1,\"dropped\":0,\"meta\":{}}\n\
+        {\"kind\":\"pool_section\",\"t\":0.5,\"dur\":0.25,\"gate\":3,\"state_nodes\":-1,\"matrix_nodes\":-1,\"hits\":0,\"misses\":0,\"domain\":1,\"detail\":\"x\"}\n")
 
 let test_chrome_export_is_valid_json () =
   let _, trace =
@@ -387,6 +394,8 @@ let test_telemetry_snapshot () =
     (match Obs.Metrics.find snap "table.mul_mm.hits" with
     | Some (Obs.Metrics.Count _) -> true
     | _ -> false);
+  check_bool "no domain-count metric" true
+    (Obs.Metrics.find snap "sim.domains" = None);
   (* re-populating one registry must replace, not accumulate *)
   let r = Obs.Metrics.create () in
   Dd_sim.Telemetry.populate r engine;
@@ -460,7 +469,7 @@ let test_checkpoint_v4_roundtrip () =
       ~gate_index:6
   in
   let text = Dd_sim.Checkpoint.to_string checkpoint in
-  check_bool "v7 header" true (contains "ddsim-checkpoint 7" text);
+  check_bool "v8 header" true (contains "ddsim-checkpoint 8" text);
   check_bool "checksum trailer present" true (contains "\nchecksum " text);
   let reloaded =
     Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"<test>" text
@@ -491,125 +500,21 @@ let prop_trace_counts_match_stats =
        (circuit_arb ~qubits:4 ~gates:30)
        (QCheck.oneofl
           [
-            (Dd_sim.Strategy.Sequential, None, 1);
-            (Dd_sim.Strategy.K_operations 3, None, 1);
-            (Dd_sim.Strategy.Max_size 64, None, 1);
+            (Dd_sim.Strategy.Sequential, None);
+            (Dd_sim.Strategy.K_operations 3, None);
+            (Dd_sim.Strategy.Max_size 64, None);
             (* the fallback arm: over-budget windows degrade to sequential *)
             ( Dd_sim.Strategy.K_operations 3,
-              Some (Dd_sim.Guard.make ~max_matrix_nodes:8 ()),
-              1 );
-            (* pooled windows: one Mat_mat span per product, whatever the
-               pool size *)
-            (Dd_sim.Strategy.K_operations 3, None, 2);
+              Some (Dd_sim.Guard.make ~max_matrix_nodes:8 ()) );
           ]))
-  @@ fun ((_, circuit), (strategy, guard, domains)) ->
-  let engine, trace = traced_run ~strategy ?guard ~domains circuit in
+  @@ fun ((_, circuit), (strategy, guard)) ->
+  let engine, trace = traced_run ~strategy ?guard circuit in
   let stats = Dd_sim.Engine.stats engine in
   count_kind trace Obs.Trace.Mat_vec = stats.Dd_sim.Sim_stats.mat_vec_mults
   && count_kind trace Obs.Trace.Mat_mat = stats.Dd_sim.Sim_stats.mat_mat_mults
   && count_kind trace Obs.Trace.Gate_applied
      = stats.Dd_sim.Sim_stats.gates_seen
 
-
-(* -- per-domain trace lanes and schema v2 ---------------------------- *)
-
-let test_lane_arming_and_merge () =
-  let t = Obs.Trace.create () in
-  check_bool "fresh trace is unarmed" false (Obs.Trace.lanes_armed t);
-  check_bool "lane of an unarmed trace is the trace itself" true
-    (Obs.Trace.lane t 2 == t);
-  Obs.Trace.arm_lanes t 3;
-  check_bool "arming a live trace works" true (Obs.Trace.lanes_armed t);
-  let l1 = Obs.Trace.lane t 1 in
-  let l2 = Obs.Trace.lane t 2 in
-  check_bool "lanes are private buffers" true
-    (l1 != t && l2 != t && l1 != l2);
-  check_bool "caller lane 0 is private too" true (Obs.Trace.lane t 0 != t);
-  check_bool "out-of-range lane falls back to the trace" true
-    (Obs.Trace.lane t 7 == t);
-  (* emission order across lanes: l2 first, then l1 *)
-  Obs.Trace.instant l2 Obs.Trace.Mat_mat ~gate:1 ~state_nodes:(-1)
-    ~matrix_nodes:3 ~detail:"on lane 2";
-  Obs.Trace.instant l1 Obs.Trace.Mat_mat ~gate:1 ~state_nodes:(-1)
-    ~matrix_nodes:4 ~detail:"on lane 1";
-  check_int "nothing reaches the main buffer during the section" 0
-    (Obs.Trace.length t);
-  Obs.Trace.merge_lanes t;
-  check_bool "merge disarms" false (Obs.Trace.lanes_armed t);
-  let events = Obs.Trace.events t in
-  check_int "both lane events merged" 2 (Array.length events);
-  let domains =
-    Array.map (fun (e : Obs.Trace.event) -> e.domain) events
-    |> Array.to_list |> List.sort compare
-  in
-  check_bool "events are stamped with their lane" true (domains = [ 1; 2 ]);
-  let previous = ref neg_infinity in
-  Array.iter
-    (fun (e : Obs.Trace.event) ->
-      let finish = e.t +. e.dur in
-      check_bool "merged end times stay monotone" true
-        (finish >= !previous -. 1e-9);
-      previous := finish)
-    events;
-  (* main-buffer emissions carry domain 0 *)
-  Obs.Trace.instant t Obs.Trace.Pool_section ~gate:1 ~state_nodes:(-1)
-    ~matrix_nodes:(-1) ~detail:"section";
-  let events = Obs.Trace.events t in
-  check_int "direct emission is domain 0" 0
-    events.(Array.length events - 1).Obs.Trace.domain;
-  (* disabled and null traces cannot be armed, and emissions stay free *)
-  let off = Obs.Trace.create () in
-  Obs.Trace.set_enabled off false;
-  Obs.Trace.arm_lanes off 4;
-  check_bool "arming a disabled trace is a no-op" false
-    (Obs.Trace.lanes_armed off);
-  check_bool "disabled lane is the trace itself" true
-    (Obs.Trace.lane off 1 == off);
-  Obs.Trace.arm_lanes Obs.Trace.null 4;
-  check_bool "null cannot be armed" false
-    (Obs.Trace.lanes_armed Obs.Trace.null)
-
-let test_lane_lookup_allocates_nothing () =
-  (* [lane] on an unarmed trace is the hot path of every worker-task
-     emission at --domains 1 tracing-off: it must stay allocation-free *)
-  let t = Obs.Trace.create () in
-  Obs.Trace.set_enabled t false;
-  ignore (Sys.opaque_identity (Obs.Trace.lane t 0));
-  let before = Gc.minor_words () in
-  for i = 0 to 99_999 do
-    ignore (Sys.opaque_identity (Obs.Trace.lane t (i land 3)))
-  done;
-  let allocated = Gc.minor_words () -. before in
-  check_bool
-    (Printf.sprintf "100k lane lookups allocated %.0f words" allocated)
-    true (allocated < 256.)
-
-let test_jsonl_v2_domain_roundtrip () =
-  check_int "exporter writes schema v2" 2 Obs.Trace_export.version;
-  let t = Obs.Trace.create () in
-  Obs.Trace.arm_lanes t 2;
-  Obs.Trace.instant (Obs.Trace.lane t 1) Obs.Trace.Mat_mat ~gate:3
-    ~state_nodes:(-1) ~matrix_nodes:5 ~detail:"worker";
-  Obs.Trace.merge_lanes t;
-  Obs.Trace.instant t Obs.Trace.Pool_section ~gate:3 ~state_nodes:(-1)
-    ~matrix_nodes:(-1) ~detail:"section";
-  let text = Obs.Trace_export.jsonl ~meta:[] t in
-  let parsed = Obs.Trace_report.parse_jsonl text in
-  let events = Array.of_list parsed.Obs.Trace_report.events in
-  check_int "two events" 2 (Array.length events);
-  check_int "worker-lane domain survives the round-trip" 1
-    events.(0).Obs.Trace.domain;
-  check_int "main-lane event stays domain 0" 0 events.(1).Obs.Trace.domain;
-  check_bool "pool_section kind round-trips" true
-    (kinds_equal Obs.Trace.Pool_section events.(1).Obs.Trace.kind);
-  (* the domain-0 event line must not carry a domain field at all: a
-     single-lane trace stays free of per-event lane noise *)
-  let lines = String.split_on_char '\n' text in
-  let section_line =
-    List.find (fun l -> contains "pool_section" l) lines
-  in
-  check_bool "domain field omitted for domain 0" false
-    (contains "\"domain\"" section_line)
 
 (* Only the current version is read.  A well-formed v1 document (the
    pre-lane format, trailer and all) must be refused by version, not
@@ -626,95 +531,6 @@ let test_rejects_v1_header () =
     Alcotest.(check string)
       "names the version it refuses"
       "trace:1: unsupported schema version 1 (current is 2)" message
-
-let lane_event ?(domain = 0) ?(dur = 0.) ~kind ~t () : Obs.Trace.event =
-  {
-    kind;
-    t;
-    dur;
-    gate_index = 0;
-    state_nodes = -1;
-    matrix_nodes = -1;
-    hits = 0;
-    misses = 0;
-    domain;
-    detail = "";
-  }
-
-let test_serial_fraction_and_lane_phases () =
-  let run =
-    {
-      Obs.Trace_report.meta = [];
-      dropped = 0;
-      events =
-        [
-          lane_event ~kind:Obs.Trace.Mat_vec ~t:0. ~dur:10. ();
-          lane_event ~kind:Obs.Trace.Pool_section ~t:2. ~dur:3. ();
-          lane_event ~kind:Obs.Trace.Mat_mat ~t:2. ~dur:1. ~domain:1 ();
-        ];
-    }
-  in
-  (match Obs.Trace_report.serial_fraction run with
-  | Some f ->
-    check_bool
-      (Printf.sprintf "serial fraction = (10 - 3) / 10, got %f" f)
-      true
-      (Float.abs (f -. 0.7) < 1e-9)
-  | None -> Alcotest.fail "serial fraction missing on a pooled run");
-  let lanes = Obs.Trace_report.lane_phases run in
-  check_int "two lanes observed" 2 (List.length lanes);
-  check_bool "lane ids are 0 and 1" true
-    (List.map fst lanes = [ 0; 1 ]);
-  let rendered = Obs.Trace_report.render run in
-  check_bool "report prints the per-lane breakdown" true
-    (contains "lane 1" rendered);
-  check_bool "report prints the caller lane" true
-    (contains "lane 0 (caller)" rendered);
-  check_bool "report prints the serial fraction" true
-    (contains "estimated serial fraction" rendered);
-  (* no pool section -> no estimate, no lane table *)
-  let sequential =
-    {
-      Obs.Trace_report.meta = [];
-      dropped = 0;
-      events = [ lane_event ~kind:Obs.Trace.Mat_vec ~t:0. ~dur:10. () ];
-    }
-  in
-  check_bool "no pool sections, no serial fraction" true
-    (Obs.Trace_report.serial_fraction sequential = None);
-  let rendered = Obs.Trace_report.render sequential in
-  check_bool "single-lane report unchanged" false (contains "lane 0" rendered)
-
-let test_telemetry_concurrency_families () =
-  let circuit = Qft.circuit 5 in
-  let engine = Dd_sim.Engine.create 5 in
-  Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 3) engine circuit;
-  let snap = Dd_sim.Telemetry.snapshot engine in
-  (* present on every run; all-zero on a sequential one *)
-  check_bool "pool.batches bridged" true
-    (Obs.Metrics.find snap "pool.batches" = Some (Obs.Metrics.Count 0));
-  check_bool "pool.tasks bridged" true
-    (Obs.Metrics.find snap "pool.tasks" = Some (Obs.Metrics.Count 0));
-  check_bool "pool.busy_seconds bridged" true
-    (Obs.Metrics.find snap "pool.busy_seconds" = Some (Obs.Metrics.Value 0.));
-  check_bool "lock.cnum.acquisitions bridged" true
-    (Obs.Metrics.find snap "lock.cnum.acquisitions"
-    = Some (Obs.Metrics.Count 0));
-  check_bool "lock.unique_v.contended bridged" true
-    (Obs.Metrics.find snap "lock.unique_v.contended"
-    = Some (Obs.Metrics.Count 0));
-  check_bool "per-table lock family bridged" true
-    (Obs.Metrics.find snap "lock.mul_mm.acquisitions"
-    = Some (Obs.Metrics.Count 0))
-
-let test_stats_pp_pool_fields () =
-  let stats = Dd_sim.Sim_stats.create () in
-  check_bool "no pool fields when idle" false
-    (contains "pool-batches" (pp_to_string stats));
-  stats.Dd_sim.Sim_stats.pool_batches <- 3;
-  stats.Dd_sim.Sim_stats.pool_tasks <- 24;
-  check_bool "pool fields printed once batches ran" true
-    (contains "pool-batches=3" (pp_to_string stats))
 
 let suite =
   [
@@ -752,18 +568,6 @@ let suite =
       test_wall_time_accumulates;
     Alcotest.test_case "checkpoint_v4_roundtrip" `Quick
       test_checkpoint_v4_roundtrip;
-    Alcotest.test_case "lane_arming_and_merge" `Quick
-      test_lane_arming_and_merge;
-    Alcotest.test_case "lane_lookup_allocates_nothing" `Quick
-      test_lane_lookup_allocates_nothing;
-    Alcotest.test_case "jsonl_v2_domain_roundtrip" `Quick
-      test_jsonl_v2_domain_roundtrip;
     Alcotest.test_case "rejects_v1_header" `Quick test_rejects_v1_header;
-    Alcotest.test_case "serial_fraction_and_lane_phases" `Quick
-      test_serial_fraction_and_lane_phases;
-    Alcotest.test_case "telemetry_concurrency_families" `Quick
-      test_telemetry_concurrency_families;
-    Alcotest.test_case "stats_pp_pool_fields" `Quick
-      test_stats_pp_pool_fields;
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_trace_counts_match_stats ]
