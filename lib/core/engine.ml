@@ -376,17 +376,18 @@ let op_done engine op mark matrix =
         ~detail:(match op with Fast -> "fast" | Generic -> "generic" | _ -> "")
   end
 
+(* the DD package's control lines, for both the gate-DD and the fused path *)
+let dd_controls (gate : Gate.t) =
+  List.map
+    (fun (c : Gate.control) ->
+      { Dd.Context.qubit = c.qubit; positive = c.positive })
+    gate.controls
+
 let gate_dd engine (gate : Gate.t) =
   let mark = op_start engine Build in
-  let controls =
-    List.map
-      (fun (c : Gate.control) ->
-        { Dd.Mdd.c_qubit = c.qubit; c_positive = c.positive })
-      gate.controls
-  in
   let matrix =
-    Dd.Mdd.gate engine.context ~n:engine.n ~target:gate.target ~controls
-      (Gate.matrix gate.kind)
+    Dd.Mdd.gate engine.context ~n:engine.n ~target:gate.target
+      ~controls:(dd_controls gate) (Gate.matrix gate.kind)
   in
   op_done engine Build mark matrix;
   matrix
@@ -406,15 +407,9 @@ let apply_matrix engine matrix =
    [mat_vec_mults] counts it alongside [fast_path_applies]. *)
 let apply_structured engine (gate : Gate.t) =
   let mark = op_start engine Fast in
-  let controls =
-    List.map
-      (fun (c : Gate.control) ->
-        { Dd.Apply.qubit = c.qubit; positive = c.positive })
-      gate.controls
-  in
   engine.state_edge <-
-    Dd.Apply.apply engine.context ~n:engine.n ~target:gate.target ~controls
-      (Gate.matrix gate.kind) engine.state_edge;
+    Dd.Apply.apply engine.context ~n:engine.n ~target:gate.target
+      ~controls:(dd_controls gate) (Gate.matrix gate.kind) engine.state_edge;
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
   engine.stats.fast_path_applies <- engine.stats.fast_path_applies + 1;
   note_state_peak engine;

@@ -48,8 +48,6 @@
 open Dd_complex
 open Types
 
-type control = { qubit : int; positive : bool }
-
 (* Virtual gate-DD level descriptors, precomputed by the cascade below.
    [Skip] is an uninvolved level (both children carry weight one);
    [Ctrl] is a control level: the active branch continues into the
@@ -114,49 +112,20 @@ let rec rebuild_stable ctx (v : vnode) =
     s
 
 let apply ctx ~n ~target ?(controls = []) entries state =
-  let reject message =
-    Dd_error.invalid_operand ~operation:"Apply.apply" message
+  (* validation and qubit -> level translation are Mdd.gate's own
+     (Context.gate_site), so everything below mirrors the virtual gate DD
+     it would build under the same order *)
+  let { Context.target_level = target; polarity; layout_id } =
+    Context.gate_site ctx ~operation:"Apply.apply" ~n ~target controls entries
   in
-  if Array.length entries <> 4 then reject "entries must hold 4 values";
-  if target < 0 || target >= n then
-    reject (Printf.sprintf "target %d out of range for %d qubits" target n);
-  (* qubit -> level translation through the live order; everything below
-     (polarity array, cascade, layout key) is level-indexed, mirroring
-     the virtual gate DD [Mdd.gate] would build under the same order *)
-  let polarity = Array.make n None in
-  List.iter
-    (fun { qubit; positive } ->
-      if qubit < 0 || qubit >= n then
-        reject (Printf.sprintf "control %d out of range for %d qubits" qubit n);
-      if qubit = target then reject "control equals target";
-      let level = Context.level_of_qubit ctx qubit in
-      if polarity.(level) <> None then
-        reject (Printf.sprintf "duplicate control %d" qubit);
-      polarity.(level) <- Some positive)
-    controls;
-  let target = Context.level_of_qubit ctx target in
   if v_is_zero state then v_zero
   else begin
     if state.vt.level <> n - 1 then
-      reject
+      Dd_error.invalid_operand ~operation:"Apply.apply"
         (Printf.sprintf "state has height %d, expected %d"
            (state.vt.level + 1) n);
     let intern z = Context.cnum ctx z in
-    let e = Array.map intern entries in
-    (* the layout is keyed by *levels* (target already translated above):
-       a reorder changes the layout id, so apply_v entries recorded under
-       one order can never answer for another *)
-    let sorted =
-      List.sort compare
-        (List.map
-           (fun c -> (Context.level_of_qubit ctx c.qubit, c.positive))
-           controls)
-    in
-    let kind_id =
-      Context.apply_kind_id ctx
-        (Cnum.tag e.(0), Cnum.tag e.(1), Cnum.tag e.(2), Cnum.tag e.(3))
-    in
-    let layout_id = Context.apply_layout_id ctx (target, sorted) in
+    let e, kind_id = Context.gate_kind ctx entries in
     (* ---- weight cascade: replay Mdd.gate's normalisation bottom-up ----
        Below the target, each of the four quadrant blocks carries a top
        weight (bw) and a zero flag (bz); diagonal blocks stop being zero at

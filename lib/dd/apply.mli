@@ -8,13 +8,11 @@
 
 open Dd_complex
 
-type control = { qubit : int; positive : bool }
-
 val apply :
   Context.t ->
   n:int ->
   target:int ->
-  ?controls:control list ->
+  ?controls:Context.control list ->
   Cnum.t array ->
   Types.vedge ->
   Types.vedge

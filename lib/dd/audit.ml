@@ -225,6 +225,7 @@ let check_tables ctx =
   check_m ctx.Context.add_m;
   check_m ctx.Context.mul_mm;
   check_m ctx.Context.adjoint;
+  check_m ctx.Context.gate;
   List.rev !violations
 
 (* The order map is part of the representation's meaning: if the two

@@ -18,19 +18,21 @@ type t = {
   mul_mv : Types.vedge Compute_table.t;
   mul_mm : Types.medge Compute_table.t;
   apply_v : Types.vedge Compute_table.t;
+  (* Mdd.gate memo: (kind id, layout id, qubit count) -> gate DD *)
+  gate : Types.medge Compute_table.t;
   dot : Cnum.t Compute_table.t;
   adjoint : Types.medge Compute_table.t;
   norm : float Compute_table.t;
   max_mag : float Compute_table.t;
   identity_cache : (int, Types.medge) Hashtbl.t;
-  (* Collision-free small-integer keys for the structured-apply compute
-     table: a gate kind is the quadruple of interned 2x2 entry tags, a
-     layout is (target, sorted controls).  Interning instead of bit-packing
-     keeps the compute-table key exact for any qubit count — equal ids
-     imply equal gates, so a stale entry can never answer for a different
-     gate.  Ids are dense and never reused. *)
-  apply_kind_ids : (int * int * int * int, int) Hashtbl.t;
-  apply_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
+  (* Collision-free small-integer keys for the gate and structured-apply
+     compute tables: a gate kind is the quadruple of interned 2x2 entry
+     tags, a layout is (target level, sorted (level, polarity) controls).
+     Interning instead of bit-packing keeps the compute-table key exact for
+     any qubit count — equal ids imply equal gates, so a stale entry can
+     never answer for a different gate.  Ids are dense and never reused. *)
+  gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
+  gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
   (* node id -> "a hash-cons rebuild of this subtree is bitwise the
      identity"; intrinsic to the immutable node, computed lazily by the
      structured-apply kernel (see apply.ml) *)
@@ -79,13 +81,14 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     mul_mv = table "mul_mv" cache_bits Types.v_zero;
     mul_mm = table "mul_mm" cache_bits Types.m_zero;
     apply_v = table "apply" cache_bits Types.v_zero;
+    gate = table "gate" small Types.m_zero;
     dot = table "dot" small Cnum.zero;
     adjoint = table "adjoint" small Types.m_zero;
     norm = table "norm" cache_bits 0.;
     max_mag = table "max_mag" cache_bits 0.;
     identity_cache = Hashtbl.create 64;
-    apply_kind_ids = Hashtbl.create 64;
-    apply_layout_ids = Hashtbl.create 64;
+    gate_kind_ids = Hashtbl.create 64;
+    gate_layout_ids = Hashtbl.create 64;
     apply_stable = Hashtbl.create 1024;
     gc =
       {
@@ -109,24 +112,70 @@ let qubit_of_level ctx l = Order.qubit_of_level ctx.order l
 
 let cnum ctx z = Ctable.intern ctx.ctable z
 
-(* Dense intern of a structured-apply gate kind / control layout; see the
-   field comments above.  Lookups dominate (a circuit has few distinct
-   gates), so a plain Hashtbl is fine. *)
-let apply_kind_id ctx key =
-  match Hashtbl.find_opt ctx.apply_kind_ids key with
+type control = { qubit : int; positive : bool }
+
+type gate_site = {
+  target_level : int;
+  polarity : bool option array;
+  layout_id : int;
+}
+
+(* Dense intern of a gate kind / layout; see the field comments above.
+   Lookups dominate (a circuit has few distinct gates), so a plain
+   Hashtbl is fine. *)
+let intern_id table key =
+  match Hashtbl.find_opt table key with
   | Some id -> id
   | None ->
-    let id = Hashtbl.length ctx.apply_kind_ids + 1 in
-    Hashtbl.add ctx.apply_kind_ids key id;
+    let id = Hashtbl.length table + 1 in
+    Hashtbl.add table key id;
     id
 
-let apply_layout_id ctx key =
-  match Hashtbl.find_opt ctx.apply_layout_ids key with
-  | Some id -> id
-  | None ->
-    let id = Hashtbl.length ctx.apply_layout_ids + 1 in
-    Hashtbl.add ctx.apply_layout_ids key id;
-    id
+(* The one prelude of both gate entry points (Mdd.gate, Apply.apply):
+   validation, then qubit -> level translation through the live order.
+   Everything downstream is level-indexed, so the layout is keyed by
+   levels: a reorder changes the layout id, and an entry recorded under
+   one order can never answer for another.  Walking the polarity array
+   bottom-up yields the controls sorted by level. *)
+let gate_site ctx ~operation ~n ~target controls entries =
+  let reject message = Dd_error.invalid_operand ~operation message in
+  if Array.length entries <> 4 then reject "entries must hold 4 values";
+  if target < 0 || target >= n then
+    reject (Printf.sprintf "target %d out of range for %d qubits" target n);
+  let polarity = Array.make n None in
+  List.iter
+    (fun { qubit; positive } ->
+      if qubit < 0 || qubit >= n then
+        reject (Printf.sprintf "control %d out of range for %d qubits" qubit n);
+      if qubit = target then reject "control equals target";
+      let level = level_of_qubit ctx qubit in
+      if polarity.(level) <> None then
+        reject (Printf.sprintf "duplicate control %d" qubit);
+      polarity.(level) <- Some positive)
+    controls;
+  let target_level = level_of_qubit ctx target in
+  let sorted = ref [] in
+  for level = n - 1 downto 0 do
+    match polarity.(level) with
+    | Some positive -> sorted := (level, positive) :: !sorted
+    | None -> ()
+  done;
+  {
+    target_level;
+    polarity;
+    layout_id = intern_id ctx.gate_layout_ids (target_level, !sorted);
+  }
+
+(* Interning the entries hands out complex-table tags, so callers that
+   may return early (a zero state) call this only once they will use
+   them. *)
+let gate_kind ctx entries =
+  let e = Array.map (cnum ctx) entries in
+  let kind_id =
+    intern_id ctx.gate_kind_ids
+      (Cnum.tag e.(0), Cnum.tag e.(1), Cnum.tag e.(2), Cnum.tag e.(3))
+  in
+  (e, kind_id)
 
 let clear_compute_caches ctx =
   Compute_table.clear ctx.add_v;
@@ -134,6 +183,7 @@ let clear_compute_caches ctx =
   Compute_table.clear ctx.mul_mv;
   Compute_table.clear ctx.mul_mm;
   Compute_table.clear ctx.apply_v;
+  Compute_table.clear ctx.gate;
   Compute_table.clear ctx.dot;
   Compute_table.clear ctx.adjoint;
   Compute_table.clear ctx.norm;
@@ -155,6 +205,7 @@ let table_stats ctx =
     Compute_table.stats ctx.adjoint;
     Compute_table.stats ctx.norm;
     Compute_table.stats ctx.max_mag;
+    Compute_table.stats ctx.gate;
   ]
 
 (* -- table residency estimates ---------------------------------------- *)
@@ -199,6 +250,7 @@ let compute_table_bytes ctx =
     + Compute_table.length ctx.adjoint
     + Compute_table.length ctx.norm
     + Compute_table.length ctx.max_mag
+    + Compute_table.length ctx.gate
   in
   bytes_per_word * compute_entry_words * entries
 
@@ -221,6 +273,7 @@ let reset_stats ctx =
   Compute_table.reset_counters ctx.adjoint;
   Compute_table.reset_counters ctx.norm;
   Compute_table.reset_counters ctx.max_mag;
+  Compute_table.reset_counters ctx.gate;
   let gc = ctx.gc in
   gc.collections <- 0;
   gc.pause_total <- 0.;
@@ -337,7 +390,10 @@ let collect ctx ~v_roots ~m_roots =
   += Compute_table.sweep ctx.adjoint ~keep:(fun a _ _ v ->
          m_live a && m_edge_live v);
   dropped += Compute_table.sweep ctx.norm ~keep:(fun a _ _ _ -> v_live a);
-  dropped += Compute_table.sweep ctx.max_mag ~keep:(fun a _ _ _ -> v_live a)
+  dropped += Compute_table.sweep ctx.max_mag ~keep:(fun a _ _ _ -> v_live a);
+  (* gate keys are (kind id, layout id, n) and name no node: an entry
+     lives exactly as long as the gate DD it returns *)
+  dropped += Compute_table.sweep ctx.gate ~keep:(fun _ _ _ g -> m_edge_live g)
   end;
   (* rebuild-stability flags are intrinsic to their (immutable) nodes and
      ids are never reused, so stale entries are harmless — dropping the

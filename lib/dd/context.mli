@@ -27,13 +27,16 @@ type t = {
   mul_mm : Types.medge Compute_table.t;
   apply_v : Types.vedge Compute_table.t;
       (** structured-apply memo: (state node id, gate kind id, layout id) *)
+  gate : Types.medge Compute_table.t;
+      (** gate-DD memo ({!Mdd.gate}): (gate kind id, layout id, qubit
+          count) *)
   dot : Cnum.t Compute_table.t;
   adjoint : Types.medge Compute_table.t;
   norm : float Compute_table.t;
   max_mag : float Compute_table.t;
   identity_cache : (int, Types.medge) Hashtbl.t;
-  apply_kind_ids : (int * int * int * int, int) Hashtbl.t;
-  apply_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
+  gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
+  gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
   apply_stable : (int, bool) Hashtbl.t;
       (** node id -> "a hash-cons rebuild of this subtree is bitwise the
           identity"; lazily filled by the structured-apply kernel, swept
@@ -56,9 +59,10 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
 (** Fresh package instance.  [tolerance] is forwarded to {!Ctable.create}.
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
-    [2^(cache_bits - 4)].  Each table allocates its slots on its first
-    store, so creating a context costs little more than the two unique
-    tables.  Raises [Invalid_argument] outside [4, 24]. *)
+    [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
+    its slots on its first store, and the two unique tables start at
+    2^10 slots, so a fresh context allocates about 57 KiB.  Raises
+    [Invalid_argument] outside [4, 24]. *)
 
 val cnum : t -> Cnum.t -> Cnum.t
 (** Intern a complex number in this context's table. *)
@@ -80,13 +84,34 @@ val level_of_qubit : t -> int -> int
 val qubit_of_level : t -> int -> int
 (** Qubit hosted at a level under the context's live order. *)
 
-val apply_kind_id : t -> int * int * int * int -> int
-(** Dense collision-free id for a structured-apply gate kind — the
-    quadruple of interned 2x2 entry tags.  Equal ids imply equal
-    matrices, so the id is safe as a compute-table key word. *)
+type control = { qubit : int; positive : bool }
+(** A control line of a gate: the gate fires when the qubit is [|1>]
+    (positive) or [|0>] (negative). *)
 
-val apply_layout_id : t -> int * (int * bool) list -> int
-(** Dense id for a (target, sorted controls) layout; same guarantee. *)
+type gate_site = {
+  target_level : int;  (** the target qubit's level under the live order *)
+  polarity : bool option array;
+      (** per level: [Some positive] on a control level, [None] elsewhere *)
+  layout_id : int;
+      (** dense id of (target level, controls sorted by level): equal ids
+          imply equal layouts, so the id is safe as a compute-table key
+          word *)
+}
+
+val gate_site :
+  t -> operation:string -> n:int -> target:int -> control list ->
+  Cnum.t array -> gate_site
+(** The shared prelude of {!Mdd.gate} and {!Apply.apply}: check a gate
+    request (four entries, target and controls in range, no duplicate
+    control, no control on the target), translate its qubits to levels
+    through the live order and intern its layout.  Raises
+    {!Dd_error.Error} ([Invalid_operand], naming [operation]) on
+    malformed input.  Interns no complex number. *)
+
+val gate_kind : t -> Cnum.t array -> Cnum.t array * int
+(** [gate_kind ctx entries] interns the four entries, in order, and
+    returns them with the dense id of their tag quadruple — the gate's
+    kind.  Equal ids imply equal matrices. *)
 
 val clear_compute_caches : t -> unit
 (** Drop all memoisation tables (unique tables are kept, so canonicity is
@@ -112,7 +137,7 @@ val unique_table_bytes : t -> int
     O(1) — safe on hot observability paths. *)
 
 val compute_table_bytes : t -> int
-(** Estimated bytes resident across all nine compute tables (8 words
+(** Estimated bytes resident across all ten compute tables (8 words
     per packed entry).  Counts entries, so a table whose slots were
     allocated by its first store reads the same as before.  O(1). *)
 

@@ -69,7 +69,7 @@ module Make (N : NODE) :
     mutable level_counts : int array;
   }
 
-  let initial_bits = 16
+  let initial_bits = 10
 
   let create ~intern () =
     let capacity = 1 lsl initial_bits in

@@ -2,7 +2,6 @@ open Dd_complex
 open Types
 
 type edge = Types.medge
-type control = { c_qubit : int; c_positive : bool }
 
 let zero = m_zero
 
@@ -44,32 +43,9 @@ let identity ctx n =
    branch selection on control qubits: the inactive control value must see
    the identity on the diagonal blocks and zero elsewhere); at the target
    the four blocks become the children of one node; above the target a
-   single edge is extended the same way. *)
-let gate ctx ~n ~target ?(controls = []) entries =
-  let reject message = Dd_error.invalid_operand ~operation:"Mdd.gate" message in
-  if Array.length entries <> 4 then reject "entries must hold 4 values";
-  if target < 0 || target >= n then
-    reject (Printf.sprintf "target %d out of range for %d qubits" target n);
-  (* target/control indices are qubits; translate them to levels through
-     the context's live order, after which the construction below is
-     purely level-indexed (identical to the historical behaviour under
-     the identity order) *)
-  let polarity = Array.make n None in
-  List.iter
-    (fun { c_qubit; c_positive } ->
-      if c_qubit < 0 || c_qubit >= n then
-        reject (Printf.sprintf "control %d out of range for %d qubits" c_qubit n);
-      if c_qubit = target then reject "control equals target";
-      let c_level = Context.level_of_qubit ctx c_qubit in
-      if polarity.(c_level) <> None then
-        reject (Printf.sprintf "duplicate control %d" c_qubit);
-      polarity.(c_level) <- Some c_positive)
-    controls;
-  let target = Context.level_of_qubit ctx target in
-  let blocks =
-    Array.map (fun w -> terminal_edge ctx w)
-      (Array.map (Context.cnum ctx) entries)
-  in
+   single edge is extended the same way.  [entries] are interned. *)
+let build_gate ctx ~n { Context.target_level = target; polarity; _ } entries =
+  let blocks = Array.map (fun w -> terminal_edge ctx w) entries in
   for z = 0 to target - 1 do
     let extend block =
       match polarity.(z) with
@@ -93,6 +69,24 @@ let gate ctx ~n ~target ?(controls = []) entries =
       | Some false -> make ctx z e m_zero m_zero (identity ctx z))
   done;
   !top
+
+(* Memoised in [Context.gate] under (kind id, layout id, n): a window of
+   k gates asks for the same few gate DDs over and over, and a hit hands
+   back the edge the first build produced.  The key is exact (see
+   [Context.gate_site]), so a hit is the DD a rebuild would return. *)
+let gate ctx ~n ~target ?(controls = []) entries =
+  let site =
+    Context.gate_site ctx ~operation:"Mdd.gate" ~n ~target controls entries
+  in
+  let entries, kind_id = Context.gate_kind ctx entries in
+  let table = ctx.Context.gate in
+  let k1 = kind_id and k2 = site.Context.layout_id and k3 = n in
+  match Compute_table.find table ~k1 ~k2 ~k3 with
+  | Some e -> e
+  | None ->
+    let e = build_gate ctx ~n site entries in
+    Compute_table.store table ~k1 ~k2 ~k3 e;
+    e
 
 (* |row><col| on [n] qubits: a single path of nodes. *)
 let outer_product ctx ~n ~row ~col =

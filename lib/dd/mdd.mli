@@ -8,10 +8,6 @@ open Dd_complex
 
 type edge = Types.medge
 
-type control = { c_qubit : int; c_positive : bool }
-(** A control line: the gate fires when the qubit is [|1>] (positive) or
-    [|0>] (negative). *)
-
 val zero : edge
 
 val make : Context.t -> int -> edge -> edge -> edge -> edge -> edge
@@ -26,14 +22,17 @@ val identity : Context.t -> int -> edge
     nodes, as the paper notes. Cached per [n]. *)
 
 val gate :
-  Context.t -> n:int -> target:int -> ?controls:control list ->
+  Context.t -> n:int -> target:int -> ?controls:Context.control list ->
   Cnum.t array -> edge
 (** [gate ctx ~n ~target ~controls entries] builds the DD of an elementary
     operation: [entries] is the row-major 2x2 matrix [|m00; m01; m10; m11|]
     applied to qubit [target], guarded by [controls], identity elsewhere.
     Qubit indices are translated to DD levels through the context's live
-    {!Order.t}, so circuits are untouched by reordering.  Raises
-    [Invalid_argument] on out-of-range or duplicated qubits. *)
+    {!Order.t}, so circuits are untouched by reordering.  Memoised in
+    {!Context.t.gate}: asking again for the same gate returns the edge
+    the first build produced, until a {!Context.collect} frees it.
+    Raises {!Dd_error.Error} ([Invalid_operand]) on out-of-range or
+    duplicated qubits. *)
 
 val of_permutation : Context.t -> n:int -> (int -> int) -> edge
 (** [of_permutation ctx ~n f] is the unitary [sum_x |f x><x|]; [f] must be a

@@ -7,26 +7,14 @@
 open Util
 open Dd_complex
 
-let apply_controls (gate : Gate.t) =
-  List.map
-    (fun (c : Gate.control) ->
-      { Dd.Apply.qubit = c.qubit; positive = c.positive })
-    gate.controls
-
-let mdd_controls (gate : Gate.t) =
-  List.map
-    (fun (c : Gate.control) ->
-      { Dd.Mdd.c_qubit = c.qubit; c_positive = c.positive })
-    gate.controls
-
 (* both routes in one shared context; canonicity makes equality exact *)
 let check_gate msg ctx ~n (gate : Gate.t) state =
   let entries = Gate.matrix gate.kind in
-  let dd = Dd.Mdd.gate ctx ~n ~target:gate.target ~controls:(mdd_controls gate) entries in
+  let dd = Dd.Mdd.gate ctx ~n ~target:gate.target ~controls:(dd_controls gate) entries in
   let generic = Dd.Mdd.apply ctx dd state in
   let fast =
     Dd.Apply.apply ctx ~n ~target:gate.target
-      ~controls:(apply_controls gate) entries state
+      ~controls:(dd_controls gate) entries state
   in
   check_bool (msg ^ " (exact edge equality)") true
     (Dd.Vdd.equal generic fast);
@@ -185,13 +173,13 @@ let prop_structured_apply_equals_generic =
       let state = Dd.Vdd.of_array ctx amplitudes in
       let entries = Gate.matrix gate.kind in
       let dd =
-        Dd.Mdd.gate ctx ~n ~target:gate.target ~controls:(mdd_controls gate)
+        Dd.Mdd.gate ctx ~n ~target:gate.target ~controls:(dd_controls gate)
           entries
       in
       let generic = Dd.Mdd.apply ctx dd state in
       let fast =
         Dd.Apply.apply ctx ~n ~target:gate.target
-          ~controls:(apply_controls gate) entries state
+          ~controls:(dd_controls gate) entries state
       in
       Dd.Vdd.equal generic fast)
 
@@ -215,12 +203,12 @@ let prop_gate_sequences_match =
           let entries = Gate.matrix gate.kind in
           let dd =
             Dd.Mdd.gate ctx ~n ~target:gate.target
-              ~controls:(mdd_controls gate) entries
+              ~controls:(dd_controls gate) entries
           in
           let generic = Dd.Mdd.apply ctx dd !state in
           let fast =
             Dd.Apply.apply ctx ~n ~target:gate.target
-              ~controls:(apply_controls gate) entries !state
+              ~controls:(dd_controls gate) entries !state
           in
           state := fast;
           Dd.Vdd.equal generic fast)

@@ -189,18 +189,19 @@ let test_find_store_allocate_nothing () =
     (Printf.sprintf "100k find/store allocated %.0f words" allocated)
     true (allocated < 256.)
 
-(* A fresh context pays for its two unique tables and a small complex
-   table; its nine compute tables allocate their slots on first store. *)
+(* A fresh context pays for its two 2^10-slot unique tables and a small
+   complex table; its ten compute tables allocate their slots on first
+   store. *)
 let test_context_create_is_small () =
   let before = Gc.allocated_bytes () in
   let ctx = Sys.opaque_identity (Dd.Context.create ()) in
   let allocated = Gc.allocated_bytes () -. before in
   ignore ctx;
   check_bool
-    (Printf.sprintf "Context.create allocated %.2f MiB (< 2 MiB)"
-       (allocated /. 1048576.))
+    (Printf.sprintf "Context.create allocated %.1f KiB (< 256 KiB)"
+       (allocated /. 1024.))
     true
-    (allocated < 2. *. 1048576.)
+    (allocated < 256. *. 1024.)
 
 let suite =
   [

@@ -12,9 +12,9 @@ let with_fault ?seed plan body =
   Fault.arm ?seed plan;
   Fun.protect ~finally:Fault.disarm body
 
-let run_engine circuit =
+let run_engine ?strategy circuit =
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
-  Dd_sim.Engine.run engine circuit;
+  Dd_sim.Engine.run ?strategy engine circuit;
   engine
 
 (* detection = the audit names violations, or escalates past the ladder *)
@@ -98,36 +98,60 @@ let test_persistent_weight_flips_detected_at_cadence () =
 (* -- compute-table corruption -------------------------------------------- *)
 
 let test_table_poison_detected () =
-  (* X;X;X on one qubit: the third application hits the apply cache entry
-     populated by the first, and the poisoned hit returns the dummy *)
-  with_fault [ (Fault.Table_poison, Fault.Always) ] (fun () ->
-      let engine =
-        run_engine
-          (Circuit.of_gates ~qubits:1 [ Gate.x 0; Gate.x 0; Gate.x 0 ])
-      in
-      check_bool "a poisoned hit was served" true
-        (Fault.fired_count Fault.Table_poison > 0);
-      check_bool "audit detects the poisoned state" true
-        (detected_by_audit engine))
+  (* X;X;X on one qubit.  Gate by gate, the third application hits the
+     apply cache entry populated by the first; in k:2 windows the second
+     gate DD is a hit of the gate memo.  Either way the poisoned hit
+     returns the dummy *)
+  List.iter
+    (fun strategy ->
+      with_fault [ (Fault.Table_poison, Fault.Always) ] (fun () ->
+          let engine =
+            run_engine ?strategy
+              (Circuit.of_gates ~qubits:1 [ Gate.x 0; Gate.x 0; Gate.x 0 ])
+          in
+          check_bool "a poisoned hit was served" true
+            (Fault.fired_count Fault.Table_poison > 0);
+          if strategy <> None then
+            check_bool "by the gate memo" true
+              (Dd.Compute_table.hits
+                 (Dd_sim.Engine.context engine).Dd.Context.gate
+              > 0);
+          check_bool "audit detects the poisoned state" true
+            (detected_by_audit engine)))
+    [ None; Some (Dd_sim.Strategy.K_operations 2) ]
 
 let test_skipped_sweep_detected_and_repaired () =
-  let engine =
-    run_engine (Standard.random_circuit ~seed:21 ~qubits:5 ~gates:60 ())
-  in
-  with_fault [ (Fault.Table_skip_sweep, Fault.Always) ] (fun () ->
-      let v_removed, _ = Dd_sim.Engine.collect_garbage engine in
-      check_bool "the collection reclaimed nodes" true (v_removed > 0));
-  let ctx = Dd_sim.Engine.context engine in
-  let stale = Dd.Audit.check_tables ctx in
-  check_bool "stale entries reported" true
-    (List.exists
-       (fun v -> Dd.Audit.class_of v = Dd.Audit.Table)
-       stale);
-  let found = Dd_sim.Engine.audit_now engine in
-  check_bool "audit_now sees them too" true (found > 0);
-  check_int "cache flush repaired the tables" 1
-    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.audit_repairs;
-  check_int "clean after repair" 0 (List.length (Dd.Audit.check_tables ctx))
+  (* gate by gate, and in k:3 windows, whose gate DDs leave entries in
+     the gate memo *)
+  List.iter
+    (fun strategy ->
+      let engine =
+        run_engine ?strategy
+          (Standard.random_circuit ~seed:21 ~qubits:5 ~gates:60 ())
+      in
+      with_fault [ (Fault.Table_skip_sweep, Fault.Always) ] (fun () ->
+          let v_removed, _ = Dd_sim.Engine.collect_garbage engine in
+          check_bool "the collection reclaimed nodes" true (v_removed > 0));
+      let ctx = Dd_sim.Engine.context engine in
+      let stale = Dd.Audit.check_tables ctx in
+      check_bool "stale entries reported" true
+        (List.exists
+           (fun v -> Dd.Audit.class_of v = Dd.Audit.Table)
+           stale);
+      if strategy <> None then
+        check_bool "the gate memo is named" true
+          (List.exists
+             (function
+               | Dd.Audit.Stale_entry { table = "gate"; _ } -> true
+               | _ -> false)
+             stale);
+      let found = Dd_sim.Engine.audit_now engine in
+      check_bool "audit_now sees them too" true (found > 0);
+      check_int "cache flush repaired the tables" 1
+        (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.audit_repairs;
+      check_int "clean after repair" 0
+        (List.length (Dd.Audit.check_tables ctx)))
+    [ None; Some (Dd_sim.Strategy.K_operations 3) ]
 
 (* -- unique-table corruption --------------------------------------------- *)
 

@@ -55,13 +55,8 @@ let test_gate_kinds_dense () =
     ]
 
 let gate_dd ctx ~n (gate : Gate.t) =
-  let controls =
-    List.map
-      (fun (ctl : Gate.control) ->
-        { Dd.Mdd.c_qubit = ctl.qubit; c_positive = ctl.positive })
-      gate.controls
-  in
-  Dd.Mdd.gate ctx ~n ~target:gate.target ~controls (Gate.matrix gate.kind)
+  Dd.Mdd.gate ctx ~n ~target:gate.target ~controls:(dd_controls gate)
+    (Gate.matrix gate.kind)
 
 let test_cx_both_orientations () =
   let ctx = fresh_ctx () in
@@ -117,7 +112,7 @@ let test_gate_rejects_bad_input () =
     (fun () ->
       ignore
         (Dd.Mdd.gate ctx ~n:2 ~target:0
-           ~controls:[ { Dd.Mdd.c_qubit = 0; c_positive = true } ]
+           ~controls:[ { Dd.Context.qubit = 0; positive = true } ]
            (Gate.matrix Gate.X)))
 
 let test_gate_size_linear () =
@@ -257,6 +252,75 @@ let test_entry () =
   check_cnum "identity entry" Cnum.one (Dd.Mdd.entry dd ~n:3 ~row:2 ~col:2);
   check_cnum "off entry" Cnum.zero (Dd.Mdd.entry dd ~n:3 ~row:0 ~col:1)
 
+(* -- the gate-DD memo (Context.gate) -------------------------------------- *)
+
+let gate_table ctx = Dd.Compute_table.stats ctx.Dd.Context.gate
+
+let test_gate_memo_hit () =
+  let ctx = fresh_ctx () in
+  let gate = Gate.make ~controls:[ Gate.ctrl 3; Gate.nctrl 0 ] Gate.H 1 in
+  let first = gate_dd ctx ~n:4 gate in
+  let nodes = Dd.Context.m_unique_size ctx in
+  let weights = Ctable.size ctx.Dd.Context.ctable in
+  let before = gate_table ctx in
+  let again = gate_dd ctx ~n:4 gate in
+  let after = gate_table ctx in
+  check_bool "same node" true (first.Dd.Types.mt == again.Dd.Types.mt);
+  check_int "same weight tag" (Cnum.tag first.Dd.Types.mw)
+    (Cnum.tag again.Dd.Types.mw);
+  check_int "no matrix node created" nodes (Dd.Context.m_unique_size ctx);
+  check_int "no weight interned" weights (Ctable.size ctx.Dd.Context.ctable);
+  check_int "one gate hit" (before.hits + 1) after.hits;
+  check_int "no gate miss" before.misses after.misses
+
+(* a fresh context's build of [gate] under [order]: what every memoised
+   gate DD must equal *)
+let fresh_dense ~order ~n gate =
+  let ctx = fresh_ctx () in
+  Dd.Context.set_order ctx order;
+  Dd.Mdd.to_dense ~order (gate_dd ctx ~n gate) ~n
+
+let test_gate_memo_key_is_exact () =
+  let ctx = fresh_ctx () in
+  let own_entry msg ?(order = Dd.Order.identity) ~n gate =
+    Dd.Context.set_order ctx order;
+    let before = gate_table ctx in
+    let dd = gate_dd ctx ~n gate in
+    let after = gate_table ctx in
+    check_int (msg ^ ": a miss") (before.misses + 1) after.misses;
+    check_int (msg ^ ": its own entry") (before.entries + 1) after.entries;
+    check_dense_matrix msg (fresh_dense ~order ~n gate)
+      (Dd.Mdd.to_dense ~order dd ~n)
+  in
+  own_entry "cx 0 2" ~n:3 (Gate.cx 0 2);
+  own_entry "cx 0 2 under a non-identity order"
+    ~order:(Dd.Order.of_qubit_of_level [| 2; 0; 1 |])
+    ~n:3 (Gate.cx 0 2);
+  own_entry "h 0 on 2 qubits" ~n:2 (Gate.h 0);
+  own_entry "h 0 on 3 qubits" ~n:3 (Gate.h 0);
+  own_entry "cx 1 0" ~n:2 (Gate.cx 1 0);
+  own_entry "cx 1 0, negative control" ~n:2
+    (Gate.make ~controls:[ Gate.nctrl 1 ] Gate.X 0)
+
+let test_gate_memo_follows_collect () =
+  let ctx = fresh_ctx () in
+  let n = 5 and h = Gate.h 2 in
+  let original = Dd.Mdd.to_dense (gate_dd ctx ~n h) ~n in
+  ignore (Dd.Context.collect ctx ~v_roots:[] ~m_roots:[]);
+  check_int "unrooted: the entry is swept" 0 (gate_table ctx).entries;
+  let before = gate_table ctx in
+  let rebuilt = gate_dd ctx ~n h in
+  check_int "the rebuild is a miss" (before.misses + 1)
+    (gate_table ctx).misses;
+  check_dense_matrix "the rebuild equals the original" original
+    (Dd.Mdd.to_dense rebuilt ~n);
+  ignore (Dd.Context.collect ctx ~v_roots:[] ~m_roots:[ rebuilt ]);
+  check_int "rooted: the entry survives" 1 (gate_table ctx).entries;
+  let before = gate_table ctx in
+  let again = gate_dd ctx ~n h in
+  check_int "and hits" (before.hits + 1) (gate_table ctx).hits;
+  check_bool "with the rooted edge" true (Dd.Mdd.equal rebuilt again)
+
 let suite =
   [
     Alcotest.test_case "identity" `Quick test_identity;
@@ -291,6 +355,11 @@ let suite =
     Alcotest.test_case "control_top" `Quick test_control_top;
     Alcotest.test_case "add_matrices" `Quick test_add_matrices;
     Alcotest.test_case "entry" `Quick test_entry;
+    Alcotest.test_case "gate_memo_hit" `Quick test_gate_memo_hit;
+    Alcotest.test_case "gate_memo_key_is_exact" `Quick
+      test_gate_memo_key_is_exact;
+    Alcotest.test_case "gate_memo_follows_collect" `Quick
+      test_gate_memo_follows_collect;
   ]
 
 let test_of_diagonal () =

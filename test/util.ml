@@ -71,6 +71,13 @@ let dense_gate ~n (gate : Gate.t) =
             and ci = (c lsr gate.target) land 1 in
             m.((ri * 2) + ci)))
 
+(* A gate's control lines in the DD package's form. *)
+let dd_controls (gate : Gate.t) =
+  List.map
+    (fun (c : Gate.control) ->
+      { Dd.Context.qubit = c.qubit; positive = c.positive })
+    gate.controls
+
 let dense_circuit_matrix circuit =
   let n = Circuit.(circuit.qubits) in
   List.fold_left
