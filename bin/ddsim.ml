@@ -91,13 +91,13 @@ let export_trace ~format ~meta = function
       (Obs.Trace.length trace) (Obs.Trace.dropped trace)
 
 let print_metrics engine =
-  Format.printf "metrics:@.%a@?" Obs.Metrics.pp
+  Format.printf "metrics:@.%a@?" Dd_sim.Telemetry.pp
     (Dd_sim.Telemetry.snapshot engine)
 
 let stats_json_arg =
   let doc =
-    "Write the unified metrics snapshot (counters, gauges, log2 \
-     histograms) to $(docv) as one JSON object after the run."
+    "Write the unified metrics snapshot (counters and gauges) to $(docv) \
+     as one JSON object after the run."
   in
   Arg.(
     value & opt (some string) None
@@ -107,7 +107,7 @@ let write_stats_json engine = function
   | None -> ()
   | Some path ->
     Obs.Safe_io.write_file path
-      (Obs.Metrics.to_json (Dd_sim.Telemetry.snapshot engine) ^ "\n");
+      (Dd_sim.Telemetry.to_json (Dd_sim.Telemetry.snapshot engine) ^ "\n");
     Printf.printf "wrote metrics %s\n" path
 
 (* structural DD profiling, shared by run / simulate *)
@@ -352,32 +352,6 @@ let reorder_to_string = function
   | `Once -> "once"
   | `Adaptive -> "adaptive"
 
-let guarded_run ?(use_repeating = false) engine circuit ~strategy ~guard
-    ~checkpoint ~checkpoint_every ~resume =
-  let start_gate =
-    match resume with
-    | None -> 0
-    | Some path ->
-      let loaded, generation =
-        Dd_sim.Checkpoint.load_latest (Dd_sim.Engine.context engine) ~path
-      in
-      let start = Dd_sim.Checkpoint.restore engine loaded in
-      Printf.printf "resumed from %s at gate %d%s\n" path start
-        (match generation with
-        | Dd_sim.Checkpoint.Current -> ""
-        | Dd_sim.Checkpoint.Previous ->
-          " (latest checkpoint unreadable; previous generation)");
-      start
-  in
-  let on_checkpoint =
-    Option.map
-      (fun path ~gate_index ->
-        Dd_sim.Checkpoint.save engine ~strategy ~gate_index ~path)
-      checkpoint
-  in
-  Dd_sim.Engine.run ~strategy ~use_repeating ~guard ~checkpoint_every
-    ?on_checkpoint ~start_gate engine circuit
-
 (* budget aborts and bad checkpoints are expected outcomes, not crashes:
    report them on stderr with a distinct exit code *)
 let with_structured_errors f =
@@ -394,6 +368,13 @@ let with_structured_errors f =
   | Invalid_argument message ->
     Printf.eprintf "ddsim: %s\n" message;
     exit 2
+
+let read_source file =
+  let ic = open_in file in
+  let length = in_channel_length ic in
+  let text = really_input_string ic length in
+  close_in ic;
+  text
 
 (* circuit selection shared by run / export / dot *)
 
@@ -487,6 +468,110 @@ let finish engine samples stats seconds =
       (Dd_sim.Engine.context engine)
   end
 
+(* --- the simulation session shared by run / simulate ----------------- *)
+
+type session = {
+  strategy : Dd_sim.Strategy.t;
+  seed : int;
+  samples : int;
+  stats : bool;
+  no_fused : bool;
+  (* built inside [with_structured_errors]: a degenerate budget is an
+     input error, reported after the circuit is printed *)
+  guard : unit -> Dd_sim.Guard.t;
+  checkpoint : string option;
+  checkpoint_every : int;
+  resume : string option;
+  trace : string option;
+  trace_format : [ `Jsonl | `Chrome ];
+  metrics : bool;
+  profile : string option;
+  profile_every : int;
+  stats_json : string option;
+  ledger : string option;
+  audit_every : int;
+  audit_tol : float;
+  reorder : [ `Off | `Once | `Adaptive ];
+  order : string option;
+  bulge_factor : float;
+  reorder_every : int;
+}
+
+let session_term =
+  let make strategy seed samples stats no_fused max_nodes max_matrix
+      deadline norm_tol auto_gc checkpoint checkpoint_every resume trace
+      trace_format metrics profile profile_every stats_json ledger
+      audit_every audit_tol reorder order bulge_factor reorder_every =
+    let guard () =
+      guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
+    in
+    { strategy; seed; samples; stats; no_fused; guard; checkpoint;
+      checkpoint_every; resume; trace; trace_format; metrics; profile;
+      profile_every; stats_json; ledger; audit_every; audit_tol; reorder;
+      order; bulge_factor; reorder_every }
+  in
+  Term.(
+    const make $ strategy_arg $ seed_arg $ samples_arg $ stats_arg
+    $ no_fused_apply_arg $ max_nodes_arg $ max_matrix_arg $ deadline_arg
+    $ norm_tol_arg $ auto_gc_arg $ checkpoint_arg $ checkpoint_every_arg
+    $ resume_arg $ trace_arg $ trace_format_arg $ metrics_arg $ profile_arg
+    $ profile_every_arg $ stats_json_arg $ ledger_arg $ audit_every_arg
+    $ audit_tol_arg $ reorder_arg $ order_arg $ bulge_factor_arg
+    $ reorder_every_arg)
+
+(* [meta] names the circuit's source; the session appends its own
+   configuration before exporting the sidecars *)
+let simulate_session s ~meta ~use_repeating circuit =
+  Format.printf "%a@." Circuit.pp circuit;
+  let engine = Dd_sim.Engine.create ~seed:s.seed Circuit.(circuit.qubits) in
+  if s.no_fused then Dd_sim.Engine.set_fused_apply engine false;
+  arm_audit engine ~tolerance:s.audit_tol s.audit_every;
+  arm_reorder engine ~policy:s.reorder ~order:s.order
+    ~bulge_factor:s.bulge_factor ~every:s.reorder_every;
+  let traced = attach_trace engine s.trace in
+  let profiled = attach_profile engine ~every:s.profile_every s.profile in
+  let ledgered = attach_ledger engine s.ledger in
+  let guard = s.guard () in
+  let start = Obs.Clock.now () in
+  let start_gate =
+    match s.resume with
+    | None -> 0
+    | Some path ->
+      let loaded, generation =
+        Dd_sim.Checkpoint.load_latest (Dd_sim.Engine.context engine) ~path
+      in
+      let start = Dd_sim.Checkpoint.restore engine loaded in
+      Printf.printf "resumed from %s at gate %d%s\n" path start
+        (match generation with
+        | Dd_sim.Checkpoint.Current -> ""
+        | Dd_sim.Checkpoint.Previous ->
+          " (latest checkpoint unreadable; previous generation)");
+      start
+  in
+  let on_checkpoint =
+    Option.map
+      (fun path ~gate_index ->
+        Dd_sim.Checkpoint.save engine ~strategy:s.strategy ~gate_index ~path)
+      s.checkpoint
+  in
+  Dd_sim.Engine.run ~strategy:s.strategy ~use_repeating ~guard
+    ~checkpoint_every:s.checkpoint_every ?on_checkpoint ~start_gate engine
+    circuit;
+  finish engine s.samples s.stats (Obs.Clock.now () -. start);
+  let meta =
+    meta
+    @ [
+        ("qubits", string_of_int Circuit.(circuit.qubits));
+        ("strategy", Dd_sim.Strategy.to_string s.strategy);
+        ("reorder", reorder_to_string s.reorder);
+      ]
+  in
+  export_trace ~format:s.trace_format ~meta traced;
+  export_profile ~meta profiled;
+  export_ledger engine ~meta ledgered;
+  write_stats_json engine s.stats_json;
+  if s.metrics then print_metrics engine
+
 (* --- run ---------------------------------------------------------- *)
 
 let run_shor modulus base strategy construct =
@@ -510,60 +595,21 @@ let construct_arg =
         ~doc:"Shor: use the DD-construct backend (n+1 qubits).")
 
 let run_cmd =
-  let action algo qubits marked modulus base rows cols cycles gates seed
-      strategy repeating construct samples stats no_fused max_nodes
-      max_matrix deadline norm_tol auto_gc checkpoint checkpoint_every
-      resume trace trace_format metrics profile profile_every stats_json
-      ledger audit_every audit_tol reorder order bulge_factor reorder_every =
+  let action algo qubits marked modulus base rows cols cycles gates repeating
+      construct session =
     with_structured_errors @@ fun () ->
-    if algo = "shor" then run_shor modulus base strategy construct
-    else begin
-      let circuit =
-        circuit_of_options algo qubits marked rows cols cycles gates seed
-      in
-      Format.printf "%a@." Circuit.pp circuit;
-      let engine = Dd_sim.Engine.create ~seed Circuit.(circuit.qubits) in
-      if no_fused then Dd_sim.Engine.set_fused_apply engine false;
-      arm_audit engine ~tolerance:audit_tol audit_every;
-      arm_reorder engine ~policy:reorder ~order ~bulge_factor
-        ~every:reorder_every;
-      let traced = attach_trace engine trace in
-      let profiled = attach_profile engine ~every:profile_every profile in
-      let ledgered = attach_ledger engine ledger in
-      let guard =
-        guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
-      in
-      let start = Obs.Clock.now () in
-      guarded_run ~use_repeating:repeating engine circuit ~strategy ~guard
-        ~checkpoint ~checkpoint_every ~resume;
-      finish engine samples stats (Obs.Clock.now () -. start);
-      let meta =
-        [
-          ("algo", algo);
-          ("qubits", string_of_int Circuit.(circuit.qubits));
-          ("strategy", Dd_sim.Strategy.to_string strategy);
-          ("reorder", reorder_to_string reorder);
-          ]
-      in
-      export_trace ~format:trace_format ~meta traced;
-      export_profile ~meta profiled;
-      export_ledger engine ~meta ledgered;
-      write_stats_json engine stats_json;
-      if metrics then print_metrics engine
-    end
+    if algo = "shor" then run_shor modulus base session.strategy construct
+    else
+      simulate_session session ~meta:[ ("algo", algo) ]
+        ~use_repeating:repeating
+        (circuit_of_options algo qubits marked rows cols cycles gates
+           session.seed)
   in
   let term =
     Term.(
       const action $ algo_arg $ qubits_arg $ marked_arg $ modulus_arg
-      $ base_arg $ rows_arg $ cols_arg $ cycles_arg $ gates_arg $ seed_arg
-      $ strategy_arg $ repeating_arg $ construct_arg $ samples_arg
-      $ stats_arg $ no_fused_apply_arg $ max_nodes_arg
-      $ max_matrix_arg
-      $ deadline_arg $ norm_tol_arg $ auto_gc_arg $ checkpoint_arg
-      $ checkpoint_every_arg $ resume_arg $ trace_arg $ trace_format_arg
-      $ metrics_arg $ profile_arg $ profile_every_arg $ stats_json_arg
-      $ ledger_arg $ audit_every_arg $ audit_tol_arg $ reorder_arg
-      $ order_arg $ bulge_factor_arg $ reorder_every_arg)
+      $ base_arg $ rows_arg $ cols_arg $ cycles_arg $ gates_arg
+      $ repeating_arg $ construct_arg $ session_term)
   in
   Cmd.v (Cmd.info "run" ~doc:"Simulate a built-in benchmark circuit.") term
 
@@ -584,61 +630,15 @@ let detect_repeats_arg =
            DD-repeating treatment to them.")
 
 let simulate_cmd =
-  let action file strategy seed samples stats no_fused detect
-      max_nodes max_matrix deadline norm_tol auto_gc checkpoint
-      checkpoint_every resume trace trace_format metrics profile
-      profile_every stats_json ledger audit_every audit_tol reorder order
-      bulge_factor reorder_every =
+  let action file detect session =
     with_structured_errors @@ fun () ->
-    let source =
-      let ic = open_in file in
-      let length = in_channel_length ic in
-      let text = really_input_string ic length in
-      close_in ic;
-      text
-    in
-    let circuit = Qasm.of_string ~name:file source in
+    let circuit = Qasm.of_string ~name:file (read_source file) in
     let circuit = if detect then Repeats.detect circuit else circuit in
-    Format.printf "%a@." Circuit.pp circuit;
-    let engine = Dd_sim.Engine.create ~seed Circuit.(circuit.qubits) in
-    if no_fused then Dd_sim.Engine.set_fused_apply engine false;
-    arm_audit engine ~tolerance:audit_tol audit_every;
-    arm_reorder engine ~policy:reorder ~order ~bulge_factor
-      ~every:reorder_every;
-    let traced = attach_trace engine trace in
-    let profiled = attach_profile engine ~every:profile_every profile in
-    let ledgered = attach_ledger engine ledger in
-    let guard =
-      guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
-    in
-    let start = Obs.Clock.now () in
-    guarded_run ~use_repeating:detect engine circuit ~strategy ~guard
-      ~checkpoint ~checkpoint_every ~resume;
-    finish engine samples stats (Obs.Clock.now () -. start);
-    let meta =
-      [
-        ("file", file);
-        ("qubits", string_of_int Circuit.(circuit.qubits));
-        ("strategy", Dd_sim.Strategy.to_string strategy);
-        ("reorder", reorder_to_string reorder);
-      ]
-    in
-    export_trace ~format:trace_format ~meta traced;
-    export_profile ~meta profiled;
-    export_ledger engine ~meta ledgered;
-    write_stats_json engine stats_json;
-    if metrics then print_metrics engine
+    simulate_session session ~meta:[ ("file", file) ] ~use_repeating:detect
+      circuit
   in
   let term =
-    Term.(
-      const action $ qasm_file_arg $ strategy_arg $ seed_arg $ samples_arg
-      $ stats_arg $ no_fused_apply_arg $ detect_repeats_arg
-      $ max_nodes_arg $ max_matrix_arg $ deadline_arg $ norm_tol_arg
-      $ auto_gc_arg
-      $ checkpoint_arg $ checkpoint_every_arg $ resume_arg $ trace_arg
-      $ trace_format_arg $ metrics_arg $ profile_arg $ profile_every_arg
-      $ stats_json_arg $ ledger_arg $ audit_every_arg $ audit_tol_arg
-      $ reorder_arg $ order_arg $ bulge_factor_arg $ reorder_every_arg)
+    Term.(const action $ qasm_file_arg $ detect_repeats_arg $ session_term)
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate an OpenQASM 2.0 file.") term
 
@@ -697,13 +697,6 @@ let dot_cmd =
     term
 
 (* --- optimize -------------------------------------------------------- *)
-
-let read_source file =
-  let ic = open_in file in
-  let length = in_channel_length ic in
-  let text = really_input_string ic length in
-  close_in ic;
-  text
 
 let optimize_cmd =
   let action file =
@@ -877,7 +870,7 @@ let diff_file_a_arg =
     & info [] ~docv:"A.jsonl"
         ~doc:
           "First run: a JSONL trace (--trace), profile (--profile) or \
-           ledger (--ledger).")
+           ledger (--ledger); checkpoints carry no run to compare.")
 
 let diff_file_b_arg =
   Arg.(
@@ -1009,9 +1002,9 @@ let fsck_files_arg =
     non_empty & pos_all string []
     & info [] ~docv:"FILE"
         ~doc:
-          "Artifacts to validate: checkpoints (--checkpoint), JSONL \
-           traces (--trace), structural profiles (--profile) and \
-           strategy ledgers (--ledger).")
+          "Artifacts to validate, one JSONL document each: checkpoints \
+           (--checkpoint), traces (--trace), structural profiles \
+           (--profile) and strategy ledgers (--ledger).")
 
 let fsck_cmd =
   let action files =

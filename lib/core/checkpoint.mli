@@ -1,12 +1,25 @@
 (** Checkpoint / resume for simulation runs.
 
-    A checkpoint is a plain-text snapshot of everything {!Engine.run} needs
-    to continue exactly where it stopped: the state vector DD (via
-    {!Dd.Serialize}), the number of gates already applied, the combination
-    strategy, the measurement RNG state and the statistics counters.
-    Because loading re-canonicalises the DD, a checkpoint written from one
+    A checkpoint is a snapshot of everything {!Engine.run} needs to
+    continue exactly where it stopped: the state vector DD, the number of
+    gates already applied, the combination strategy, the variable order,
+    the measurement RNG state and the statistics counters.  Because
+    loading re-canonicalises the DD, a checkpoint written from one
     context can be restored into a fresh one — the normal case after the
     original process died.
+
+    The file is an {!Obs.Jsonl} document (schema [ddsim-checkpoint],
+    version 9) holding one record:
+
+    {v
+{"qubits":N,"gate_index":G,"strategy":"k:4","order":"identity",
+ "rng":"<hex>","stats":{"mat_vec_mults":12,...},"state":"ddvec ..."}
+    v}
+
+    [rng] is the Marshal snapshot of the RNG in hex; [stats] has one key
+    per {!Sim_stats.fields} entry (floats written with [%.17g], so they
+    read back bit for bit); [state] is {!Dd.Serialize.vector_to_string}'s
+    text as one JSON string.
 
     Typical wiring:
     {[
@@ -38,12 +51,24 @@ val snapshot : Engine.t -> strategy:Strategy.t -> gate_index:int -> t
 (** Capture the engine's current state (the RNG and stats are copied, so
     the snapshot is unaffected by further simulation). *)
 
+val schema : string
+(** ["ddsim-checkpoint"] *)
+
+val is_legacy : string -> bool
+(** The text opens with a pre-v9 plain-text header
+    (["ddsim-checkpoint N"]), which {!of_string} refuses by version. *)
+
 val to_string : t -> string
+(** The whole document, checksum trailer included. *)
 
 val of_string : Dd.Context.t -> ?source:string -> string -> t
 (** Parse a checkpoint, re-canonicalising the state DD into [context].
-    Raises {!Error.Error} ([Invalid_checkpoint]) on any malformed input;
-    [source] names the origin in the error (default ["<string>"]). *)
+    Raises {!Error.Error} ([Invalid_checkpoint]) on any malformed input,
+    with the {!Obs.Jsonl} message (["checkpoint:LINE: ..."]) when the
+    document is at fault; [source] names the origin in the error
+    (default ["<string>"]).  A [stats] counter the document lacks reads
+    as [0].  A pre-v9 plain-text checkpoint is refused by its
+    ["ddsim-checkpoint N"] header, with a message saying to re-run. *)
 
 val save : Engine.t -> strategy:Strategy.t -> gate_index:int -> path:string -> unit
 (** {!snapshot} then write to [path] crash-safely (write-to-temp, fsync,
@@ -54,10 +79,8 @@ val save : Engine.t -> strategy:Strategy.t -> gate_index:int -> path:string -> u
 
 val load : Dd.Context.t -> path:string -> t
 (** Read and parse [path].  Raises {!Error.Error} ([Invalid_checkpoint]) —
-    also for I/O failures, a missing or mismatched [checksum] trailer, and
-    files in an older format version (re-run to regenerate them).  The
-    current format is v8; v7 files, whose stats line still carried the
-    [--domains] pool size, are refused like every older version. *)
+    also for I/O failures, a missing or mismatched checksum trailer, and
+    files in an older format version (re-run to regenerate them). *)
 
 type generation = Current | Previous
 

@@ -508,9 +508,11 @@ let write_checkpoint rs ~force =
   | Some callback
     when force || rs.applied - rs.last_checkpoint >= rs.checkpoint_every ->
     let engine = rs.engine in
+    (* counted before the callback snapshots the stats, so the checkpoint
+       a run resumes from counts itself *)
+    engine.stats.checkpoints_written <- engine.stats.checkpoints_written + 1;
     callback ~gate_index:rs.applied;
     rs.last_checkpoint <- rs.applied;
-    engine.stats.checkpoints_written <- engine.stats.checkpoints_written + 1;
     if rs.traced then
       Obs.Trace.instant engine.trace Obs.Trace.Checkpoint ~gate:rs.applied
         ~state_nodes:(Dd.Vdd.node_count engine.state_edge)

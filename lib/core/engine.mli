@@ -210,7 +210,8 @@ val run :
     (default 1024), once more at the end of the run, and — crucially —
     immediately before any structured abort, so an interrupted run can be
     resumed from the last consistent state.  The callback should snapshot
-    the engine (see {!Checkpoint.save}).
+    the engine (see {!Checkpoint.save}); [checkpoints_written] already
+    counts the checkpoint it writes.
 
     [start_gate] (default 0) skips that many leading gates (in application
     order, as {!Circuit.flatten} orders them): the engine's state is

@@ -19,12 +19,8 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let is_prefix prefix text =
-  String.length text >= String.length prefix
-  && String.sub text 0 (String.length prefix) = prefix
-
 (* Parsing into a throwaway context exercises the full validation chain:
-   checksum trailer, header, stats arity, DD reconstruction, height. *)
+   checksum trailer, header, record fields, DD reconstruction, height. *)
 let check_checkpoint ~path text =
   let context = Dd.Context.create () in
   match Checkpoint.of_string context ~source:path text with
@@ -102,12 +98,13 @@ let check_ledger ~path =
 let check_file ~path =
   match read_file path with
   | exception Sys_error message -> fail ~path ~family:"unknown" message
-  | text when is_prefix "ddsim-checkpoint " text -> check_checkpoint ~path text
   | text -> (
     match Obs.Jsonl.schema_of text with
+    | Some s when s = Checkpoint.schema -> check_checkpoint ~path text
     | Some s when s = Obs.Trace_export.schema -> check_trace ~path text
     | Some s when s = Obs.Dd_profile.schema -> check_profile ~path text
     | Some s when s = Obs.Ledger.schema -> check_ledger ~path text
     | Some s ->
       fail ~path ~family:"unknown" (Printf.sprintf "unrecognised schema %S" s)
+    | None when Checkpoint.is_legacy text -> check_checkpoint ~path text
     | None -> fail ~path ~family:"unknown" "unrecognised artifact format")

@@ -1,9 +1,8 @@
 (** Artifact validation — the library behind [ddsim fsck].
 
-    Every sidecar the toolchain writes (checkpoints, JSONL traces,
-    JSONL structural profiles, JSONL strategy ledgers) is written
-    crash-safely
-    ({!Obs.Safe_io}) and carries a checksum trailer; [fsck] closes the
+    Every sidecar the toolchain writes (checkpoints, traces, structural
+    profiles, strategy ledgers) is an {!Obs.Jsonl} document written
+    crash-safely ({!Obs.Safe_io}) with a checksum trailer; [fsck] closes the
     loop by re-validating files at rest: the checksum, the schema, the
     full parse (checkpoints are reconstructed into a throwaway DD
     context), and cheap semantic invariants — gate indices must never
@@ -23,11 +22,12 @@ type report = {
 }
 
 val check_file : path:string -> report
-(** Sniff the artifact family from the first line (the checkpoint magic,
-    or a JSONL header's schema via {!Obs.Jsonl.schema_of}) and validate
-    the whole file with that family's strict reader, so a sidecar
-    without its checksum trailer fails.  Unreadable or unrecognised
-    files report [ok = false]. *)
+(** Sniff the artifact family from the JSONL header's schema
+    ({!Obs.Jsonl.schema_of}) and validate the whole file with that
+    family's strict reader, so a sidecar without its checksum trailer
+    fails.  A pre-v9 plain-text checkpoint is reported as a failed
+    [checkpoint].  Unreadable or unrecognised files report
+    [ok = false]. *)
 
 val to_string : report -> string
 (** ["PATH: OK family (detail)"] / ["PATH: FAIL family (detail)"]. *)

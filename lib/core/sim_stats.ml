@@ -53,59 +53,74 @@ let create () =
     ledger_entries = 0;
   }
 
-let reset stats =
-  stats.mat_vec_mults <- 0;
-  stats.mat_mat_mults <- 0;
-  stats.fast_path_applies <- 0;
-  stats.generic_applies <- 0;
-  stats.gates_seen <- 0;
-  stats.combined_applications <- 0;
-  stats.peak_state_nodes <- 0;
-  stats.peak_matrix_nodes <- 0;
-  stats.fallbacks <- 0;
-  stats.auto_gcs <- 0;
-  stats.renormalizations <- 0;
-  stats.checkpoints_written <- 0;
-  stats.gc_pause_seconds <- 0.;
-  stats.gc_reclaimed_nodes <- 0;
-  stats.wall_time_seconds <- 0.;
-  stats.trace_events_dropped <- 0;
-  stats.audits_run <- 0;
-  stats.audit_violations <- 0;
-  stats.audit_repairs <- 0;
-  stats.reorders_run <- 0;
-  stats.reorder_swaps <- 0;
-  stats.reorder_nodes_before <- 0;
-  stats.reorder_nodes_after <- 0;
-  stats.ledger_entries <- 0
+(* The one list of counters: reset, assign, the checkpoint's stats object
+   and the telemetry snapshot all walk it, so a new counter is a record
+   field, its [create] value and one line here. *)
+type field =
+  | Int of string * (t -> int) * (t -> int -> unit)
+  | Float of string * (t -> float) * (t -> float -> unit)
 
-let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
+let fields =
+  [
+    Int ("mat_vec_mults", (fun s -> s.mat_vec_mults),
+         fun s v -> s.mat_vec_mults <- v);
+    Int ("mat_mat_mults", (fun s -> s.mat_mat_mults),
+         fun s v -> s.mat_mat_mults <- v);
+    Int ("fast_path_applies", (fun s -> s.fast_path_applies),
+         fun s v -> s.fast_path_applies <- v);
+    Int ("generic_applies", (fun s -> s.generic_applies),
+         fun s v -> s.generic_applies <- v);
+    Int ("gates_seen", (fun s -> s.gates_seen),
+         fun s v -> s.gates_seen <- v);
+    Int ("combined_applications", (fun s -> s.combined_applications),
+         fun s v -> s.combined_applications <- v);
+    Int ("peak_state_nodes", (fun s -> s.peak_state_nodes),
+         fun s v -> s.peak_state_nodes <- v);
+    Int ("peak_matrix_nodes", (fun s -> s.peak_matrix_nodes),
+         fun s v -> s.peak_matrix_nodes <- v);
+    Int ("fallbacks", (fun s -> s.fallbacks),
+         fun s v -> s.fallbacks <- v);
+    Int ("auto_gcs", (fun s -> s.auto_gcs),
+         fun s v -> s.auto_gcs <- v);
+    Int ("renormalizations", (fun s -> s.renormalizations),
+         fun s v -> s.renormalizations <- v);
+    Int ("checkpoints_written", (fun s -> s.checkpoints_written),
+         fun s v -> s.checkpoints_written <- v);
+    Float ("gc_pause_seconds", (fun s -> s.gc_pause_seconds),
+           fun s v -> s.gc_pause_seconds <- v);
+    Int ("gc_reclaimed_nodes", (fun s -> s.gc_reclaimed_nodes),
+         fun s v -> s.gc_reclaimed_nodes <- v);
+    Float ("wall_time_seconds", (fun s -> s.wall_time_seconds),
+           fun s v -> s.wall_time_seconds <- v);
+    Int ("trace_events_dropped", (fun s -> s.trace_events_dropped),
+         fun s v -> s.trace_events_dropped <- v);
+    Int ("audits_run", (fun s -> s.audits_run),
+         fun s v -> s.audits_run <- v);
+    Int ("audit_violations", (fun s -> s.audit_violations),
+         fun s v -> s.audit_violations <- v);
+    Int ("audit_repairs", (fun s -> s.audit_repairs),
+         fun s v -> s.audit_repairs <- v);
+    Int ("reorders_run", (fun s -> s.reorders_run),
+         fun s v -> s.reorders_run <- v);
+    Int ("reorder_swaps", (fun s -> s.reorder_swaps),
+         fun s v -> s.reorder_swaps <- v);
+    Int ("reorder_nodes_before", (fun s -> s.reorder_nodes_before),
+         fun s v -> s.reorder_nodes_before <- v);
+    Int ("reorder_nodes_after", (fun s -> s.reorder_nodes_after),
+         fun s v -> s.reorder_nodes_after <- v);
+    Int ("ledger_entries", (fun s -> s.ledger_entries),
+         fun s v -> s.ledger_entries <- v);
+  ]
 
 let assign dst src =
-  dst.mat_vec_mults <- src.mat_vec_mults;
-  dst.mat_mat_mults <- src.mat_mat_mults;
-  dst.fast_path_applies <- src.fast_path_applies;
-  dst.generic_applies <- src.generic_applies;
-  dst.gates_seen <- src.gates_seen;
-  dst.combined_applications <- src.combined_applications;
-  dst.peak_state_nodes <- src.peak_state_nodes;
-  dst.peak_matrix_nodes <- src.peak_matrix_nodes;
-  dst.fallbacks <- src.fallbacks;
-  dst.auto_gcs <- src.auto_gcs;
-  dst.renormalizations <- src.renormalizations;
-  dst.checkpoints_written <- src.checkpoints_written;
-  dst.gc_pause_seconds <- src.gc_pause_seconds;
-  dst.gc_reclaimed_nodes <- src.gc_reclaimed_nodes;
-  dst.wall_time_seconds <- src.wall_time_seconds;
-  dst.trace_events_dropped <- src.trace_events_dropped;
-  dst.audits_run <- src.audits_run;
-  dst.audit_violations <- src.audit_violations;
-  dst.audit_repairs <- src.audit_repairs;
-  dst.reorders_run <- src.reorders_run;
-  dst.reorder_swaps <- src.reorder_swaps;
-  dst.reorder_nodes_before <- src.reorder_nodes_before;
-  dst.reorder_nodes_after <- src.reorder_nodes_after;
-  dst.ledger_entries <- src.ledger_entries
+  List.iter
+    (function
+      | Int (_, get, set) -> set dst (get src)
+      | Float (_, get, set) -> set dst (get src))
+    fields
+
+let reset stats = assign stats (create ())
+let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
 
 let pp fmt stats =
   let fast_pct =

@@ -63,12 +63,25 @@ type t = {
       (** cumulative state-DD node count leaving reordering passes *)
   mutable ledger_entries : int;
       (** entries committed to the attached {!Obs.Ledger} ([--ledger]);
-          [0] when no ledger is attached.  Observability-only: not
-          persisted in checkpoints. *)
+          [0] when no ledger is attached *)
 }
 
 val create : unit -> t
+(** Every counter at zero. *)
+
+(** One counter of {!t}: its name (the key of a checkpoint's [stats]
+    object and, prefixed with ["sim."], of {!Telemetry.snapshot}) and
+    its accessors. *)
+type field =
+  | Int of string * (t -> int) * (t -> int -> unit)
+  | Float of string * (t -> float) * (t -> float -> unit)
+
+val fields : field list
+(** Every counter of {!t}, once, in record order. *)
+
 val reset : t -> unit
+(** Zero every counter. *)
+
 val copy : t -> t
 
 val assign : t -> t -> unit

@@ -1,15 +1,22 @@
-(** Bridge from a live engine to the unified {!Obs.Metrics} vocabulary.
+(** Every counter family a live engine carries, as one flat list of named
+    readings: the {!Sim_stats} counters ([sim.*], one per
+    {!Sim_stats.fields} entry), per-compute-table hit/miss/eviction
+    counters ([table.*], {!Dd.Context.table_stats}), node counts
+    ([nodes.*]), memory gauges ([mem.*]) and DD garbage-collection
+    statistics ([gc.*], {!Dd.Context.gc_stats}).  What [ddsim run
+    --metrics] prints and [--stats-json] writes. *)
 
-    {!snapshot} freezes every counter family the engine carries —
-    {!Sim_stats} aggregates, per-compute-table hit/miss/eviction counters
-    ({!Dd.Context.table_stats}) and DD garbage-collection statistics
-    ({!Dd.Context.gc_stats}) — into one sorted {!Obs.Metrics.snapshot}.
-    Pair two snapshots with {!Obs.Metrics.diff} to cost a phase. *)
+type value = Count of int | Value of float
 
-val populate : Obs.Metrics.t -> Engine.t -> unit
-(** Write the engine's current readings into a registry (instruments are
-    registered on first use, so any registry works). *)
+type snapshot = (string * value) list
+(** Sorted by name. *)
 
-val snapshot : Engine.t -> Obs.Metrics.snapshot
-(** [snapshot e] is [populate r e; Obs.Metrics.snapshot r] on a fresh
-    registry. *)
+val snapshot : Engine.t -> snapshot
+(** The engine's current readings. *)
+
+val to_json : snapshot -> string
+(** One JSON object keyed by name: counts as integers, values as
+    numbers ([%.9g]). *)
+
+val pp : Format.formatter -> snapshot -> unit
+(** One ["name value"] line per reading. *)

@@ -177,17 +177,21 @@ let gate_kind ctx entries =
   in
   (e, kind_id)
 
+(* Every compute table, in [table_stats] order, for the walks that treat
+   them alike.  A fold with a polymorphic visitor instead of a list of
+   wrapped tables: the walk allocates nothing, which keeps
+   [compute_table_bytes] free on the ledger commit path.  [collect] does
+   not use it: each table's sweep has its own liveness rule. *)
+type 'acc visitor = { visit : 'v. 'v Compute_table.t -> 'acc -> 'acc }
+
+let fold_tables ctx { visit } acc =
+  acc |> visit ctx.add_v |> visit ctx.add_m |> visit ctx.mul_mv
+  |> visit ctx.mul_mm |> visit ctx.apply_v |> visit ctx.dot
+  |> visit ctx.adjoint |> visit ctx.norm |> visit ctx.max_mag
+  |> visit ctx.gate
+
 let clear_compute_caches ctx =
-  Compute_table.clear ctx.add_v;
-  Compute_table.clear ctx.add_m;
-  Compute_table.clear ctx.mul_mv;
-  Compute_table.clear ctx.mul_mm;
-  Compute_table.clear ctx.apply_v;
-  Compute_table.clear ctx.gate;
-  Compute_table.clear ctx.dot;
-  Compute_table.clear ctx.adjoint;
-  Compute_table.clear ctx.norm;
-  Compute_table.clear ctx.max_mag
+  fold_tables ctx { visit = (fun t () -> Compute_table.clear t) } ()
 
 let v_unique_size ctx = Hashcons.V.created ctx.v_unique
 let m_unique_size ctx = Hashcons.M.created ctx.m_unique
@@ -195,18 +199,10 @@ let live_v_nodes ctx = Hashcons.V.length ctx.v_unique
 let live_m_nodes ctx = Hashcons.M.length ctx.m_unique
 
 let table_stats ctx =
-  [
-    Compute_table.stats ctx.add_v;
-    Compute_table.stats ctx.add_m;
-    Compute_table.stats ctx.mul_mv;
-    Compute_table.stats ctx.mul_mm;
-    Compute_table.stats ctx.apply_v;
-    Compute_table.stats ctx.dot;
-    Compute_table.stats ctx.adjoint;
-    Compute_table.stats ctx.norm;
-    Compute_table.stats ctx.max_mag;
-    Compute_table.stats ctx.gate;
-  ]
+  List.rev
+    (fold_tables ctx
+       { visit = (fun t stats -> Compute_table.stats t :: stats) }
+       [])
 
 (* -- table residency estimates ---------------------------------------- *)
 
@@ -235,24 +231,13 @@ let unique_table_bytes ctx =
     + (live_m_nodes ctx * mnode_words)
     + (Ctable.size ctx.ctable * cnum_entry_words))
 
-(* O(1): every Compute_table.length is one field read, never the
-   [table_stats] allocation path — this runs on the ledger commit path.
-   Entries, not allocated slots, so a table's first store does not move
-   the gauge. *)
+(* O(1): one field read per table, never a [table_stats] record — this
+   runs on the ledger commit path.  Entries, not allocated slots, so a
+   table's first store does not move the gauge. *)
+let count_entries = { visit = (fun t n -> n + Compute_table.length t) }
+
 let compute_table_bytes ctx =
-  let entries =
-    Compute_table.length ctx.add_v
-    + Compute_table.length ctx.add_m
-    + Compute_table.length ctx.mul_mv
-    + Compute_table.length ctx.mul_mm
-    + Compute_table.length ctx.apply_v
-    + Compute_table.length ctx.dot
-    + Compute_table.length ctx.adjoint
-    + Compute_table.length ctx.norm
-    + Compute_table.length ctx.max_mag
-    + Compute_table.length ctx.gate
-  in
-  bytes_per_word * compute_entry_words * entries
+  bytes_per_word * compute_entry_words * fold_tables ctx count_entries 0
 
 let residency_bytes ctx = unique_table_bytes ctx + compute_table_bytes ctx
 
@@ -264,16 +249,7 @@ let per_level_v_nodes ctx ~levels =
   Hashcons.V.per_level_counts ctx.v_unique ~levels
 
 let reset_stats ctx =
-  Compute_table.reset_counters ctx.add_v;
-  Compute_table.reset_counters ctx.add_m;
-  Compute_table.reset_counters ctx.mul_mv;
-  Compute_table.reset_counters ctx.mul_mm;
-  Compute_table.reset_counters ctx.apply_v;
-  Compute_table.reset_counters ctx.dot;
-  Compute_table.reset_counters ctx.adjoint;
-  Compute_table.reset_counters ctx.norm;
-  Compute_table.reset_counters ctx.max_mag;
-  Compute_table.reset_counters ctx.gate;
+  fold_tables ctx { visit = (fun t () -> Compute_table.reset_counters t) } ();
   let gc = ctx.gc in
   gc.collections <- 0;
   gc.pause_total <- 0.;

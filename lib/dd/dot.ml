@@ -5,7 +5,7 @@ let weight_label ?(annotate = false) w =
   if annotate then
     Printf.sprintf " [label=\"%s |w|=%.4g (2^%d)\"]" (Cnum.to_string w)
       (Cnum.mag w)
-      (Obs.Metrics.bucket_exponent (Cnum.mag w))
+      (Obs.Dd_profile.bucket_exponent (Cnum.mag w))
   else if Cnum.is_exact_one w then ""
   else Printf.sprintf " [label=\"%s\"]" (Cnum.to_string w)
 
@@ -103,7 +103,7 @@ let matrix_to_dot ?(name = "matrix_dd") ?(annotate = false)
         if annotate then
           Printf.sprintf ", %s |w|=%.4g (2^%d)" (Cnum.to_string child.mw)
             (Cnum.mag child.mw)
-            (Obs.Metrics.bucket_exponent (Cnum.mag child.mw))
+            (Obs.Dd_profile.bucket_exponent (Cnum.mag child.mw))
         else if Cnum.is_exact_one child.mw then ""
         else ", " ^ Cnum.to_string child.mw
       in

@@ -21,7 +21,7 @@ let acc_for table level =
     acc
 
 let note_weight acc w =
-  let exponent = Obs.Metrics.bucket_exponent (Cnum.mag w) in
+  let exponent = Obs.Dd_profile.bucket_exponent (Cnum.mag w) in
   let count =
     match Hashtbl.find_opt acc.buckets exponent with
     | Some c -> c

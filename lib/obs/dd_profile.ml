@@ -18,6 +18,12 @@ type snapshot = {
   levels : level list;
 }
 
+let bucket_exponent v =
+  if v <= 0. then -32
+  else
+    let _, e = Float.frexp v in
+    if e < -32 then -32 else if e > 31 then 31 else e
+
 (* -- sinks ----------------------------------------------------------- *)
 
 type sink = {

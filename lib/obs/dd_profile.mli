@@ -29,9 +29,14 @@ type level = {
   zero_edges : int;  (** zero stubs leaving those nodes *)
   weights : (int * int) list;
       (** sparse log2 histogram of out-edge weight magnitudes: pairs
-          [(exponent, count)] with {!Metrics.bucket_exponent} semantics,
+          [(exponent, count)] with {!bucket_exponent} semantics,
           ascending by exponent *)
 }
+
+val bucket_exponent : float -> int
+(** The log2 bucket a weight magnitude lands in: the [e] in [-32, 31]
+    with [2^(e-1) <= v < 2^e] (non-positive values land in -32,
+    out-of-range exponents clamp). *)
 
 type snapshot = {
   gate_index : int;  (** flattened gate index the DD reflects; [-1] n/a *)

@@ -1,5 +1,5 @@
 (** The JSONL container every sidecar family shares (traces, structural
-    profiles, strategy ledgers).
+    profiles, strategy ledgers, checkpoints).
 
     A document is one header line, one JSON object per record, and a
     checksum trailer:

@@ -40,9 +40,9 @@ let write_file path contents =
 let jsonl_trailer body =
   Printf.sprintf "{\"checksum\":\"%s\"}\n" (checksum body)
 
-(* both trailer forms sit on the last non-empty line; the body handed
-   back must be byte-exact (including its final newline) because it is
-   the checksummed text *)
+(* the trailer sits on the last non-empty line; the body handed back
+   must be byte-exact (including its final newline) because it is the
+   checksummed text *)
 let split_last_line text =
   let stop = ref (String.length text) in
   while !stop > 0 && text.[!stop - 1] = '\n' do
@@ -67,13 +67,5 @@ let split_jsonl_trailer text =
     | Some rest when String.length rest >= 18 && String.sub rest 16 2 = "\"}"
       ->
       (body, Some (String.sub rest 0 16))
-    | _ -> (text, None))
-  | None -> (text, None)
-
-let split_text_trailer text =
-  match split_last_line text with
-  | Some (body, line) -> (
-    match strip_prefix ~prefix:"checksum " line with
-    | Some hex when String.length hex = 16 -> (body, Some hex)
     | _ -> (text, None))
   | None -> (text, None)

@@ -7,9 +7,10 @@
     half-flushed artifact at the destination path — the old file (if
     any) survives intact.
 
-    Formats that want end-to-end integrity additionally carry a checksum
-    trailer ({!checksum}, FNV-1a 64 in hex) covering every byte before
-    the trailer line; [ddsim fsck] and the parsers verify it. *)
+    The JSONL sidecars ({!Jsonl}: traces, profiles, ledgers,
+    checkpoints) additionally carry a checksum trailer ({!checksum},
+    FNV-1a 64 in hex) covering every byte before the trailer line;
+    [ddsim fsck] and the parsers verify it. *)
 
 val checksum : string -> string
 (** FNV-1a 64-bit hash of the text, as 16 lowercase hex digits. *)
@@ -29,7 +30,3 @@ val split_jsonl_trailer : string -> string * string option
     [{"checksum":"..."}] object, [(text, None)] otherwise.  [body]
     retains its terminating newline, i.e. it is exactly the text the
     checksum was computed over. *)
-
-val split_text_trailer : string -> string * string option
-(** Same splitting for plain-text formats whose trailer is a final
-    [checksum <hex>] line (the checkpoint format). *)

@@ -258,6 +258,20 @@ let test_parse_errors_are_located () =
            ("{\"schema\":\"ddsim-profile\",\"version\":1,\"every\":1}\n"
           ^ "{\"gate\":0,\"nodes\":1}\n" ^ "{not json\n")))
 
+(* -- weight buckets ----------------------------------------------------- *)
+
+let test_bucket_exponent () =
+  (* bucket e holds observations in [2^(e-1), 2^e) — Float.frexp's
+     exponent, clamped to the 64-bucket range *)
+  check_int "0.75 -> 0" 0 (Obs.Dd_profile.bucket_exponent 0.75);
+  check_int "1.0 -> 1" 1 (Obs.Dd_profile.bucket_exponent 1.0);
+  check_int "1.5 -> 1" 1 (Obs.Dd_profile.bucket_exponent 1.5);
+  check_int "2.0 -> 2" 2 (Obs.Dd_profile.bucket_exponent 2.0);
+  check_int "3.0 -> 2" 2 (Obs.Dd_profile.bucket_exponent 3.0);
+  check_int "non-positive -> floor" (-32) (Obs.Dd_profile.bucket_exponent 0.);
+  check_int "tiny -> floor" (-32) (Obs.Dd_profile.bucket_exponent 1e-300);
+  check_int "huge -> ceiling" 31 (Obs.Dd_profile.bucket_exponent 1e300)
+
 let suite =
   [
     Alcotest.test_case "ghz profile" `Quick test_ghz_profile;
@@ -280,4 +294,5 @@ let suite =
     Alcotest.test_case "jsonl round trip" `Quick test_jsonl_round_trip;
     Alcotest.test_case "parse errors located" `Quick
       test_parse_errors_are_located;
+    Alcotest.test_case "bucket exponent" `Quick test_bucket_exponent;
   ]

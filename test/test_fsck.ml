@@ -54,14 +54,6 @@ let test_jsonl_trailer_absent () =
   Alcotest.(check string) "text unchanged" text body;
   check_bool "no trailer" true (trailer = None)
 
-let test_text_trailer_roundtrip () =
-  let body = "ddsim-checkpoint 5\nqubits 2\n" in
-  let text = body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n" in
-  let split_body, trailer = Obs.Safe_io.split_text_trailer text in
-  Alcotest.(check string) "body preserved" body split_body;
-  check_bool "trailer recovered" true
-    (trailer = Some (Obs.Safe_io.checksum body))
-
 let test_write_file_atomic () =
   let path = temp_path ".txt" in
   Obs.Safe_io.write_file path "first\n";
@@ -94,8 +86,8 @@ let test_rejects_checksum_mismatch () =
     (invalid_checkpoint_rejects (Bytes.to_string bytes))
 
 let test_rejects_missing_trailer () =
-  let body, _ = Obs.Safe_io.split_text_trailer (checkpoint_text ()) in
-  check_bool "v5 without its trailer is a structured error" true
+  let body, _ = Obs.Safe_io.split_jsonl_trailer (checkpoint_text ()) in
+  check_bool "a checkpoint without its trailer is a structured error" true
     (invalid_checkpoint_rejects body)
 
 (* -- rotation and generation fallback ------------------------------------ *)
@@ -156,39 +148,55 @@ let test_load_latest_falls_back () =
 
 let fsck path = Dd_sim.Fsck.check_file ~path
 
-(* Only the current format is read.  A v8 checkpoint rewritten as v7 (its
-   header, the 24-field stats line v7 wrote with its pool size, a fresh
-   valid trailer) or as v6 (23 fields, like v8) must be refused by
-   version, not misparsed — by the loader and by fsck alike. *)
+(* A pre-v9 text checkpoint as its writer laid it out: header, fields,
+   the positional stats line, the serialized state and a [checksum]
+   trailer over everything before it. *)
+let text_checkpoint version ~stats_fields =
+  let engine = Dd_sim.Engine.create 4 in
+  let body =
+    String.concat "\n"
+      [
+        Printf.sprintf "ddsim-checkpoint %d" version;
+        "qubits 4";
+        "gate_index 25";
+        "strategy seq";
+        "order identity";
+        "rng 00";
+        "stats " ^ String.concat " " (List.init stats_fields (fun _ -> "0"));
+        "state";
+        Dd.Serialize.vector_to_string (Dd_sim.Engine.state engine);
+      ]
+  in
+  body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n"
+
+(* Only the current format is read.  Text checkpoints of v8 (23 stats
+   fields), v7 (24, the last the pool size) and v6 (23) must be refused
+   by version, not misparsed, and so must a JSONL checkpoint of another
+   version — by the loader and by fsck alike. *)
 let test_rejects_old_version () =
-  let body, _ = Obs.Safe_io.split_text_trailer (checkpoint_text ()) in
-  let rewrite version ~stats_suffix =
-    let body =
-      String.split_on_char '\n' body
-      |> List.map (fun line ->
-             if line = "ddsim-checkpoint 8" then
-               Printf.sprintf "ddsim-checkpoint %d" version
-             else if String.length line > 6 && String.sub line 0 6 = "stats "
-             then line ^ stats_suffix
-             else line)
-      |> String.concat "\n"
-    in
-    body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n"
+  let rerun version =
+    Printf.sprintf
+      "checkpoint format version %d is no longer readable (current is 9); \
+       re-run the simulation to regenerate it"
+      version
+  in
+  let other_jsonl_version =
+    let body, _ = Obs.Safe_io.split_jsonl_trailer (checkpoint_text ()) in
+    let v9 = "{\"schema\":\"ddsim-checkpoint\",\"version\":9" in
+    let n = String.length v9 in
+    check_bool "v9 header" true (String.sub body 0 n = v9);
+    sealed_jsonl
+      ("{\"schema\":\"ddsim-checkpoint\",\"version\":10"
+      ^ String.sub body n (String.length body - n))
   in
   List.iter
-    (fun (version, text) ->
-      let source = Printf.sprintf "v%d" version in
+    (fun (source, text, expected) ->
       (match Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source text with
       | _ -> Alcotest.failf "a %s checkpoint was accepted" source
       | exception
           Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ })
         ->
-        Alcotest.(check string)
-          (source ^ ": names the version and says to re-run")
-          (Printf.sprintf
-             "checkpoint format version %d is no longer readable (current \
-              is 8); re-run the simulation to regenerate it"
-             version)
+        Alcotest.(check string) (source ^ ": names the version") expected
           message);
       let path = temp_path ".ckpt" in
       Obs.Safe_io.write_file path text;
@@ -199,8 +207,12 @@ let test_rejects_old_version () =
       Alcotest.(check string) "family" "checkpoint" report.Dd_sim.Fsck.family;
       cleanup path)
     [
-      (7, rewrite 7 ~stats_suffix:" 1");
-      (6, rewrite 6 ~stats_suffix:"");
+      ("v8", text_checkpoint 8 ~stats_fields:23, rerun 8);
+      ("v7", text_checkpoint 7 ~stats_fields:24, rerun 7);
+      ("v6", text_checkpoint 6 ~stats_fields:23, rerun 6);
+      ( "v10",
+        other_jsonl_version,
+        "checkpoint:1: unsupported schema version 10 (current is 9)" );
     ]
 
 let test_fsck_good_checkpoint () =
@@ -281,8 +293,9 @@ let test_fsck_flags_reordered_trace () =
     (mentions report.Dd_sim.Fsck.detail "goes backwards");
   cleanup path
 
-(* One small run with every JSONL sink attached, and each family's
-   strict reader for the document it wrote. *)
+(* One small run with every JSONL sink attached plus its checkpoint, and
+   each family's strict reader for the document it wrote (the
+   checkpoint's structured error read as its message). *)
 let sidecars () =
   let trace = Obs.Trace.create () in
   let profile = Obs.Dd_profile.create ~every:2 () in
@@ -293,6 +306,10 @@ let sidecars () =
   Dd_sim.Engine.set_ledger engine ledger;
   Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 3) engine
     (Standard.random_circuit ~seed:59 ~qubits:3 ~gates:12 ());
+  let checkpoint =
+    Dd_sim.Checkpoint.snapshot engine
+      ~strategy:(Dd_sim.Strategy.K_operations 3) ~gate_index:12
+  in
   [
     ( "trace",
       Obs.Trace_export.jsonl trace,
@@ -303,6 +320,15 @@ let sidecars () =
     ( "ledger",
       Obs.Ledger.jsonl ledger,
       fun text -> ignore (Obs.Ledger.parse_jsonl text) );
+    ( "checkpoint",
+      Dd_sim.Checkpoint.to_string checkpoint,
+      fun text ->
+        match Dd_sim.Checkpoint.of_string (fresh_ctx ()) text with
+        | _ -> ()
+        | exception
+            Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ })
+          ->
+          failwith message );
   ]
 
 (* ["<family>:LINE: ..."] *)
@@ -365,8 +391,6 @@ let suite =
     Alcotest.test_case "jsonl trailer roundtrip" `Quick
       test_jsonl_trailer_roundtrip;
     Alcotest.test_case "jsonl trailer absent" `Quick test_jsonl_trailer_absent;
-    Alcotest.test_case "text trailer roundtrip" `Quick
-      test_text_trailer_roundtrip;
     Alcotest.test_case "write_file replaces atomically" `Quick
       test_write_file_atomic;
     Alcotest.test_case "rejects older checkpoint versions" `Quick

@@ -202,24 +202,34 @@ let test_abort_writes_resumable_checkpoint () =
   let circuit = Standard.random_circuit ~seed:23 ~qubits:5 ~gates:30 () in
   let path = Filename.temp_file "ddsim" ".ckpt" in
   let strategy = Dd_sim.Strategy.Sequential in
-  let engine = Dd_sim.Engine.create 5 in
-  let on_checkpoint ~gate_index =
+  let written = ref 0 in
+  let on_checkpoint engine ~gate_index =
+    incr written;
     Dd_sim.Checkpoint.save engine ~strategy ~gate_index ~path
   in
+  let engine = Dd_sim.Engine.create 5 in
   let guard = Dd_sim.Guard.make ~deadline:0. () in
-  (match Dd_sim.Engine.run ~strategy ~guard ~on_checkpoint engine circuit with
+  (match
+     Dd_sim.Engine.run ~strategy ~guard ~on_checkpoint:(on_checkpoint engine)
+       engine circuit
+   with
   | () -> Alcotest.fail "expected a deadline abort"
   | exception Dd_sim.Error.Error (Dd_sim.Error.Budget_exhausted _) -> ());
   let resumed = Dd_sim.Engine.create 5 in
   let checkpoint =
     Dd_sim.Checkpoint.load (Dd_sim.Engine.context resumed) ~path
   in
-  Sys.remove path;
   let start_gate = Dd_sim.Checkpoint.restore resumed checkpoint in
-  Dd_sim.Engine.run ~strategy ~start_gate resumed circuit;
+  Dd_sim.Engine.run ~strategy ~start_gate
+    ~on_checkpoint:(on_checkpoint resumed) resumed circuit;
+  Sys.remove path;
+  if Sys.file_exists (path ^ ".prev") then Sys.remove (path ^ ".prev");
   let reference = run_plain circuit in
   check_cnum_array "resumed-after-abort equals clean run"
-    (final_array reference) (final_array resumed)
+    (final_array reference) (final_array resumed);
+  (* the checkpoint the run resumed from counts itself *)
+  check_int "checkpoints_written counts both runs' checkpoints" !written
+    (Dd_sim.Engine.stats resumed).Dd_sim.Sim_stats.checkpoints_written
 
 let test_periodic_checkpoints_fire () =
   let gates = 40 in
@@ -282,16 +292,27 @@ let test_invalid_checkpoint_rejected () =
       (Dd_sim.Checkpoint.snapshot engine
          ~strategy:Dd_sim.Strategy.Sequential ~gate_index:2)
   in
-  (* corrupt one field of an otherwise-valid checkpoint *)
+  (* corrupt one stats field and re-seal the document, so the stats
+     decoder, not the checksum, is what rejects it *)
   let corrupted =
-    String.split_on_char '\n' good
-    |> List.map (fun line ->
-           if String.length line >= 6 && String.sub line 0 6 = "stats " then
-             "stats 1 2 three"
-           else line)
-    |> String.concat "\n"
+    let body, _ = Obs.Safe_io.split_jsonl_trailer good in
+    let key = "\"gates_seen\":" in
+    let rec at i =
+      if String.sub body i (String.length key) = key then i else at (i + 1)
+    in
+    let i = at 0 + String.length key in
+    let j = String.index_from body i ',' in
+    sealed_jsonl
+      (String.sub body 0 i ^ "\"three\""
+      ^ String.sub body j (String.length body - j))
   in
-  reject "corrupt stats" corrupted
+  (match Dd_sim.Checkpoint.of_string (fresh_ctx ()) corrupted with
+  | (_ : Dd_sim.Checkpoint.t) -> Alcotest.fail "corrupt stats accepted"
+  | exception
+      Dd_sim.Error.Error (Dd_sim.Error.Invalid_checkpoint { message; _ }) ->
+    Alcotest.(check string)
+      "rejected by the stats decoder" "checkpoint:2: stats.gates_seen is \
+       not an integer" message)
 
 let test_checkpoint_roundtrip_fields () =
   let engine = Dd_sim.Engine.create ~seed:5 3 in

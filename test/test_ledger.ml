@@ -366,8 +366,8 @@ let test_memory_telemetry_family () =
   Dd_sim.Engine.run engine circuit;
   let snap = Dd_sim.Telemetry.snapshot engine in
   let count name =
-    match Obs.Metrics.find snap name with
-    | Some (Obs.Metrics.Count v) -> v
+    match List.assoc_opt name snap with
+    | Some (Dd_sim.Telemetry.Count v) -> v
     | _ -> Alcotest.fail (Printf.sprintf "metric %s missing" name)
   in
   check_bool "heap gauge is live" true (count "mem.heap_live_words" > 0);

@@ -308,75 +308,7 @@ let test_gc_span_recorded () =
   check_bool "explicit collection emits a Gc event" true
     (count_kind trace Obs.Trace.Gc >= 1)
 
-(* -- metrics -------------------------------------------------------- *)
-
-let test_metrics_registry () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r "ops" in
-  Obs.Metrics.add c 3;
-  Obs.Metrics.add c 4;
-  check_int "counter accumulates" 7 (Obs.Metrics.count c);
-  let g = Obs.Metrics.gauge r "load" in
-  Obs.Metrics.set g 1.5;
-  let h = Obs.Metrics.histogram r "latency" in
-  Obs.Metrics.observe h 0.75;
-  Obs.Metrics.observe h 3.0;
-  let snap = Obs.Metrics.snapshot r in
-  check_bool "counter in snapshot" true
-    (Obs.Metrics.find snap "ops" = Some (Obs.Metrics.Count 7));
-  check_bool "gauge in snapshot" true
-    (Obs.Metrics.find snap "load" = Some (Obs.Metrics.Value 1.5));
-  (match Obs.Metrics.find snap "latency" with
-  | Some (Obs.Metrics.Histogram { count; sum; buckets }) ->
-    check_int "histogram count" 2 count;
-    check_bool "histogram sum" true (Float.abs (sum -. 3.75) < 1e-12);
-    check_bool "histogram buckets" true (buckets = [ (0, 1); (2, 1) ])
-  | _ -> Alcotest.fail "histogram missing");
-  (* same name, same kind: the same instrument comes back *)
-  Obs.Metrics.add (Obs.Metrics.counter r "ops") 1;
-  check_int "re-registration returns the same counter" 8
-    (Obs.Metrics.count c);
-  (* same name, different kind: refused *)
-  match Obs.Metrics.gauge r "ops" with
-  | _ -> Alcotest.fail "kind mismatch accepted"
-  | exception Invalid_argument _ -> ()
-
-let test_bucket_exponent () =
-  (* bucket e holds observations in [2^(e-1), 2^e) — Float.frexp's
-     exponent, clamped to the 64-bucket range *)
-  check_int "0.75 -> 0" 0 (Obs.Metrics.bucket_exponent 0.75);
-  check_int "1.0 -> 1" 1 (Obs.Metrics.bucket_exponent 1.0);
-  check_int "1.5 -> 1" 1 (Obs.Metrics.bucket_exponent 1.5);
-  check_int "2.0 -> 2" 2 (Obs.Metrics.bucket_exponent 2.0);
-  check_int "3.0 -> 2" 2 (Obs.Metrics.bucket_exponent 3.0);
-  check_int "non-positive -> floor" (-32) (Obs.Metrics.bucket_exponent 0.);
-  check_int "tiny -> floor" (-32) (Obs.Metrics.bucket_exponent 1e-300);
-  check_int "huge -> ceiling" 31 (Obs.Metrics.bucket_exponent 1e300)
-
-let test_metrics_diff () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r "ops" in
-  let g = Obs.Metrics.gauge r "load" in
-  let h = Obs.Metrics.histogram r "lat" in
-  Obs.Metrics.add c 5;
-  Obs.Metrics.set g 1.0;
-  Obs.Metrics.observe h 1.0;
-  let before = Obs.Metrics.snapshot r in
-  Obs.Metrics.add c 2;
-  Obs.Metrics.set g 9.0;
-  Obs.Metrics.observe h 1.0;
-  Obs.Metrics.observe h 4.0;
-  let after = Obs.Metrics.snapshot r in
-  let d = Obs.Metrics.diff ~before ~after in
-  check_bool "counter diff subtracts" true
-    (Obs.Metrics.find d "ops" = Some (Obs.Metrics.Count 2));
-  check_bool "gauge diff keeps the after reading" true
-    (Obs.Metrics.find d "load" = Some (Obs.Metrics.Value 9.0));
-  match Obs.Metrics.find d "lat" with
-  | Some (Obs.Metrics.Histogram { count; buckets; _ }) ->
-    check_int "histogram diff count" 2 count;
-    check_bool "histogram diff buckets" true (buckets = [ (1, 1); (3, 1) ])
-  | _ -> Alcotest.fail "histogram diff missing"
+(* -- telemetry -------------------------------------------------------- *)
 
 let test_telemetry_snapshot () =
   let circuit = Qft.circuit 5 in
@@ -384,25 +316,117 @@ let test_telemetry_snapshot () =
   Dd_sim.Engine.run ~strategy:(Dd_sim.Strategy.K_operations 3) engine circuit;
   let stats = Dd_sim.Engine.stats engine in
   let snap = Dd_sim.Telemetry.snapshot engine in
+  let find name = List.assoc_opt name snap in
   check_bool "mat_vec_mults bridged" true
-    (Obs.Metrics.find snap "sim.mat_vec_mults"
-    = Some (Obs.Metrics.Count stats.Dd_sim.Sim_stats.mat_vec_mults));
+    (find "sim.mat_vec_mults"
+    = Some (Dd_sim.Telemetry.Count stats.Dd_sim.Sim_stats.mat_vec_mults));
   check_bool "mat_mat_mults bridged" true
-    (Obs.Metrics.find snap "sim.mat_mat_mults"
-    = Some (Obs.Metrics.Count stats.Dd_sim.Sim_stats.mat_mat_mults));
+    (find "sim.mat_mat_mults"
+    = Some (Dd_sim.Telemetry.Count stats.Dd_sim.Sim_stats.mat_mat_mults));
   check_bool "per-table hits bridged" true
-    (match Obs.Metrics.find snap "table.mul_mm.hits" with
-    | Some (Obs.Metrics.Count _) -> true
+    (match find "table.mul_mm.hits" with
+    | Some (Dd_sim.Telemetry.Count _) -> true
     | _ -> false);
-  check_bool "no domain-count metric" true
-    (Obs.Metrics.find snap "sim.domains" = None);
-  (* re-populating one registry must replace, not accumulate *)
-  let r = Obs.Metrics.create () in
-  Dd_sim.Telemetry.populate r engine;
-  Dd_sim.Telemetry.populate r engine;
-  check_bool "populate is idempotent" true
-    (Obs.Metrics.find (Obs.Metrics.snapshot r) "sim.mat_vec_mults"
-    = Some (Obs.Metrics.Count stats.Dd_sim.Sim_stats.mat_vec_mults))
+  check_bool "no domain-count metric" true (find "sim.domains" = None);
+  check_bool "sorted by name" true
+    (List.map fst snap = List.sort compare (List.map fst snap))
+
+(* Every counter is named once, in Sim_stats.fields; assign, reset, the
+   checkpoint's stats object and the telemetry snapshot all walk that
+   table.  The literal below is complete, so a new field this test does
+   not name is a compile error; a field the table misses fails the
+   round trips. *)
+let test_counters_declared_once () =
+  let expected : Dd_sim.Sim_stats.t =
+    {
+      mat_vec_mults = 1;
+      mat_mat_mults = 2;
+      fast_path_applies = 3;
+      generic_applies = 4;
+      gates_seen = 5;
+      combined_applications = 6;
+      peak_state_nodes = 7;
+      peak_matrix_nodes = 8;
+      fallbacks = 9;
+      auto_gcs = 10;
+      renormalizations = 11;
+      checkpoints_written = 12;
+      gc_pause_seconds = 0.1;
+      gc_reclaimed_nodes = 14;
+      wall_time_seconds = 1e-7;
+      trace_events_dropped = 16;
+      audits_run = 17;
+      audit_violations = 18;
+      audit_repairs = 19;
+      reorders_run = 20;
+      reorder_swaps = 21;
+      reorder_nodes_before = 22;
+      reorder_nodes_after = 23;
+      ledger_entries = 24;
+    }
+  in
+  let names =
+    [
+      ("mat_vec_mults", Dd_sim.Telemetry.Count 1);
+      ("mat_mat_mults", Count 2);
+      ("fast_path_applies", Count 3);
+      ("generic_applies", Count 4);
+      ("gates_seen", Count 5);
+      ("combined_applications", Count 6);
+      ("peak_state_nodes", Count 7);
+      ("peak_matrix_nodes", Count 8);
+      ("fallbacks", Count 9);
+      ("auto_gcs", Count 10);
+      ("renormalizations", Count 11);
+      ("checkpoints_written", Count 12);
+      ("gc_pause_seconds", Value 0.1);
+      ("gc_reclaimed_nodes", Count 14);
+      ("wall_time_seconds", Value 1e-7);
+      ("trace_events_dropped", Count 16);
+      ("audits_run", Count 17);
+      ("audit_violations", Count 18);
+      ("audit_repairs", Count 19);
+      ("reorders_run", Count 20);
+      ("reorder_swaps", Count 21);
+      ("reorder_nodes_before", Count 22);
+      ("reorder_nodes_after", Count 23);
+      ("ledger_entries", Count 24);
+    ]
+  in
+  let assigned = Dd_sim.Sim_stats.create () in
+  Dd_sim.Sim_stats.assign assigned expected;
+  check_bool "assign copies every counter" true (assigned = expected);
+  Dd_sim.Sim_stats.reset assigned;
+  check_bool "reset zeroes every counter" true
+    (assigned = Dd_sim.Sim_stats.create ());
+  let engine = Dd_sim.Engine.create 2 in
+  Dd_sim.Engine.run engine (Standard.bell ());
+  Dd_sim.Sim_stats.assign (Dd_sim.Engine.stats engine) expected;
+  let text =
+    Dd_sim.Checkpoint.to_string
+      (Dd_sim.Checkpoint.snapshot engine ~strategy:Dd_sim.Strategy.Sequential
+         ~gate_index:2)
+  in
+  let reloaded = Dd_sim.Checkpoint.of_string (fresh_ctx ()) text in
+  check_bool "the checkpoint carries every counter losslessly" true
+    (reloaded.Dd_sim.Checkpoint.stats = expected);
+  let keys =
+    (Obs.Jsonl.read ~schema:"ddsim-checkpoint" ~version:9
+       ~record:(fun record ->
+         match Obs.Json.member record "stats" with
+         | Some (Obs.Json.Obj fields) -> List.map fst fields
+         | _ -> [])
+       text)
+      .Obs.Jsonl.records
+  in
+  check_bool "the stats object is keyed by counter name" true
+    (keys = [ List.map fst names ]);
+  let snap = Dd_sim.Telemetry.snapshot engine in
+  List.iter
+    (fun (name, value) ->
+      check_bool ("telemetry sim." ^ name) true
+        (List.assoc_opt ("sim." ^ name) snap = Some value))
+    names
 
 (* -- Sim_stats additions -------------------------------------------- *)
 
@@ -455,7 +479,7 @@ let test_wall_time_accumulates () =
   in
   check_bool "wall time accumulates across runs" true (second >= first)
 
-(* -- checkpoint v5 -------------------------------------------------- *)
+(* -- checkpoint v9 -------------------------------------------------- *)
 
 let test_checkpoint_v4_roundtrip () =
   let circuit = Standard.ghz 6 in
@@ -469,8 +493,12 @@ let test_checkpoint_v4_roundtrip () =
       ~gate_index:6
   in
   let text = Dd_sim.Checkpoint.to_string checkpoint in
-  check_bool "v8 header" true (contains "ddsim-checkpoint 8" text);
-  check_bool "checksum trailer present" true (contains "\nchecksum " text);
+  let doc =
+    Obs.Jsonl.read ~schema:"ddsim-checkpoint" ~version:9 ~record:Fun.id text
+  in
+  check_int "one record" 1 (List.length doc.Obs.Jsonl.records);
+  check_bool "checksum trailer present" true
+    (contains "\n{\"checksum\":\"" text);
   let reloaded =
     Dd_sim.Checkpoint.of_string (fresh_ctx ()) ~source:"<test>" text
   in
@@ -555,10 +583,9 @@ let suite =
     Alcotest.test_case "dropped_events_are_counted" `Quick
       test_dropped_events_are_counted;
     Alcotest.test_case "gc_span_recorded" `Quick test_gc_span_recorded;
-    Alcotest.test_case "metrics_registry" `Quick test_metrics_registry;
-    Alcotest.test_case "bucket_exponent" `Quick test_bucket_exponent;
-    Alcotest.test_case "metrics_diff" `Quick test_metrics_diff;
     Alcotest.test_case "telemetry_snapshot" `Quick test_telemetry_snapshot;
+    Alcotest.test_case "counters_declared_once" `Quick
+      test_counters_declared_once;
     Alcotest.test_case "stats_pp_fast_path_percentage" `Quick
       test_stats_pp_fast_path_percentage;
     Alcotest.test_case "stats_pp_wall_and_dropped" `Quick
