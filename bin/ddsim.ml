@@ -674,9 +674,9 @@ let dot_cmd =
     in
     let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
     Dd_sim.Engine.run engine circuit;
+    let ctx = Dd_sim.Engine.context engine in
     let dot =
-      Dd.Dot.vector_to_dot
-        ~order:(Dd.Context.order (Dd_sim.Engine.context engine))
+      Dd.Dot.vector_to_dot ~order:(Dd.Context.order ctx) ctx
         (Dd_sim.Engine.state engine)
     in
     match output with
@@ -1049,14 +1049,15 @@ let inspect_cmd =
     Dd_sim.Engine.run ~strategy engine circuit;
     (* label each level with the qubit it hosts under the live order —
        under identity the two columns coincide, which is worth seeing *)
-    let live_order = Dd.Context.order (Dd_sim.Engine.context engine) in
+    let ctx = Dd_sim.Engine.context engine in
+    let live_order = Dd.Context.order ctx in
     Format.printf "%a@?" Dd.Profile.pp
-      (Dd.Profile.vector ~order:live_order (Dd_sim.Engine.state engine));
+      (Dd.Profile.vector ~order:live_order ctx (Dd_sim.Engine.state engine));
     match output with
     | None -> ()
     | Some file ->
       let dot =
-        Dd.Dot.vector_to_dot ~annotate:true ~order:live_order
+        Dd.Dot.vector_to_dot ~annotate:true ~order:live_order ctx
           (Dd_sim.Engine.state engine)
       in
       Obs.Safe_io.write_file file dot;

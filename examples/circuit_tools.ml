@@ -51,7 +51,7 @@ let () =
   let oracle =
     Dd.Mdd.of_permutation ctx ~n:6 (fun x -> if x < 55 then x * 17 mod 55 else x)
   in
-  let text = Dd.Serialize.matrix_to_string oracle in
+  let text = Dd.Serialize.matrix_to_string ctx oracle in
   let ctx2 = Dd.Context.create () in
   let reloaded = Dd.Serialize.matrix_of_string ctx2 text in
   Format.printf

@@ -49,7 +49,10 @@ let () =
     counts;
 
   (* Export the state DD as Graphviz DOT. *)
-  let dot = Dd.Dot.vector_to_dot (Dd_sim.Engine.state engine) in
+  let dot =
+    Dd.Dot.vector_to_dot (Dd_sim.Engine.context engine)
+      (Dd_sim.Engine.state engine)
+  in
   Format.printf "DOT export (%d characters); first line: %s@."
     (String.length dot)
     (List.hd (String.split_on_char '\n' dot));

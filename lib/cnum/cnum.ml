@@ -1,18 +1,16 @@
-type t = { re : float; im : float; tag : int }
+(* All fields are floats, so the record is stored flat: two unboxed
+   doubles, no pointers. *)
+type t = { re : float; im : float }
 
-(* Tags 0 and 1 are reserved; Ctable registers zero and one under them when a
-   table is created, so the constants below are canonical in every table. *)
-let zero = { re = 0.; im = 0.; tag = 0 }
-let one = { re = 1.; im = 0.; tag = 1 }
+let zero = { re = 0.; im = 0. }
+let one = { re = 1.; im = 0. }
 
-let make re im = { re; im; tag = -1 }
+let make re im = { re; im }
 let of_float x = make x 0.
 let of_polar r theta = make (r *. cos theta) (r *. sin theta)
 
 let re z = z.re
 let im z = z.im
-let tag z = z.tag
-let with_tag z tag = { z with tag }
 
 let add a b = make (a.re +. b.re) (a.im +. b.im)
 let sub a b = make (a.re -. b.re) (a.im -. b.im)

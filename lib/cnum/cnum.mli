@@ -1,21 +1,23 @@
-(** Complex numbers for decision-diagram edge weights.
+(** Complex numbers as plain values.
 
-    A value carries a [tag]: [-1] for a freshly computed (uninterned) number,
-    or a unique non-negative identifier once canonicalised through
-    {!Ctable.intern}.  Interned values of (numerically) equal numbers are
-    physically equal and share the same tag, so weight equality inside the DD
-    package is a single integer comparison. *)
+    A [t] is a flat pair of unboxed floats.  It is the form complex
+    numbers take at the package's boundary — amplitudes, gate matrices,
+    dense vectors, scalars handed to {!Dd.Vdd.scale} — and in readers
+    that multiply weights out.  Inside a decision diagram an edge weight
+    is not a [t] but an integer tag of a {!Ctable}, which stores the
+    canonical values unboxed and computes on them with the formulas
+    below. *)
 
-type t = private { re : float; im : float; tag : int }
+type t = { re : float; im : float }
 
 val zero : t
-(** [0 + 0i], pre-tagged with {!Ctable.zero_tag}. *)
+(** [0 + 0i]; interns to {!Ctable.zero_tag}. *)
 
 val one : t
-(** [1 + 0i], pre-tagged with {!Ctable.one_tag}. *)
+(** [1 + 0i]; interns to {!Ctable.one_tag}. *)
 
 val make : float -> float -> t
-(** [make re im] is the uninterned complex number [re + im*i]. *)
+(** [make re im] is [re + im*i]. *)
 
 val of_float : float -> t
 (** [of_float x] is [make x 0.]. *)
@@ -25,10 +27,6 @@ val of_polar : float -> float -> t
 
 val re : t -> float
 val im : t -> float
-val tag : t -> int
-
-val with_tag : t -> int -> t
-(** [with_tag z tag] re-labels [z]; reserved for {!Ctable}. *)
 
 val add : t -> t -> t
 val sub : t -> t -> t

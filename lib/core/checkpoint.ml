@@ -16,6 +16,7 @@ type t = {
   gate_index : int;
   strategy : Strategy.t;
   order : Dd.Order.t;
+  context : Dd.Context.t;
   state : Dd.Vdd.edge;
   rng : Random.State.t;
   stats : Sim_stats.t;
@@ -27,6 +28,7 @@ let snapshot engine ~strategy ~gate_index =
     gate_index;
     strategy;
     order = Dd.Context.order (Engine.context engine);
+    context = Engine.context engine;
     state = Engine.state engine;
     rng = Random.State.copy (Engine.rng engine);
     stats = Sim_stats.copy (Engine.stats engine);
@@ -78,7 +80,10 @@ let to_string checkpoint =
       ( "rng",
         json_string (hex_encode (Marshal.to_string checkpoint.rng [])) );
       ("stats", json_object stats);
-      ("state", json_string (Dd.Serialize.vector_to_string checkpoint.state));
+      ( "state",
+        json_string
+          (Dd.Serialize.vector_to_string checkpoint.context checkpoint.state)
+      );
     ]
   |> Seq.return
   |> Obs.Jsonl.write ~schema ~version ~counts:[] ~meta:[]
@@ -151,7 +156,7 @@ let decode context json =
     failwith
       (Printf.sprintf "order covers %d levels, expected %d qubits"
          (Dd.Order.size order) qubits);
-  { qubits; gate_index; strategy; order; state; rng; stats }
+  { qubits; gate_index; strategy; order; context; state; rng; stats }
 
 let invalid ~source message =
   Error.raise_error (Error.Invalid_checkpoint { source; message })

@@ -42,6 +42,8 @@ type t = {
   order : Dd.Order.t;
       (** the live level<->qubit variable order the state DD was built
           under *)
+  context : Dd.Context.t;
+      (** the context whose complex table holds [state]'s weights *)
   state : Dd.Vdd.edge;
   rng : Random.State.t;
   stats : Sim_stats.t;

@@ -173,7 +173,7 @@ let run_audit engine ~gate ~strategy =
       engine.state_edge <- Dd.Audit.rebuild_vector ctx engine.state_edge;
     (* rung 3: renormalise drift (whether original or exposed by the
        rebuild folding corrupt weights into the root) *)
-    let n2 = Dd.Audit.norm2_uncached engine.state_edge in
+    let n2 = Dd.Audit.norm2_uncached ctx engine.state_edge in
     if
       Float.is_finite n2 && n2 > 1e-300
       && Float.abs (sqrt n2 -. 1.) > engine.audit_tol
@@ -649,7 +649,8 @@ let snapshot_profile rs =
   Obs.Dd_profile.emit engine.profile
     (Dd.Profile.vector ~gate:rs.applied
        ~t:(Obs.Clock.now () -. rs.run_t0)
-       ~order:(Dd.Context.order engine.context) engine.state_edge)
+       ~order:(Dd.Context.order engine.context)
+       engine.context engine.state_edge)
 
 (* after the state advanced and no window is pending: guard the new
    state, then maybe checkpoint — the only points where a periodic
@@ -897,7 +898,7 @@ let run ?(strategy = Strategy.Sequential) ?(use_repeating = false)
 let amplitude engine index =
   Dd.Vdd.amplitude
     ~order:(Dd.Context.order engine.context)
-    engine.state_edge ~n:engine.n index
+    engine.context engine.state_edge ~n:engine.n index
 
 let probability_one engine ~qubit =
   Dd.Measure.probability_one engine.context engine.state_edge ~qubit
@@ -905,7 +906,7 @@ let probability_one engine ~qubit =
 let probabilities engine =
   Dd.Measure.probabilities
     ~order:(Dd.Context.order engine.context)
-    engine.state_edge ~n:engine.n
+    engine.context engine.state_edge ~n:engine.n
 
 let state_node_count engine = Dd.Vdd.node_count engine.state_edge
 

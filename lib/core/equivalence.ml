@@ -20,7 +20,7 @@ let probe_state ctx ~n rng =
       let high = Dd.Vdd.scale ctx (Cnum.of_polar (sin theta) phi) edge in
       build (level + 1) (Dd.Vdd.make ctx level low high)
   in
-  build 0 { Dd.Types.vw = Cnum.one; vt = Dd.Types.v_terminal }
+  build 0 (Dd.Vdd.terminal Ctable.one_tag)
 
 (* |<w1|w2>| = |w1| |w2|  iff  w1 and w2 are parallel. *)
 let proportional ctx w1 w2 =

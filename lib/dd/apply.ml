@@ -33,11 +33,11 @@
    the canonical state has 39).  To stay on the generic path's arithmetic
    the prelude below replays the weight algebra of [Mdd.gate] +
    [Hashcons.make] — normalisation pivots chosen by the same
-   first-maximal-magnitude rule, normalised weights interned the same way
-   — without allocating a single DD node.  The recursion then mirrors
-   [Mdd.apply]: all work happens on unit-weight nodes, weights combine as
-   (gate edge weight x state edge weight) exactly as the generic kernel
-   multiplies them.
+   first-maximal-magnitude rule ([Ctable.pivot4]), normalised weights
+   interned the same way — without allocating a single DD node.  The
+   recursion then mirrors [Mdd.apply]: all work happens on unit-weight
+   nodes, weights combine as (gate edge weight x state edge weight)
+   exactly as the generic kernel multiplies them.
 
    Results are memoised in [Context.apply_v] under the key
    (state node id, gate kind id, layout id packed with the recursion
@@ -56,25 +56,10 @@ open Types
    inactive branch is zero). *)
 type step =
   | Skip
-  | Ctrl of { active_high : bool; ident_w : Cnum.t option; active_w : Cnum.t }
+  | Ctrl of { active_high : bool; ident_w : int option; active_w : int }
 
-(* First-maximal-magnitude pivot over raw child weights, in child order —
-   exactly [Hashcons.make]'s rule (strict >, so the first maximum wins;
-   zero weights have magnitude 0 and never win). *)
-let pivot4 w0 w1 w2 w3 =
-  let pivot = ref Cnum.zero and best = ref 0. in
-  let consider w =
-    let m = Cnum.mag2 w in
-    if m > !best then begin
-      best := m;
-      pivot := w
-    end
-  in
-  consider w0;
-  consider w1;
-  consider w2;
-  consider w3;
-  !pivot
+let zero = Ctable.zero_tag
+let one = Ctable.one_tag
 
 (* role codes packed into the compute-table's third key word *)
 let role_main = 0
@@ -105,7 +90,7 @@ let rec rebuild_stable ctx (v : vnode) =
   | None ->
     let stable_edge (e : vedge) = v_is_zero e || rebuild_stable ctx e.vt in
     let s =
-      Cnum.is_exact_one (pivot4 v.v_low.vw v.v_high.vw Cnum.zero Cnum.zero)
+      Ctable.pivot4 ctx.Context.ctable v.v_low.vw v.v_high.vw zero zero = one
       && stable_edge v.v_low && stable_edge v.v_high
     in
     Hashtbl.add ctx.Context.apply_stable v.vid s;
@@ -124,14 +109,15 @@ let apply ctx ~n ~target ?(controls = []) entries state =
       Dd_error.invalid_operand ~operation:"Apply.apply"
         (Printf.sprintf "state has height %d, expected %d"
            (state.vt.level + 1) n);
-    let intern z = Context.cnum ctx z in
+    let ct = ctx.Context.ctable in
+    let pivot4 = Ctable.pivot4 ct in
     let e, kind_id = Context.gate_kind ctx entries in
     (* ---- weight cascade: replay Mdd.gate's normalisation bottom-up ----
        Below the target, each of the four quadrant blocks carries a top
        weight (bw) and a zero flag (bz); diagonal blocks stop being zero at
        their first control level, where an identity branch appears. *)
     let bw = Array.copy e in
-    let bz = Array.map Cnum.is_exact_zero e in
+    let bz = Array.map (fun w -> w = zero) e in
     let below = Array.init 4 (fun _ -> Array.make (max target 1) Skip) in
     for z = 0 to target - 1 do
       match polarity.(z) with
@@ -140,10 +126,10 @@ let apply ctx ~n ~target ?(controls = []) entries state =
         for ij = 0 to 3 do
           let diagonal = ij = 0 || ij = 3 in
           if diagonal then begin
-            let sub_w = if bz.(ij) then Cnum.zero else bw.(ij) in
+            let sub_w = if bz.(ij) then zero else bw.(ij) in
             let p =
-              if pos then pivot4 Cnum.one Cnum.zero Cnum.zero sub_w
-              else pivot4 sub_w Cnum.zero Cnum.zero Cnum.one
+              if pos then pivot4 one zero zero sub_w
+              else pivot4 sub_w zero zero one
             in
             (* intern in child-index order, as Hashcons.make does when the
                gate DD is built: positive controls put the identity branch
@@ -153,17 +139,13 @@ let apply ctx ~n ~target ?(controls = []) entries state =
                fast-path context from a generic-path one. *)
             let ident_w, active_w =
               if pos then begin
-                let iw = intern (Cnum.div Cnum.one p) in
-                let aw =
-                  if bz.(ij) then Cnum.zero else intern (Cnum.div sub_w p)
-                in
+                let iw = Ctable.div ct one p in
+                let aw = if bz.(ij) then zero else Ctable.div ct sub_w p in
                 (iw, aw)
               end
               else begin
-                let aw =
-                  if bz.(ij) then Cnum.zero else intern (Cnum.div sub_w p)
-                in
-                let iw = intern (Cnum.div Cnum.one p) in
+                let aw = if bz.(ij) then zero else Ctable.div ct sub_w p in
+                let iw = Ctable.div ct one p in
                 (iw, aw)
               end
             in
@@ -179,7 +161,7 @@ let apply ctx ~n ~target ?(controls = []) entries state =
                 {
                   active_high = pos;
                   ident_w = None;
-                  active_w = intern (Cnum.div bw.(ij) bw.(ij));
+                  active_w = Ctable.div ct bw.(ij) bw.(ij);
                 }
             (* weight stays bw *)
           end
@@ -201,18 +183,12 @@ let apply ctx ~n ~target ?(controls = []) entries state =
           | Skip -> ()
         done)
       below;
-    let traw =
-      Array.init 4 (fun ij -> if bz.(ij) then Cnum.zero else bw.(ij))
-    in
+    let traw = Array.init 4 (fun ij -> if bz.(ij) then zero else bw.(ij)) in
     let p = pivot4 traw.(0) traw.(1) traw.(2) traw.(3) in
-    if Cnum.is_exact_zero p then v_zero (* zero matrix *)
+    if p = zero then v_zero (* zero matrix *)
     else begin
       let nw =
-        Array.map
-          (fun w ->
-            if Cnum.is_exact_zero w then Cnum.zero
-            else intern (Cnum.div w p))
-          traw
+        Array.map (fun w -> if w = zero then zero else Ctable.div ct w p) traw
       in
       (* Above the target a single edge weight propagates upward; control
          levels normalise it against the identity branch's weight one. *)
@@ -223,19 +199,19 @@ let apply ctx ~n ~target ?(controls = []) entries state =
         | None -> () (* [w,0,0,w]: children one, weight unchanged *)
         | Some pos ->
           let pv =
-            if pos then pivot4 Cnum.one Cnum.zero Cnum.zero !cur
-            else pivot4 !cur Cnum.zero Cnum.zero Cnum.one
+            if pos then pivot4 one zero zero !cur
+            else pivot4 !cur zero zero one
           in
           (* child-index intern order again, see the below-target cascade *)
           let ident_w, active_w =
             if pos then begin
-              let iw = intern (Cnum.div Cnum.one pv) in
-              let aw = intern (Cnum.div !cur pv) in
+              let iw = Ctable.div ct one pv in
+              let aw = Ctable.div ct !cur pv in
               (iw, aw)
             end
             else begin
-              let aw = intern (Cnum.div !cur pv) in
-              let iw = intern (Cnum.div Cnum.one pv) in
+              let aw = Ctable.div ct !cur pv in
+              let iw = Ctable.div ct one pv in
               (iw, aw)
             end
           in
@@ -271,14 +247,12 @@ let apply ctx ~n ~target ?(controls = []) entries state =
           Context.note_apply_skip ctx;
           edge
         end
-        else Vdd.scale ctx (Cnum.mul Cnum.one edge.vw) (ident_unit edge.vt)
+        else Vdd.scale_product ctx one edge.vw (ident_unit edge.vt)
       in
       let ident_edge w (edge : vedge) =
         if v_is_zero edge then v_zero
-        else if v_is_terminal edge.vt then begin
-          let w = intern (Cnum.mul w edge.vw) in
-          if Cnum.is_exact_zero w then v_zero else { vw = w; vt = v_terminal }
-        end
+        else if v_is_terminal edge.vt then
+          Vdd.terminal (Ctable.mul ct w edge.vw)
         else if rebuild_stable ctx edge.vt then begin
           (* the generic rebuild returns the same node under its raw
              normalisation pivot (bitwise one, but a tagged representative
@@ -286,14 +260,10 @@ let apply ctx ~n ~target ?(controls = []) entries state =
              matters, not just its bits) *)
           Context.note_apply_skip ctx;
           let v = edge.vt in
-          Vdd.scale ctx
-            (Cnum.mul w edge.vw)
-            {
-              vw = pivot4 v.v_low.vw v.v_high.vw Cnum.zero Cnum.zero;
-              vt = v;
-            }
+          Vdd.scale_product ctx w edge.vw
+            { vw = pivot4 v.v_low.vw v.v_high.vw zero zero; vt = v }
         end
-        else Vdd.scale ctx (Cnum.mul w edge.vw) (ident_unit edge.vt)
+        else Vdd.scale_product ctx w edge.vw (ident_unit edge.vt)
       in
       let rec unit_main (v : vnode) =
         let k3 = k3_of role_main in
@@ -312,8 +282,8 @@ let apply ctx ~n ~target ?(controls = []) entries state =
             if level > target then
               match above.(level - target - 1) with
               | Skip ->
-                let low = main_edge Cnum.one v.v_low in
-                let high = main_edge Cnum.one v.v_high in
+                let low = main_edge one v.v_low in
+                let high = main_edge one v.v_high in
                 Vdd.make ctx level low high
               | Ctrl { active_high; ident_w; active_w } ->
                 let iw = Option.get ident_w in
@@ -343,17 +313,15 @@ let apply ctx ~n ~target ?(controls = []) entries state =
           r
       and main_edge w (edge : vedge) =
         if v_is_zero edge then v_zero
-        else Vdd.scale ctx (Cnum.mul w edge.vw) (unit_main edge.vt)
+        else Vdd.scale_product ctx w edge.vw (unit_main edge.vt)
       and block_edge ij w (edge : vedge) =
-        if Cnum.is_exact_zero w || v_is_zero edge then v_zero
-        else if v_is_terminal edge.vt then begin
-          let w = intern (Cnum.mul w edge.vw) in
-          if Cnum.is_exact_zero w then v_zero else { vw = w; vt = v_terminal }
-        end
+        if w = zero || v_is_zero edge then v_zero
+        else if v_is_terminal edge.vt then
+          Vdd.terminal (Ctable.mul ct w edge.vw)
         else if edge.vt.level < lowest_ctrl.(ij) then
           (* only identity levels below: the identity acts on the subtree *)
           ident_edge w edge
-        else Vdd.scale ctx (Cnum.mul w edge.vw) (unit_block ij edge.vt)
+        else Vdd.scale_product ctx w edge.vw (unit_block ij edge.vt)
       and unit_block ij (v : vnode) =
         let k3 = k3_of (role_block ij) in
         match Compute_table.find table ~k1:v.vid ~k2:kind_id ~k3 with
@@ -364,8 +332,8 @@ let apply ctx ~n ~target ?(controls = []) entries state =
           let r =
             match below.(ij).(level) with
             | Skip ->
-              let low = block_edge ij Cnum.one v.v_low in
-              let high = block_edge ij Cnum.one v.v_high in
+              let low = block_edge ij one v.v_low in
+              let high = block_edge ij one v.v_high in
               Vdd.make ctx level low high
             | Ctrl { active_high; ident_w; active_w } ->
               let inactive edge =

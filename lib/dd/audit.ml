@@ -51,21 +51,24 @@ let to_string = function
    to the table tolerance away *)
 let mag_slack = 1e-9
 
+(* A weight is a tag the context's complex table handed out. *)
+let interned ctx w = w >= 0 && w < Ctable.size ctx.Context.ctable
+
 (* One node's structural checks, shared by both arities.  [children] are
    the node's child edges; [mem] probes the node's unique table. *)
-let check_node ~dd ~push ~mem ~level ~id children =
+let check_node ctx ~dd ~push ~mem ~level ~id children =
   if not (mem ()) then push (Unrepresented_node { dd; level; id });
   let best = ref 0. in
   Array.iteri
     (fun i (weight, target_level) ->
-      if Cnum.is_exact_zero weight then begin
+      if weight = Ctable.zero_tag then begin
         if target_level >= 0 then push (Zero_stub { dd; level; id })
       end
+      else if not (interned ctx weight) then
+        push (Uninterned_weight { dd; level; id })
       else begin
-        if Cnum.tag weight < 0 then
-          push (Uninterned_weight { dd; level; id });
         if target_level <> level - 1 then push (Level_skew { dd; level; id });
-        let m = Cnum.mag2 weight in
+        let m = Ctable.mag2 ctx.Context.ctable weight in
         if m > 1. +. mag_slack then
           push
             (Pivot_rule
@@ -90,7 +93,7 @@ let check_node ~dd ~push ~mem ~level ~id children =
        some child carries weight exactly one (and the magnitude bound
        above caps everything else at 1) *)
     let has_unit =
-      Array.exists (fun (weight, _) -> Cnum.is_exact_one weight) children
+      Array.exists (fun (weight, _) -> weight = Ctable.one_tag) children
     in
     if not has_unit then
       push
@@ -103,7 +106,11 @@ let check_node ~dd ~push ~mem ~level ~id children =
            })
   end
 
-let norm2_uncached (edge : Types.vedge) =
+let norm2_uncached ctx (edge : Types.vedge) =
+  (* a foreign tag has no value: the norm is unknown, not an exception *)
+  let mag2 w =
+    if interned ctx w then Ctable.mag2 ctx.Context.ctable w else Float.nan
+  in
   let memo = Hashtbl.create 256 in
   let rec node_norm (node : Types.vnode) =
     if node.Types.level < 0 then 1.
@@ -112,8 +119,8 @@ let norm2_uncached (edge : Types.vedge) =
       | Some v -> v
       | None ->
         let contribution (child : Types.vedge) =
-          if Cnum.is_exact_zero child.Types.vw then 0.
-          else Cnum.mag2 child.Types.vw *. node_norm child.Types.vt
+          if Types.v_is_zero child then 0.
+          else mag2 child.Types.vw *. node_norm child.Types.vt
         in
         let v =
           contribution node.Types.v_low +. contribution node.Types.v_high
@@ -121,8 +128,8 @@ let norm2_uncached (edge : Types.vedge) =
         Hashtbl.add memo node.Types.vid v;
         v
   in
-  if Cnum.is_exact_zero edge.Types.vw then 0.
-  else Cnum.mag2 edge.Types.vw *. node_norm edge.Types.vt
+  if Types.v_is_zero edge then 0.
+  else mag2 edge.Types.vw *. node_norm edge.Types.vt
 
 let check_vector ?norm_tol ctx (edge : Types.vedge) =
   let violations = ref [] in
@@ -131,7 +138,7 @@ let check_vector ?norm_tol ctx (edge : Types.vedge) =
   let rec walk (node : Types.vnode) =
     if node.Types.level >= 0 && not (Hashtbl.mem seen node.Types.vid) then begin
       Hashtbl.add seen node.Types.vid ();
-      check_node ~dd:"vector" ~push
+      check_node ctx ~dd:"vector" ~push
         ~mem:(fun () -> Hashcons.V.mem ctx.Context.v_unique node)
         ~level:node.Types.level ~id:node.Types.vid
         [|
@@ -142,8 +149,8 @@ let check_vector ?norm_tol ctx (edge : Types.vedge) =
       walk node.Types.v_high.Types.vt
     end
   in
-  if not (Cnum.is_exact_zero edge.Types.vw) then begin
-    if Cnum.tag edge.Types.vw < 0 then
+  if not (Types.v_is_zero edge) then begin
+    if not (interned ctx edge.Types.vw) then
       push
         (Uninterned_weight
            { dd = "vector"; level = edge.Types.vt.Types.level + 1; id = 0 });
@@ -152,7 +159,7 @@ let check_vector ?norm_tol ctx (edge : Types.vedge) =
   (match norm_tol with
   | None -> ()
   | Some tolerance ->
-    let n2 = norm2_uncached edge in
+    let n2 = norm2_uncached ctx edge in
     let norm = sqrt n2 in
     if (not (Float.is_finite norm)) || Float.abs (norm -. 1.) > tolerance
     then push (Norm_drift { norm; tolerance }));
@@ -166,7 +173,7 @@ let check_matrix ctx (edge : Types.medge) =
   let rec walk (node : Types.mnode) =
     if node.Types.level >= 0 && not (Hashtbl.mem seen node.Types.mid) then begin
       Hashtbl.add seen node.Types.mid ();
-      check_node ~dd:"matrix" ~push
+      check_node ctx ~dd:"matrix" ~push
         ~mem:(fun () -> Hashcons.M.mem ctx.Context.m_unique node)
         ~level:node.Types.level ~id:node.Types.mid
         [|
@@ -179,8 +186,8 @@ let check_matrix ctx (edge : Types.medge) =
       walk node.Types.m11.Types.mt
     end
   in
-  if not (Cnum.is_exact_zero edge.Types.mw) then begin
-    if Cnum.tag edge.Types.mw < 0 then
+  if not (Types.m_is_zero edge) then begin
+    if not (interned ctx edge.Types.mw) then
       push
         (Uninterned_weight
            { dd = "matrix"; level = edge.Types.mt.Types.level + 1; id = 0 });
@@ -247,14 +254,16 @@ let check_order ctx =
         };
     ]
 
+exception Foreign_tag
+
 let rebuild_vector ctx (edge : Types.vedge) =
   let memo = Hashtbl.create 256 in
   (* bottom-up: rebuild every node through Vdd.make (re-normalising and
      re-interning), then scale by the original edge weight *)
   let rec rebuild (e : Types.vedge) =
-    if Cnum.is_exact_zero e.Types.vw then Types.v_zero
-    else if e.Types.vt.Types.level < 0 then
-      { Types.vw = Context.cnum ctx e.Types.vw; Types.vt = Types.v_terminal }
+    if Types.v_is_zero e then Types.v_zero
+    else if not (interned ctx e.Types.vw) then raise_notrace Foreign_tag
+    else if e.Types.vt.Types.level < 0 then Vdd.terminal e.Types.vw
     else begin
       let node = e.Types.vt in
       let rebuilt =
@@ -267,7 +276,9 @@ let rebuild_vector ctx (edge : Types.vedge) =
           Hashtbl.add memo node.Types.vid r;
           r
       in
-      Vdd.scale ctx (Context.cnum ctx e.Types.vw) rebuilt
+      Vdd.scale_tag ctx e.Types.vw rebuilt
     end
   in
-  rebuild edge
+  (* a weight tag the table never handed out has no value to rebuild
+     from: the DD stays as it is, and the violation stands *)
+  try rebuild edge with Foreign_tag -> edge

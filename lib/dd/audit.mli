@@ -22,7 +22,8 @@ type violation =
   | Zero_stub of { dd : string; level : int; id : int }
       (** a zero-weight edge targets a non-terminal node *)
   | Uninterned_weight of { dd : string; level : int; id : int }
-      (** an edge weight escaped the canonical complex table (tag -1) *)
+      (** an edge weight is not a tag of the context's complex table: it
+          lies outside [[0, Ctable.size)] *)
   | Level_skew of { dd : string; level : int; id : int }
       (** a non-zero child edge skips a level *)
   | Norm_drift of { norm : float; tolerance : float }
@@ -58,13 +59,16 @@ val check_tables : Context.t -> violation list
     generation entry surviving a sweep is exactly the corruption that
     would silently resurrect freed nodes on the next hit. *)
 
-val norm2_uncached : Types.vedge -> float
+val norm2_uncached : Context.t -> Types.vedge -> float
 (** Squared norm recomputed from the raw structure, bypassing the
-    context's memoised norm table (which could itself be corrupt). *)
+    context's memoised norm table (which could itself be corrupt); NaN
+    when a weight is not a tag of the context's table. *)
 
 val rebuild_vector : Context.t -> Types.vedge -> Types.vedge
 (** Canonical rebuild: re-intern the whole DD bottom-up through
     {!Vdd.make}, restoring normalisation and unique-table residency.
     Amplitudes are preserved exactly when the weights were canonical;
     weight corruption is re-normalised into the edge weights (detectable
-    afterwards as norm drift). *)
+    afterwards as norm drift).  A DD holding a weight that is not a tag
+    of the context's table is returned unchanged: there is no value to
+    rebuild from. *)

@@ -59,23 +59,12 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
   if cache_bits < 4 || cache_bits > 24 then
     invalid_arg "Context.create: cache_bits must be in [4, 24]";
   let ctable = Ctable.create ?tolerance () in
-  (* the hash-cons normalisation funnel: every child weight of every new
-     node passes through here, which makes it the one spot where the
-     fault harness can corrupt a weight the way cosmic FP noise would *)
-  let intern z =
-    let z =
-      if Fault.fire Fault.Weight_flip then
-        Cnum.make (Fault.flip_float (Cnum.re z)) (Cnum.im z)
-      else z
-    in
-    Ctable.intern ctable z
-  in
   let table name bits dummy = Compute_table.create ~name ~bits ~dummy in
   let small = max 4 (cache_bits - 4) in
   {
     ctable;
-    v_unique = Hashcons.V.create ~intern ();
-    m_unique = Hashcons.M.create ~intern ();
+    v_unique = Hashcons.V.create ctable;
+    m_unique = Hashcons.M.create ctable;
     add_v = table "add_v" cache_bits Types.v_zero;
     add_m = table "add_m" cache_bits Types.m_zero;
     mul_mv = table "mul_mv" cache_bits Types.v_zero;
@@ -89,7 +78,7 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     identity_cache = Hashtbl.create 64;
     gate_kind_ids = Hashtbl.create 64;
     gate_layout_ids = Hashtbl.create 64;
-    apply_stable = Hashtbl.create 1024;
+    apply_stable = Hashtbl.create 64;
     gc =
       {
         collections = 0;
@@ -171,11 +160,7 @@ let gate_site ctx ~operation ~n ~target controls entries =
    them. *)
 let gate_kind ctx entries =
   let e = Array.map (cnum ctx) entries in
-  let kind_id =
-    intern_id ctx.gate_kind_ids
-      (Cnum.tag e.(0), Cnum.tag e.(1), Cnum.tag e.(2), Cnum.tag e.(3))
-  in
-  (e, kind_id)
+  (e, intern_id ctx.gate_kind_ids (e.(0), e.(1), e.(2), e.(3)))
 
 (* Every compute table, in [table_stats] order, for the walks that treat
    them alike.  A fold with a polymorphic visitor instead of a list of
@@ -211,25 +196,18 @@ let table_stats ctx =
    level, v_low, v_high) plus two boxed vedges at 3 words each — 11 words.
    An mnode is a 7-word block plus four boxed medges — 19 words.  A packed
    compute-table entry is four key/value slots plus the boxed result edge
-   and weight sharing — call it 8 words.  A canonical-weight entry is a
-   Cnum (a 4-word mixed float/int block plus two boxed floats at 2 words
-   each — 8), its 3-word list cell in the Ctable, and its share of that
-   table's tolerance cell: nearly every cell holds one value, so a 4-word
-   cell record plus 2–4 index slots (the load factor stays in (1/4, 1/2]
-   between growths) — call it 18.  These are estimates for telemetry
-   gauges, not an allocator census: slack in the index and weight sharing
-   pull in opposite directions and roughly cancel. *)
+   and weight sharing — call it 8 words.  These are estimates for
+   telemetry gauges, not an allocator census.  The complex table needs no
+   estimate: its arrays report their own capacity. *)
 let vnode_words = 11
 let mnode_words = 19
 let compute_entry_words = 8
-let cnum_entry_words = 18
 let bytes_per_word = 8
 
 let unique_table_bytes ctx =
-  bytes_per_word
-  * ((live_v_nodes ctx * vnode_words)
-    + (live_m_nodes ctx * mnode_words)
-    + (Ctable.size ctx.ctable * cnum_entry_words))
+  (bytes_per_word
+  * ((live_v_nodes ctx * vnode_words) + (live_m_nodes ctx * mnode_words)))
+  + Ctable.bytes ctx.ctable
 
 (* O(1): one field read per table, never a [table_stats] record — this
    runs on the ledger commit path.  Entries, not allocated slots, so a

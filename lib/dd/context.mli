@@ -60,12 +60,13 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
     [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
-    its slots on its first store, and the two unique tables start at
-    2^10 slots, so a fresh context allocates about 57 KiB.  Raises
-    [Invalid_argument] outside [4, 24]. *)
+    its slots on its first store, and the two unique tables start at 2^8
+    slots and the complex table at 2^8 entries, so a fresh context
+    allocates about 17 KiB.  Raises [Invalid_argument] outside
+    [4, 24]. *)
 
-val cnum : t -> Cnum.t -> Cnum.t
-(** Intern a complex number in this context's table. *)
+val cnum : t -> Cnum.t -> int
+(** Intern a complex number in this context's table; returns its tag. *)
 
 val set_trace : t -> Obs.Trace.t -> unit
 (** Attach an event sink; pass {!Obs.Trace.null} to detach. *)
@@ -108,10 +109,10 @@ val gate_site :
     {!Dd_error.Error} ([Invalid_operand], naming [operation]) on
     malformed input.  Interns no complex number. *)
 
-val gate_kind : t -> Cnum.t array -> Cnum.t array * int
+val gate_kind : t -> Cnum.t array -> int array * int
 (** [gate_kind ctx entries] interns the four entries, in order, and
-    returns them with the dense id of their tag quadruple — the gate's
-    kind.  Equal ids imply equal matrices. *)
+    returns their tags with the dense id of the tag quadruple — the
+    gate's kind.  Equal ids imply equal matrices. *)
 
 val clear_compute_caches : t -> unit
 (** Drop all memoisation tables (unique tables are kept, so canonicity is
@@ -131,10 +132,11 @@ val table_stats : t -> Compute_table.stats list
 (** Hit/miss/eviction counters of every compute table, in a fixed order. *)
 
 val unique_table_bytes : t -> int
-(** Estimated bytes resident in the unique tables and the canonical
-    weight table, from live entry counts times documented per-entry
-    layout costs (vnode 11 words, mnode 19, weight 18; 8-byte words).
-    O(1) — safe on hot observability paths. *)
+(** Bytes resident in the unique tables and the canonical weight table:
+    live node counts times documented per-node layout costs (vnode 11
+    words, mnode 19; 8-byte words), plus the complex table's arrays at
+    their capacity ({!Ctable.bytes}).  O(1) and allocation-free — safe on
+    hot observability paths. *)
 
 val compute_table_bytes : t -> int
 (** Estimated bytes resident across all ten compute tables (8 words

@@ -1,7 +1,8 @@
 open Dd_complex
 open Types
 
-let weight_label ?(annotate = false) w =
+let weight_label ?(annotate = false) ctx tag =
+  let w = Ctable.get ctx.Context.ctable tag in
   if annotate then
     Printf.sprintf " [label=\"%s |w|=%.4g (2^%d)\"]" (Cnum.to_string w)
       (Cnum.mag w)
@@ -32,7 +33,7 @@ let add_level_ranks ~order buf by_level =
     levels
 
 let vector_to_dot ?(name = "vector_dd") ?(annotate = false)
-    ?(order = Order.identity) edge =
+    ?(order = Order.identity) ctx edge =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   Buffer.add_string buf "  node [shape=circle];\n";
@@ -53,7 +54,7 @@ let vector_to_dot ?(name = "vector_dd") ?(annotate = false)
       in
       Buffer.add_string buf
         (Printf.sprintf "  %s -> %s%s%s;\n" src dst style
-           (weight_label ~annotate child.vw))
+           (weight_label ~annotate ctx child.vw))
   in
   Vdd.iter_nodes
     (fun node ->
@@ -72,14 +73,14 @@ let vector_to_dot ?(name = "vector_dd") ?(annotate = false)
     in
     Buffer.add_string buf
       (Printf.sprintf "  root [shape=none, label=\"\"];\n  root -> %s%s;\n"
-         dst (weight_label ~annotate edge.vw))
+         dst (weight_label ~annotate ctx edge.vw))
   end;
   if annotate then add_level_ranks ~order buf by_level;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
 let matrix_to_dot ?(name = "matrix_dd") ?(annotate = false)
-    ?(order = Order.identity) edge =
+    ?(order = Order.identity) ctx edge =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
   Buffer.add_string buf "  node [shape=circle];\n";
@@ -100,12 +101,12 @@ let matrix_to_dot ?(name = "matrix_dd") ?(annotate = false)
         else Printf.sprintf "m%d" child.mt.mid
       in
       let wl =
+        let w = Ctable.get ctx.Context.ctable child.mw in
         if annotate then
-          Printf.sprintf ", %s |w|=%.4g (2^%d)" (Cnum.to_string child.mw)
-            (Cnum.mag child.mw)
-            (Obs.Dd_profile.bucket_exponent (Cnum.mag child.mw))
-        else if Cnum.is_exact_one child.mw then ""
-        else ", " ^ Cnum.to_string child.mw
+          Printf.sprintf ", %s |w|=%.4g (2^%d)" (Cnum.to_string w) (Cnum.mag w)
+            (Obs.Dd_profile.bucket_exponent (Cnum.mag w))
+        else if Cnum.is_exact_one w then ""
+        else ", " ^ Cnum.to_string w
       in
       Buffer.add_string buf
         (Printf.sprintf "  %s -> %s [label=\"%s%s\"];\n" src dst quadrant wl)
@@ -129,7 +130,7 @@ let matrix_to_dot ?(name = "matrix_dd") ?(annotate = false)
     in
     Buffer.add_string buf
       (Printf.sprintf "  root [shape=none, label=\"\"];\n  root -> %s%s;\n"
-         dst (weight_label ~annotate edge.mw))
+         dst (weight_label ~annotate ctx edge.mw))
   end;
   if annotate then add_level_ranks ~order buf by_level;
   Buffer.add_string buf "}\n";

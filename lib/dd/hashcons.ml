@@ -18,9 +18,9 @@ module type NODE = sig
   val terminal : node
   val zero_edge : edge
   val is_zero : edge -> bool
-  val weight : edge -> Cnum.t
+  val weight : edge -> int
   val target : edge -> node
-  val edge : Cnum.t -> node -> edge
+  val edge : int -> node -> edge
   val id : node -> int
   val level : node -> int
   val child : node -> int -> edge
@@ -32,7 +32,7 @@ module type S = sig
   type edge
   type t
 
-  val create : intern:(Cnum.t -> Cnum.t) -> unit -> t
+  val create : Ctable.t -> t
 
   (* Normalise [children] (mutated in place), intern the node, return the
      canonical edge.  [children] must have length [arity]; non-zero
@@ -58,7 +58,7 @@ module Make (N : NODE) :
   type edge = N.edge
 
   type t = {
-    intern : Cnum.t -> Cnum.t;
+    ctable : Ctable.t;
     mutable slots : N.node array; (* N.terminal (id 0) marks empty *)
     mutable mask : int;
     mutable entries : int;
@@ -69,12 +69,12 @@ module Make (N : NODE) :
     mutable level_counts : int array;
   }
 
-  let initial_bits = 10
+  let initial_bits = 8
 
-  let create ~intern () =
+  let create ctable =
     let capacity = 1 lsl initial_bits in
     {
-      intern;
+      ctable;
       slots = Array.make capacity N.terminal;
       mask = capacity - 1;
       entries = 0;
@@ -94,7 +94,7 @@ module Make (N : NODE) :
     let h = ref (level * mix1) in
     for i = 0 to N.arity - 1 do
       let c = children.(i) in
-      h := (!h lxor Cnum.tag (N.weight c)) * mix2;
+      h := (!h lxor N.weight c) * mix2;
       h := (!h lxor N.id (N.target c)) * mix3
     done;
     !h lxor (!h lsr 29)
@@ -104,7 +104,7 @@ module Make (N : NODE) :
     let h = ref (level * mix1) in
     for i = 0 to N.arity - 1 do
       let c = N.child n i in
-      h := (!h lxor Cnum.tag (N.weight c)) * mix2;
+      h := (!h lxor N.weight c) * mix2;
       h := (!h lxor N.id (N.target c)) * mix3
     done;
     !h lxor (!h lsr 29)
@@ -117,7 +117,7 @@ module Make (N : NODE) :
       let c = N.child n i and d = children.(i) in
       if
         N.id (N.target c) <> N.id (N.target d)
-        || Cnum.tag (N.weight c) <> Cnum.tag (N.weight d)
+        || N.weight c <> N.weight d
       then ok := false
     done;
     !ok
@@ -196,22 +196,31 @@ module Make (N : NODE) :
          returned edge.  Canonical because weights are canonical
          (interning merges FP noise); stable because normalised child
          weights have magnitude <= 1. *)
-      let pivot = ref Cnum.zero and best = ref 0. in
-      for i = 0 to N.arity - 1 do
-        let w = N.weight children.(i) in
-        let m = Cnum.mag2 w in
-        if m > !best then begin
-          best := m;
-          pivot := w
-        end
-      done;
-      let pivot = !pivot in
+      let ct = t.ctable in
+      (* zero_tag for absent children: zero is never the pivot *)
+      let w2 = if N.arity > 2 then N.weight children.(2) else Ctable.zero_tag
+      and w3 = if N.arity > 3 then N.weight children.(3) else Ctable.zero_tag in
+      let pivot =
+        Ctable.pivot4 ct (N.weight children.(0)) (N.weight children.(1)) w2 w3
+      in
       for i = 0 to N.arity - 1 do
         let c = children.(i) in
         if N.is_zero c then children.(i) <- N.zero_edge
-        else
-          children.(i) <-
-            N.edge (t.intern (Cnum.div (N.weight c) pivot)) (N.target c)
+        else begin
+          let w = N.weight c in
+          let q =
+            (* the fault harness corrupts a weight here, in the funnel
+               every child weight of every new node passes through, the
+               way cosmic FP noise would *)
+            if Fault.fire Fault.Weight_flip then begin
+              let z = Cnum.div (Ctable.get ct w) (Ctable.get ct pivot) in
+              Ctable.intern ct (Cnum.make (Fault.flip_float z.re) z.im)
+            end
+            else Ctable.div ct w pivot
+          in
+          (* an unchanged weight keeps its edge *)
+          if q <> w then children.(i) <- N.edge q (N.target c)
+        end
       done;
       let h = hash_children ~level children in
       N.edge pivot (find_or_insert t ~level ~h children)

@@ -1,6 +1,6 @@
 (** Shared hash-consing core for vector and matrix DD nodes: one
     normalisation + unique-table code path, instantiated per node arity.
-    Each unique table is one open-addressed array of nodes (2^10 slots
+    Each unique table is one open-addressed array of nodes (2^8 slots
     to start, doubled to keep the load factor at or below 1/2).  See
     {!Vdd.make} / {!Mdd.make} for the public entry points. *)
 
@@ -14,9 +14,9 @@ module type NODE = sig
   val terminal : node
   val zero_edge : edge
   val is_zero : edge -> bool
-  val weight : edge -> Cnum.t
+  val weight : edge -> int
   val target : edge -> node
-  val edge : Cnum.t -> node -> edge
+  val edge : int -> node -> edge
   val id : node -> int
   val level : node -> int
   val child : node -> int -> edge
@@ -28,14 +28,18 @@ module type S = sig
   type edge
   type t
 
-  val create : intern:(Cnum.t -> Cnum.t) -> unit -> t
+  val create : Ctable.t -> t
+  (** An empty unique table whose nodes' weights are tags of the given
+      complex table. *)
 
   val make : t -> level:int -> edge array -> edge
   (** Normalise [children] (mutated in place: child weights are divided by
-      the first maximal-magnitude child weight and interned), hash-cons
-      the node, return the canonical edge carrying the factored-out
-      weight.  [children] must have length [arity]; non-zero children
-      must sit one level below [level]. *)
+      the first maximal-magnitude child weight, {!Ctable.pivot4}, with
+      {!Ctable.div}), hash-cons the node, return the canonical edge
+      carrying the factored-out weight.  [children] must have length
+      [arity]; non-zero children must sit one level below [level].
+      Allocates nothing beyond the normalised child edges and the
+      returned edge. *)
 
   val length : t -> int
   (** Nodes currently resident. *)

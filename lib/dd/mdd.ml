@@ -11,20 +11,43 @@ let zero = m_zero
 let make ctx level e00 e01 e10 e11 =
   Hashcons.M.make ctx.Context.m_unique ~level [| e00; e01; e10; e11 |]
 
+(* The scalings share Vdd's rule: a zero factor or a zero edge gives the
+   zero edge, a factor of exactly one gives the edge itself, anything
+   else multiplies the weight in the complex table. *)
+let with_weight edge w =
+  if w = Ctable.zero_tag then m_zero
+  else if w = edge.mw then edge
+  else { mw = w; mt = edge.mt }
+
 let scale ctx s edge =
   if Cnum.is_exact_zero s || m_is_zero edge then m_zero
   else if Cnum.is_exact_one s then edge
-  else
-    let w = Context.cnum ctx (Cnum.mul s edge.mw) in
-    if Cnum.is_exact_zero w then m_zero else { mw = w; mt = edge.mt }
+  else with_weight edge (Ctable.mul_value ctx.Context.ctable s edge.mw)
 
-let terminal_edge ctx w =
-  let w = Context.cnum ctx w in
-  if Cnum.is_exact_zero w then m_zero else { mw = w; mt = m_terminal }
+let scale_tag ctx w edge =
+  if w = Ctable.zero_tag || m_is_zero edge then m_zero
+  else if w = Ctable.one_tag then edge
+  else with_weight edge (Ctable.mul ctx.Context.ctable w edge.mw)
+
+let scale_product ctx a b edge =
+  if m_is_zero edge then m_zero
+  else with_weight edge (Ctable.scale_product ctx.Context.ctable a b edge.mw)
+
+(* scaling by the conjugate of a canonical weight [w], not interned:
+   exactly zero or one only when [w] is *)
+let scale_conj ctx w edge =
+  if w = Ctable.zero_tag || m_is_zero edge then m_zero
+  else if w = Ctable.one_tag then edge
+  else with_weight edge (Ctable.conj_mul ctx.Context.ctable w edge.mw)
+
+let terminal w =
+  if w = Ctable.zero_tag then m_zero else { mw = w; mt = m_terminal }
+
+let terminal_edge ctx z = terminal (Context.cnum ctx z)
 
 let identity ctx n =
   let rec build k =
-    if k = 0 then terminal_edge ctx Cnum.one
+    if k = 0 then terminal Ctable.one_tag
     else
       match Hashtbl.find_opt ctx.Context.identity_cache k with
       | Some e -> e
@@ -43,9 +66,9 @@ let identity ctx n =
    branch selection on control qubits: the inactive control value must see
    the identity on the diagonal blocks and zero elsewhere); at the target
    the four blocks become the children of one node; above the target a
-   single edge is extended the same way.  [entries] are interned. *)
+   single edge is extended the same way.  [entries] are weight tags. *)
 let build_gate ctx ~n { Context.target_level = target; polarity; _ } entries =
-  let blocks = Array.map (fun w -> terminal_edge ctx w) entries in
+  let blocks = Array.map terminal entries in
   for z = 0 to target - 1 do
     let extend block =
       match polarity.(z) with
@@ -100,31 +123,29 @@ let outer_product ctx ~n ~row ~col =
       build (level + 1)
         (make ctx level (place 0 0) (place 0 1) (place 1 0) (place 1 1))
   in
-  build 0 (terminal_edge ctx Cnum.one)
+  build 0 (terminal Ctable.one_tag)
 
 let rec add ctx a b =
   if m_is_zero a then b
   else if m_is_zero b then a
   else if m_is_terminal a.mt && m_is_terminal b.mt then
-    terminal_edge ctx (Cnum.add a.mw b.mw)
+    terminal (Ctable.add ctx.Context.ctable a.mw b.mw)
   else begin
     assert (a.mt.level = b.mt.level);
     let a, b =
-      if
-        a.mt.mid < b.mt.mid
-        || (a.mt.mid = b.mt.mid && Cnum.tag a.mw <= Cnum.tag b.mw)
-      then (a, b)
+      if a.mt.mid < b.mt.mid || (a.mt.mid = b.mt.mid && a.mw <= b.mw) then
+        (a, b)
       else (b, a)
     in
-    let ratio = Context.cnum ctx (Cnum.div b.mw a.mw) in
+    let ratio = Ctable.div ctx.Context.ctable b.mw a.mw in
     let table = ctx.Context.add_m in
-    let k1 = a.mt.mid and k2 = b.mt.mid and k3 = Cnum.tag ratio in
+    let k1 = a.mt.mid and k2 = b.mt.mid and k3 = ratio in
     let unit_result =
       match Compute_table.find table ~k1 ~k2 ~k3 with
       | Some r -> r
       | None ->
         let na = a.mt and nb = b.mt in
-        let part qa qb = add ctx qa (scale ctx ratio qb) in
+        let part qa qb = add ctx qa (scale_tag ctx ratio qb) in
         let r =
           make ctx na.level (part na.m00 nb.m00) (part na.m01 nb.m01)
             (part na.m10 nb.m10) (part na.m11 nb.m11)
@@ -132,7 +153,7 @@ let rec add ctx a b =
         Compute_table.store table ~k1 ~k2 ~k3 r;
         r
     in
-    scale ctx a.mw unit_result
+    scale_tag ctx a.mw unit_result
   end
 
 let of_permutation ctx ~n f =
@@ -183,8 +204,7 @@ let rec apply ctx me ve =
   if m_is_zero me || v_is_zero ve then v_zero
   else if m_is_terminal me.mt then begin
     assert (v_is_terminal ve.vt);
-    let w = Context.cnum ctx (Cnum.mul me.mw ve.vw) in
-    if Cnum.is_exact_zero w then v_zero else { vw = w; vt = v_terminal }
+    Vdd.terminal (Ctable.mul ctx.Context.ctable me.mw ve.vw)
   end
   else begin
     assert (me.mt.level = ve.vt.level);
@@ -205,14 +225,14 @@ let rec apply ctx me ve =
         Compute_table.store table ~k1 ~k2 ~k3:0 r;
         r
     in
-    Vdd.scale ctx (Cnum.mul me.mw ve.vw) unit_result
+    Vdd.scale_product ctx me.mw ve.vw unit_result
   end
 
 let rec mul ctx ae be =
   if m_is_zero ae || m_is_zero be then m_zero
   else if m_is_terminal ae.mt then begin
     assert (m_is_terminal be.mt);
-    terminal_edge ctx (Cnum.mul ae.mw be.mw)
+    terminal (Ctable.mul ctx.Context.ctable ae.mw be.mw)
   end
   else begin
     assert (ae.mt.level = be.mt.level);
@@ -236,12 +256,12 @@ let rec mul ctx ae be =
         Compute_table.store table ~k1 ~k2 ~k3:0 r;
         r
     in
-    scale ctx (Cnum.mul ae.mw be.mw) unit_result
+    scale_product ctx ae.mw be.mw unit_result
   end
 
 let rec adjoint ctx e =
   if m_is_zero e then m_zero
-  else if m_is_terminal e.mt then terminal_edge ctx (Cnum.conj e.mw)
+  else if m_is_terminal e.mt then terminal (Ctable.conj ctx.Context.ctable e.mw)
   else
     let unit_result =
       match
@@ -257,7 +277,7 @@ let rec adjoint ctx e =
         Compute_table.store ctx.Context.adjoint ~k1:n.mid ~k2:0 ~k3:0 r;
         r
     in
-    scale ctx (Cnum.conj e.mw) unit_result
+    scale_conj ctx e.mw unit_result
 
 let kron ctx a b =
   if m_is_zero a || m_is_zero b then m_zero
@@ -266,7 +286,7 @@ let kron ctx a b =
     let memo = Hashtbl.create 64 in
     let rec lift e =
       if m_is_zero e then m_zero
-      else if m_is_terminal e.mt then scale ctx e.mw b
+      else if m_is_terminal e.mt then scale_tag ctx e.mw b
       else
         let node =
           match Hashtbl.find_opt memo e.mt.mid with
@@ -280,16 +300,17 @@ let kron ctx a b =
             Hashtbl.add memo n.mid r;
             r
         in
-        scale ctx e.mw node
+        scale_tag ctx e.mw node
     in
     lift a
   end
 
-let entry ?(order = Order.identity) edge ~n ~row ~col =
+let entry ?(order = Order.identity) ctx edge ~n ~row ~col =
+  let ct = ctx.Context.ctable in
   let rec walk edge level acc =
     if m_is_zero edge then Cnum.zero
     else
-      let acc = Cnum.mul acc edge.mw in
+      let acc = Cnum.mul acc (Ctable.get ct edge.mw) in
       if level < 0 then acc
       else
         let q = Order.qubit_of_level order level in
@@ -305,11 +326,11 @@ let entry ?(order = Order.identity) edge ~n ~row ~col =
   in
   walk edge (n - 1) Cnum.one
 
-let to_dense ?(order = Order.identity) edge ~n =
+let to_dense ?(order = Order.identity) ctx edge ~n =
   if n > 12 then invalid_arg "Mdd.to_dense: too many qubits";
   let dim = 1 lsl n in
   Array.init dim (fun row ->
-      Array.init dim (fun col -> entry ~order edge ~n ~row ~col))
+      Array.init dim (fun col -> entry ~order ctx edge ~n ~row ~col))
 
 let iter_nodes f edge =
   let seen = Hashtbl.create 256 in

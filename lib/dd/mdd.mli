@@ -16,6 +16,13 @@ val make : Context.t -> int -> edge -> edge -> edge -> edge -> edge
     lower-left, lower-right). *)
 
 val scale : Context.t -> Cnum.t -> edge -> edge
+(** As {!Vdd.scale}. *)
+
+val scale_tag : Context.t -> int -> edge -> edge
+(** As {!Vdd.scale_tag}. *)
+
+val terminal : int -> edge
+(** As {!Vdd.terminal}. *)
 
 val identity : Context.t -> int -> edge
 (** [identity ctx n] is the identity on [n] qubits — a linear-size chain of
@@ -62,12 +69,14 @@ val adjoint : Context.t -> edge -> edge
 val kron : Context.t -> edge -> edge -> edge
 (** [kron ctx a b] is [A (x) B] with [A] on the more significant qubits. *)
 
-val to_dense : ?order:Order.t -> edge -> n:int -> Cnum.t array array
+val to_dense :
+  ?order:Order.t -> Context.t -> edge -> n:int -> Cnum.t array array
 (** Expand to a dense matrix indexed by qubit bits; [order] (default
     identity) must be the order the DD was built under.  Tests only
     (raises above 12 qubits). *)
 
-val entry : ?order:Order.t -> edge -> n:int -> row:int -> col:int -> Cnum.t
+val entry :
+  ?order:Order.t -> Context.t -> edge -> n:int -> row:int -> col:int -> Cnum.t
 
 val node_count : edge -> int
 val iter_nodes : (Types.mnode -> unit) -> edge -> unit

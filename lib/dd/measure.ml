@@ -1,6 +1,8 @@
 open Dd_complex
 open Types
 
+let mag2 ctx w = Ctable.mag2 ctx.Context.ctable w
+
 (* node_norm n = sum over all paths below n of the squared magnitude of the
    path weight product; the top edge weight is excluded so the value can be
    cached per node. *)
@@ -11,7 +13,7 @@ let rec node_norm ctx node =
     | Some x -> x
     | None ->
       let part e =
-        if v_is_zero e then 0. else Cnum.mag2 e.vw *. node_norm ctx e.vt
+        if v_is_zero e then 0. else mag2 ctx e.vw *. node_norm ctx e.vt
       in
       let x = part node.v_low +. part node.v_high in
       Compute_table.store ctx.Context.norm ~k1:node.vid ~k2:0 ~k3:0 x;
@@ -19,7 +21,7 @@ let rec node_norm ctx node =
 
 let norm2 ctx edge =
   if v_is_zero edge then 0.
-  else Cnum.mag2 edge.vw *. node_norm ctx edge.vt
+  else mag2 ctx edge.vw *. node_norm ctx edge.vt
 
 let probability_one ctx edge ~qubit =
   if v_is_zero edge then
@@ -38,10 +40,10 @@ let probability_one ctx edge ~qubit =
       let x =
         if node.level = level then
           if v_is_zero node.v_high then 0.
-          else Cnum.mag2 node.v_high.vw *. node_norm ctx node.v_high.vt
+          else mag2 ctx node.v_high.vw *. node_norm ctx node.v_high.vt
         else
           let part e =
-            if v_is_zero e then 0. else Cnum.mag2 e.vw *. mass e.vt
+            if v_is_zero e then 0. else mag2 ctx e.vw *. mass e.vt
           in
           part node.v_low +. part node.v_high
       in
@@ -49,7 +51,7 @@ let probability_one ctx edge ~qubit =
       x
   in
   let total = norm2 ctx edge in
-  Cnum.mag2 edge.vw *. mass edge.vt /. total
+  mag2 ctx edge.vw *. mass edge.vt /. total
 
 let collapse ctx edge ~qubit ~outcome =
   if v_is_zero edge then
@@ -65,7 +67,7 @@ let collapse ctx edge ~qubit ~outcome =
     | None ->
       let descend child =
         if v_is_zero child then v_zero
-        else Vdd.scale ctx child.vw (project child.vt)
+        else Vdd.scale_tag ctx child.vw (project child.vt)
       in
       let e =
         if node.level = level then
@@ -77,7 +79,7 @@ let collapse ctx edge ~qubit ~outcome =
       Hashtbl.add memo node.vid e;
       e
   in
-  let full = Vdd.scale ctx edge.vw (project edge.vt) in
+  let full = Vdd.scale_tag ctx edge.vw (project edge.vt) in
   let p = norm2 ctx full in
   if p < 1e-24 then
     Dd_error.degenerate ~operation:"Measure.collapse"
@@ -96,7 +98,7 @@ let sample ctx rng edge =
     if v_is_terminal node then acc
     else
       let mass e =
-        if v_is_zero e then 0. else Cnum.mag2 e.vw *. node_norm ctx e.vt
+        if v_is_zero e then 0. else mag2 ctx e.vw *. node_norm ctx e.vt
       in
       let p0 = mass node.v_low and p1 = mass node.v_high in
       let pick_high = Random.State.float rng (p0 +. p1) >= p0 in
@@ -107,6 +109,6 @@ let sample ctx rng edge =
   in
   walk edge.vt 0
 
-let probabilities ?order edge ~n =
-  let amps = Vdd.to_array ?order edge ~n in
+let probabilities ?order ctx edge ~n =
+  let amps = Vdd.to_array ?order ctx edge ~n in
   Array.map Cnum.mag2 amps

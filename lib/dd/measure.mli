@@ -27,6 +27,7 @@ val sample : Context.t -> Random.State.t -> Vdd.edge -> int
 (** Sample a full basis-state index from the state's distribution without
     collapsing. *)
 
-val probabilities : ?order:Order.t -> Vdd.edge -> n:int -> float array
+val probabilities :
+  ?order:Order.t -> Context.t -> Vdd.edge -> n:int -> float array
 (** Dense outcome distribution indexed by qubit bits ([order] defaults to
     identity); tests and small [n] only. *)

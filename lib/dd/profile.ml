@@ -20,8 +20,10 @@ let acc_for table level =
     Hashtbl.add table level acc;
     acc
 
-let note_weight acc w =
-  let exponent = Obs.Dd_profile.bucket_exponent (Cnum.mag w) in
+let note_weight ctx acc w =
+  let exponent =
+    Obs.Dd_profile.bucket_exponent (sqrt (Ctable.mag2 ctx.Context.ctable w))
+  in
   let count =
     match Hashtbl.find_opt acc.buckets exponent with
     | Some c -> c
@@ -63,7 +65,7 @@ let build ~gate ~t ~dd ~nodes ~edges ~references ~identity_nodes levels =
     levels;
   }
 
-let vector ?(gate = -1) ?(t = 0.) ?(order = Order.identity) edge =
+let vector ?(gate = -1) ?(t = 0.) ?(order = Order.identity) ctx edge =
   let table = Hashtbl.create 32 in
   let nodes = ref 0 in
   let edges = ref 0 in
@@ -74,7 +76,7 @@ let vector ?(gate = -1) ?(t = 0.) ?(order = Order.identity) edge =
     else begin
       acc.a_edges <- acc.a_edges + 1;
       incr edges;
-      note_weight acc child.vw;
+      note_weight ctx acc child.vw;
       if not (v_is_terminal child.vt) then incr references
     end
   in
@@ -97,7 +99,7 @@ let vector ?(gate = -1) ?(t = 0.) ?(order = Order.identity) edge =
     ~references:!references ~identity_nodes:!identity_nodes
     (finish_levels ~order table)
 
-let matrix ?(gate = -1) ?(t = 0.) ?(order = Order.identity) edge =
+let matrix ?(gate = -1) ?(t = 0.) ?(order = Order.identity) ctx edge =
   let table = Hashtbl.create 32 in
   let nodes = ref 0 in
   let edges = ref 0 in
@@ -108,7 +110,7 @@ let matrix ?(gate = -1) ?(t = 0.) ?(order = Order.identity) edge =
     else begin
       acc.a_edges <- acc.a_edges + 1;
       incr edges;
-      note_weight acc child.mw;
+      note_weight ctx acc child.mw;
       if not (m_is_terminal child.mt) then incr references
     end
   in

@@ -8,7 +8,7 @@
     [2^n]. *)
 
 val vector :
-  ?gate:int -> ?t:float -> ?order:Order.t -> Vdd.edge ->
+  ?gate:int -> ?t:float -> ?order:Order.t -> Context.t -> Vdd.edge ->
   Obs.Dd_profile.snapshot
 (** [gate] (default [-1]) and [t] (default [0.]) stamp the snapshot;
     [order] (default identity) labels each level with the qubit it hosts.
@@ -17,7 +17,7 @@ val vector :
     unbiased below this node. *)
 
 val matrix :
-  ?gate:int -> ?t:float -> ?order:Order.t -> Mdd.edge ->
+  ?gate:int -> ?t:float -> ?order:Order.t -> Context.t -> Mdd.edge ->
   Obs.Dd_profile.snapshot
 (** A node counts toward the identity fraction when it acts as the
     identity at its level: equal diagonal quadrants and zero

@@ -37,7 +37,7 @@ let swap_vector ctx (edge : Vdd.edge) ~level =
         if v_is_zero child then v_zero
         else
           let gc = if c = 0 then child.vt.v_low else child.vt.v_high in
-          Vdd.scale ctx child.vw gc
+          Vdd.scale_tag ctx child.vw gc
       in
       let new_low = Vdd.make ctx lo (g 0 0) (g 1 0) in
       let new_high = Vdd.make ctx lo (g 0 1) (g 1 1) in
@@ -52,14 +52,14 @@ let swap_vector ctx (edge : Vdd.edge) ~level =
           else
             let descend (child : vedge) =
               if v_is_zero child then v_zero
-              else Vdd.scale ctx child.vw (walk child.vt)
+              else Vdd.scale_tag ctx child.vw (walk child.vt)
             in
             Vdd.make ctx v.level (descend v.v_low) (descend v.v_high)
         in
         Hashtbl.add memo v.vid e;
         e
     in
-    Vdd.scale ctx edge.vw (walk edge.vt)
+    Vdd.scale_tag ctx edge.vw (walk edge.vt)
   end
 
 (* Matrix analogue: the four quadrants of a level-(l+1) node trade nesting
@@ -80,7 +80,7 @@ let swap_matrix ctx (edge : Mdd.edge) ~level =
       let g i j =
         let child = quadrant v i in
         if m_is_zero child then m_zero
-        else Mdd.scale ctx child.mw (quadrant child.mt j)
+        else Mdd.scale_tag ctx child.mw (quadrant child.mt j)
       in
       let sub j = Mdd.make ctx lo (g 0 j) (g 1 j) (g 2 j) (g 3 j) in
       Mdd.make ctx hi (sub 0) (sub 1) (sub 2) (sub 3)
@@ -94,7 +94,7 @@ let swap_matrix ctx (edge : Mdd.edge) ~level =
           else
             let descend (child : medge) =
               if m_is_zero child then m_zero
-              else Mdd.scale ctx child.mw (walk child.mt)
+              else Mdd.scale_tag ctx child.mw (walk child.mt)
             in
             Mdd.make ctx v.level (descend v.m00) (descend v.m01)
               (descend v.m10) (descend v.m11)
@@ -102,7 +102,7 @@ let swap_matrix ctx (edge : Mdd.edge) ~level =
         Hashtbl.add memo v.mid e;
         e
     in
-    Mdd.scale ctx edge.mw (walk edge.mt)
+    Mdd.scale_tag ctx edge.mw (walk edge.mt)
   end
 
 (* One full adjacent swap: rewrite the state and swap the context's order

@@ -5,7 +5,8 @@ let float_repr x = Printf.sprintf "%.17g" x
 
 (* --- vectors --------------------------------------------------------- *)
 
-let vector_to_string edge =
+let vector_to_string ctx edge =
+  let value w = Ctable.get ctx.Context.ctable w in
   let buf = Buffer.create 1024 in
   let nodes = ref [] in
   Vdd.iter_nodes (fun node -> nodes := node :: !nodes) edge;
@@ -14,9 +15,8 @@ let vector_to_string edge =
   in
   Buffer.add_string buf (Printf.sprintf "ddvec %d\n" (List.length ordered));
   let emit_child (child : vedge) =
-    Printf.sprintf "%s %s %d"
-      (float_repr (Cnum.re child.vw))
-      (float_repr (Cnum.im child.vw))
+    let w = value child.vw in
+    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im)
       child.vt.vid
   in
   List.iter
@@ -25,10 +25,9 @@ let vector_to_string edge =
         (Printf.sprintf "node %d %d %s %s\n" node.vid node.level
            (emit_child node.v_low) (emit_child node.v_high)))
     ordered;
+  let w = value edge.vw in
   Buffer.add_string buf
-    (Printf.sprintf "root %s %s %d\n"
-       (float_repr (Cnum.re edge.vw))
-       (float_repr (Cnum.im edge.vw))
+    (Printf.sprintf "root %s %s %d\n" (float_repr w.re) (float_repr w.im)
        edge.vt.vid);
   Buffer.contents buf
 
@@ -52,13 +51,13 @@ let vector_of_string ctx text =
     String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
   in
   let table : (int, Vdd.edge) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.add table 0 { vw = Cnum.one; vt = v_terminal };
+  Hashtbl.add table 0 (Vdd.terminal Ctable.one_tag);
   let edge_of line re im target =
     let w = Cnum.make (float_field line re) (float_field line im) in
     if Cnum.is_exact_zero w then v_zero
     else
       match Hashtbl.find_opt table (int_field line target) with
-      | Some e -> Vdd.scale ctx (Context.cnum ctx w) e
+      | Some e -> Vdd.scale_tag ctx (Context.cnum ctx w) e
       | None -> parse_failure line "forward reference"
   in
   let root = ref None in
@@ -80,7 +79,8 @@ let vector_of_string ctx text =
 
 (* --- matrices --------------------------------------------------------- *)
 
-let matrix_to_string edge =
+let matrix_to_string ctx edge =
+  let value w = Ctable.get ctx.Context.ctable w in
   let buf = Buffer.create 1024 in
   let nodes = ref [] in
   Mdd.iter_nodes (fun node -> nodes := node :: !nodes) edge;
@@ -89,9 +89,8 @@ let matrix_to_string edge =
   in
   Buffer.add_string buf (Printf.sprintf "ddmat %d\n" (List.length ordered));
   let emit_child (child : medge) =
-    Printf.sprintf "%s %s %d"
-      (float_repr (Cnum.re child.mw))
-      (float_repr (Cnum.im child.mw))
+    let w = value child.mw in
+    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im)
       child.mt.mid
   in
   List.iter
@@ -101,10 +100,9 @@ let matrix_to_string edge =
            (emit_child node.m00) (emit_child node.m01) (emit_child node.m10)
            (emit_child node.m11)))
     ordered;
+  let w = value edge.mw in
   Buffer.add_string buf
-    (Printf.sprintf "root %s %s %d\n"
-       (float_repr (Cnum.re edge.mw))
-       (float_repr (Cnum.im edge.mw))
+    (Printf.sprintf "root %s %s %d\n" (float_repr w.re) (float_repr w.im)
        edge.mt.mid);
   Buffer.contents buf
 
@@ -113,13 +111,13 @@ let matrix_of_string ctx text =
     String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
   in
   let table : (int, Mdd.edge) Hashtbl.t = Hashtbl.create 256 in
-  Hashtbl.add table 0 { mw = Cnum.one; mt = m_terminal };
+  Hashtbl.add table 0 (Mdd.terminal Ctable.one_tag);
   let edge_of line re im target =
     let w = Cnum.make (float_field line re) (float_field line im) in
     if Cnum.is_exact_zero w then m_zero
     else
       match Hashtbl.find_opt table (int_field line target) with
-      | Some e -> Mdd.scale ctx (Context.cnum ctx w) e
+      | Some e -> Mdd.scale_tag ctx (Context.cnum ctx w) e
       | None -> parse_failure line "forward reference"
   in
   let root = ref None in

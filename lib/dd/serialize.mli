@@ -6,11 +6,14 @@
     from one context can be read into another (e.g. caching directly
     constructed oracles across runs). *)
 
-val vector_to_string : Vdd.edge -> string
+val vector_to_string : Context.t -> Vdd.edge -> string
+(** The edge's weights are read from the context's complex table and
+    written with [%.17g], so they read back bit for bit. *)
+
 val vector_of_string : Context.t -> string -> Vdd.edge
 (** Raises {!Dd_error.Error} ([Malformed_dd]) on malformed input. *)
 
-val matrix_to_string : Mdd.edge -> string
+val matrix_to_string : Context.t -> Mdd.edge -> string
 val matrix_of_string : Context.t -> string -> Mdd.edge
 
 val write_file : string -> string -> unit

@@ -1,7 +1,7 @@
 open Dd_complex
 
 type vnode = { vid : int; level : int; v_low : vedge; v_high : vedge }
-and vedge = { vw : Cnum.t; vt : vnode }
+and vedge = { vw : int; vt : vnode }
 
 type mnode = {
   mid : int;
@@ -11,38 +11,34 @@ type mnode = {
   m10 : medge;
   m11 : medge;
 }
-and medge = { mw : Cnum.t; mt : mnode }
+and medge = { mw : int; mt : mnode }
 
 let rec v_terminal =
   {
     vid = 0;
     level = -1;
-    v_low = { vw = Cnum.zero; vt = v_terminal };
-    v_high = { vw = Cnum.zero; vt = v_terminal };
+    v_low = { vw = Ctable.zero_tag; vt = v_terminal };
+    v_high = { vw = Ctable.zero_tag; vt = v_terminal };
   }
 
 let rec m_terminal =
   {
     mid = 0;
     level = -1;
-    m00 = { mw = Cnum.zero; mt = m_terminal };
-    m01 = { mw = Cnum.zero; mt = m_terminal };
-    m10 = { mw = Cnum.zero; mt = m_terminal };
-    m11 = { mw = Cnum.zero; mt = m_terminal };
+    m00 = { mw = Ctable.zero_tag; mt = m_terminal };
+    m01 = { mw = Ctable.zero_tag; mt = m_terminal };
+    m10 = { mw = Ctable.zero_tag; mt = m_terminal };
+    m11 = { mw = Ctable.zero_tag; mt = m_terminal };
   }
 
-let v_zero = { vw = Cnum.zero; vt = v_terminal }
-let m_zero = { mw = Cnum.zero; mt = m_terminal }
+let v_zero = { vw = Ctable.zero_tag; vt = v_terminal }
+let m_zero = { mw = Ctable.zero_tag; mt = m_terminal }
 let v_is_terminal (node : vnode) = node.level < 0
 let m_is_terminal (node : mnode) = node.level < 0
-let v_is_zero edge = Cnum.is_exact_zero edge.vw
-let m_is_zero edge = Cnum.is_exact_zero edge.mw
-
-let v_edge_equal a b =
-  a.vt.vid = b.vt.vid && Cnum.tag a.vw = Cnum.tag b.vw
-
-let m_edge_equal a b =
-  a.mt.mid = b.mt.mid && Cnum.tag a.mw = Cnum.tag b.mw
+let v_is_zero edge = edge.vw = Ctable.zero_tag
+let m_is_zero edge = edge.mw = Ctable.zero_tag
+let v_edge_equal a b = a.vt.vid = b.vt.vid && a.vw = b.vw
+let m_edge_equal a b = a.mt.mid = b.mt.mid && a.mw = b.mw
 
 let v_height edge = edge.vt.level + 1
 let m_height edge = edge.mt.level + 1

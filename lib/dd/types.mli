@@ -6,17 +6,18 @@
     significant).  There is no level skipping: every non-zero edge leaving a
     node at level [l] targets a node at level [l - 1] (or the terminal when
     [l = 0]).  Zero sub-vectors/sub-matrices are represented by {e zero
-    edges} — weight exactly [Cnum.zero], target the terminal — the "0-stubs"
-    of the paper's Fig. 2c.
+    edges} — weight {!Dd_complex.Ctable.zero_tag}, target the terminal — the
+    "0-stubs" of the paper's Fig. 2c.
 
-    All edge weights are canonical values produced by {!Ctable.intern}, so
-    two edges are equal iff their targets' ids and their weights' tags
-    agree. *)
-
-open Dd_complex
+    An edge weight is the tag of a canonical value in its context's
+    {!Dd_complex.Ctable} ([Context.t.ctable]), so two edges are equal iff
+    their targets' ids and their weight tags agree, and reading a
+    weight's value takes the table ({!Dd_complex.Ctable.get}).  A vector
+    node is 5 words and each of its two edges 3 (11 in all); a matrix
+    node is 7 words plus four edges (19). *)
 
 type vnode = { vid : int; level : int; v_low : vedge; v_high : vedge }
-and vedge = { vw : Cnum.t; vt : vnode }
+and vedge = { vw : int; vt : vnode }
 
 type mnode = {
   mid : int;
@@ -26,7 +27,7 @@ type mnode = {
   m10 : medge;  (** lower-left quadrant *)
   m11 : medge;  (** lower-right quadrant *)
 }
-and medge = { mw : Cnum.t; mt : mnode }
+and medge = { mw : int; mt : mnode }
 
 val v_terminal : vnode
 (** The unique vector terminal (level [-1], id [0]). *)
@@ -44,7 +45,7 @@ val v_is_terminal : vnode -> bool
 val m_is_terminal : mnode -> bool
 
 val v_is_zero : vedge -> bool
-(** True iff the edge is a zero stub (weight exactly zero). *)
+(** True iff the edge is a zero stub (weight {!Dd_complex.Ctable.zero_tag}). *)
 
 val m_is_zero : medge -> bool
 

@@ -12,21 +12,22 @@ let node_id = function Leaf { leaf_id; _ } -> -1 - leaf_id | Branch { id; _ } ->
 (* Conversion pushes the accumulated path weight towards the terminals;
    hash-consing uses (level, child ids) for branches and the canonical
    weight tag for leaves, so sharing happens exactly when sub-vectors are
-   equal — not merely proportional. *)
+   equal — not merely proportional.  A leaf keeps its tag's value, so the
+   result reads without the context. *)
 let of_vdd ctx edge =
+  let ct = ctx.Context.ctable in
   let leaf_table : (int, node) Hashtbl.t = Hashtbl.create 256 in
   let branch_table : (int * int * int, node) Hashtbl.t = Hashtbl.create 256 in
   let memo : (int * int, node) Hashtbl.t = Hashtbl.create 1024 in
   let next_leaf = ref 0 in
   let next_branch = ref 0 in
-  let leaf value =
-    let value = Context.cnum ctx value in
-    match Hashtbl.find_opt leaf_table (Cnum.tag value) with
+  let leaf w =
+    match Hashtbl.find_opt leaf_table w with
     | Some node -> node
     | None ->
-      let node = Leaf { value; leaf_id = !next_leaf } in
+      let node = Leaf { value = Ctable.get ct w; leaf_id = !next_leaf } in
       incr next_leaf;
-      Hashtbl.add leaf_table (Cnum.tag value) node;
+      Hashtbl.add leaf_table w node;
       node
   in
   let branch level low high =
@@ -39,22 +40,22 @@ let of_vdd ctx edge =
       Hashtbl.add branch_table key node;
       node
   in
-  let rec convert (vnode : vnode) (weight : Cnum.t) =
+  let rec convert (vnode : vnode) weight =
     if v_is_terminal vnode then leaf weight
     else
-      let key = (vnode.vid, Cnum.tag weight) in
+      let key = (vnode.vid, weight) in
       match Hashtbl.find_opt memo key with
       | Some node -> node
       | None ->
         let child (e : vedge) =
           if v_is_zero e then zero_subtree (vnode.level - 1)
-          else convert e.vt (Context.cnum ctx (Cnum.mul weight e.vw))
+          else convert e.vt (Ctable.mul ct weight e.vw)
         in
         let node = branch vnode.level (child vnode.v_low) (child vnode.v_high) in
         Hashtbl.replace memo key node;
         node
   and zero_subtree level =
-    if level < 0 then leaf Cnum.zero
+    if level < 0 then leaf Ctable.zero_tag
     else
       let below = zero_subtree (level - 1) in
       branch level below below
@@ -62,8 +63,8 @@ let of_vdd ctx edge =
   let root =
     if v_is_zero edge then
       (* an all-zero vector of unknown height: represent as single leaf *)
-      leaf Cnum.zero
-    else convert edge.vt (Context.cnum ctx edge.vw)
+      leaf Ctable.zero_tag
+    else convert edge.vt edge.vw
   in
   { root; nodes = !next_branch; leaves = !next_leaf }
 

@@ -11,16 +11,32 @@ let zero = v_zero
 let make ctx level low high =
   Hashcons.V.make ctx.Context.v_unique ~level [| low; high |]
 
+(* The three scalings below share one rule: a zero factor or a zero edge
+   gives the zero edge, a factor of exactly one gives the edge itself,
+   anything else multiplies the weight in the complex table. *)
+let with_weight edge w =
+  if w = Ctable.zero_tag then v_zero
+  else if w = edge.vw then edge
+  else { vw = w; vt = edge.vt }
+
 let scale ctx s edge =
   if Cnum.is_exact_zero s || v_is_zero edge then v_zero
   else if Cnum.is_exact_one s then edge
-  else
-    let w = Context.cnum ctx (Cnum.mul s edge.vw) in
-    if Cnum.is_exact_zero w then v_zero else { vw = w; vt = edge.vt }
+  else with_weight edge (Ctable.mul_value ctx.Context.ctable s edge.vw)
 
-let terminal_edge ctx w =
-  let w = Context.cnum ctx w in
-  if Cnum.is_exact_zero w then v_zero else { vw = w; vt = v_terminal }
+let scale_tag ctx w edge =
+  if w = Ctable.zero_tag || v_is_zero edge then v_zero
+  else if w = Ctable.one_tag then edge
+  else with_weight edge (Ctable.mul ctx.Context.ctable w edge.vw)
+
+let scale_product ctx a b edge =
+  if v_is_zero edge then v_zero
+  else with_weight edge (Ctable.scale_product ctx.Context.ctable a b edge.vw)
+
+let terminal w =
+  if w = Ctable.zero_tag then v_zero else { vw = w; vt = v_terminal }
+
+let terminal_edge ctx z = terminal (Context.cnum ctx z)
 
 (* Qubit-facing constructors and readers translate index bits through the
    level<->qubit order: the bit steering level [l] is bit
@@ -41,7 +57,7 @@ let basis ctx ~n index =
       in
       build (level + 1) next
   in
-  build 0 (terminal_edge ctx Cnum.one)
+  build 0 (terminal Ctable.one_tag)
 
 let of_array ctx amplitudes =
   let len = Array.length amplitudes in
@@ -58,12 +74,13 @@ let of_array ctx amplitudes =
   let rec log2 k acc = if k = 1 then acc else log2 (k lsr 1) (acc + 1) in
   build (log2 len 0 - 1) 0
 
-let to_array ?(order = Order.identity) edge ~n =
+let to_array ?(order = Order.identity) ctx edge ~n =
   if n > 24 then invalid_arg "Vdd.to_array: too many qubits";
+  let ct = ctx.Context.ctable in
   let out = Array.make (1 lsl n) Cnum.zero in
   let rec fill edge weight index =
     if not (v_is_zero edge) then begin
-      let weight = Cnum.mul weight edge.vw in
+      let weight = Cnum.mul weight (Ctable.get ct edge.vw) in
       if v_is_terminal edge.vt then out.(index) <- weight
       else begin
         let high = 1 lsl Order.qubit_of_level order edge.vt.level in
@@ -75,11 +92,12 @@ let to_array ?(order = Order.identity) edge ~n =
   fill edge Cnum.one 0;
   out
 
-let amplitude ?(order = Order.identity) edge ~n index =
+let amplitude ?(order = Order.identity) ctx edge ~n index =
+  let ct = ctx.Context.ctable in
   let rec walk edge level acc =
     if v_is_zero edge then Cnum.zero
     else
-      let acc = Cnum.mul acc edge.vw in
+      let acc = Cnum.mul acc (Ctable.get ct edge.vw) in
       if level < 0 then acc
       else
         let bit = (index lsr Order.qubit_of_level order level) land 1 in
@@ -95,34 +113,33 @@ let rec add ctx a b =
   if v_is_zero a then b
   else if v_is_zero b then a
   else if v_is_terminal a.vt && v_is_terminal b.vt then
-    terminal_edge ctx (Cnum.add a.vw b.vw)
+    terminal (Ctable.add ctx.Context.ctable a.vw b.vw)
   else begin
     assert (a.vt.level = b.vt.level);
     let a, b =
-      if
-        a.vt.vid < b.vt.vid
-        || (a.vt.vid = b.vt.vid && Cnum.tag a.vw <= Cnum.tag b.vw)
-      then (a, b)
+      if a.vt.vid < b.vt.vid || (a.vt.vid = b.vt.vid && a.vw <= b.vw) then
+        (a, b)
       else (b, a)
     in
-    let ratio = Context.cnum ctx (Cnum.div b.vw a.vw) in
+    let ratio = Ctable.div ctx.Context.ctable b.vw a.vw in
     let table = ctx.Context.add_v in
-    let k1 = a.vt.vid and k2 = b.vt.vid and k3 = Cnum.tag ratio in
+    let k1 = a.vt.vid and k2 = b.vt.vid and k3 = ratio in
     let unit_result =
       match Compute_table.find table ~k1 ~k2 ~k3 with
       | Some r -> r
       | None ->
         let na = a.vt and nb = b.vt in
-        let low = add ctx na.v_low (scale ctx ratio nb.v_low) in
-        let high = add ctx na.v_high (scale ctx ratio nb.v_high) in
+        let low = add ctx na.v_low (scale_tag ctx ratio nb.v_low) in
+        let high = add ctx na.v_high (scale_tag ctx ratio nb.v_high) in
         let r = make ctx na.level low high in
         Compute_table.store table ~k1 ~k2 ~k3 r;
         r
     in
-    scale ctx a.vw unit_result
+    scale_tag ctx a.vw unit_result
   end
 
 let dot ctx a b =
+  let value w = Ctable.get ctx.Context.ctable w in
   let rec unit_dot na nb =
     if v_is_terminal na then Cnum.one
     else
@@ -135,7 +152,7 @@ let dot ctx a b =
           if v_is_zero ea || v_is_zero eb then Cnum.zero
           else
             Cnum.mul
-              (Cnum.mul (Cnum.conj ea.vw) eb.vw)
+              (Cnum.mul (Cnum.conj (value ea.vw)) (value eb.vw))
               (unit_dot ea.vt eb.vt)
         in
         let r =
@@ -147,7 +164,9 @@ let dot ctx a b =
   if v_is_zero a || v_is_zero b then Cnum.zero
   else begin
     assert (a.vt.level = b.vt.level);
-    Cnum.mul (Cnum.mul (Cnum.conj a.vw) b.vw) (unit_dot a.vt b.vt)
+    Cnum.mul
+      (Cnum.mul (Cnum.conj (value a.vw)) (value b.vw))
+      (unit_dot a.vt b.vt)
   end
 
 let iter_nodes f edge =
@@ -179,6 +198,8 @@ let approx_equal_array ?(tol = 1e-9) xs ys =
        !ok
      end
 
+let magnitude ctx w = sqrt (Ctable.mag2 ctx.Context.ctable w)
+
 (* largest |amplitude| of any path below a node (top weight excluded),
    cached per context *)
 let rec node_max_magnitude ctx node =
@@ -191,7 +212,7 @@ let rec node_max_magnitude ctx node =
     | None ->
       let part e =
         if v_is_zero e then 0.
-        else Cnum.mag e.vw *. node_max_magnitude ctx e.vt
+        else magnitude ctx e.vw *. node_max_magnitude ctx e.vt
       in
       let x = Float.max (part node.v_low) (part node.v_high) in
       Compute_table.store ctx.Context.max_mag ~k1:node.vid ~k2:0 ~k3:0 x;
@@ -215,9 +236,12 @@ let top_amplitudes ctx ~n k edge =
           let c = compare ia ib in
           if c <> 0 then c else compare na.vid nb.vid
     end) in
-    let initial_bound = Cnum.mag edge.vw *. node_max_magnitude ctx edge.vt in
+    let value w = Ctable.get ctx.Context.ctable w in
+    let initial_bound =
+      magnitude ctx edge.vw *. node_max_magnitude ctx edge.vt
+    in
     let frontier =
-      ref (Frontier.singleton (initial_bound, 0, edge.vw, edge.vt))
+      ref (Frontier.singleton (initial_bound, 0, value edge.vw, edge.vt))
     in
     let results = ref [] in
     let found = ref 0 in
@@ -231,7 +255,7 @@ let top_amplitudes ctx ~n k edge =
       else begin
         let push bit child =
           if not (v_is_zero child) then begin
-            let amp = Cnum.mul amp child.vw in
+            let amp = Cnum.mul amp (value child.vw) in
             let bound = Cnum.mag amp *. node_max_magnitude ctx child.vt in
             let index =
               if bit = 0 then index
@@ -257,28 +281,31 @@ let truncate ctx ~threshold edge =
     | None ->
       let descend child =
         if v_is_zero child then v_zero
-        else if Cnum.mag child.vw *. node_max_magnitude ctx child.vt < threshold
+        else if
+          magnitude ctx child.vw *. node_max_magnitude ctx child.vt
+          < threshold
         then v_zero
-        else scale ctx child.vw (prune child.vt)
+        else scale_tag ctx child.vw (prune child.vt)
       in
       let e =
-        if v_is_terminal node then { vw = Cnum.one; vt = v_terminal }
+        if v_is_terminal node then terminal Ctable.one_tag
         else make ctx node.level (descend node.v_low) (descend node.v_high)
       in
       Hashtbl.replace memo node.vid e;
       e
   in
-  let pruned = scale ctx edge.vw (prune edge.vt) in
+  let pruned = scale_tag ctx edge.vw (prune edge.vt) in
   if v_is_zero pruned then
     invalid_arg "Vdd.truncate: threshold removes the whole state";
   (* renormalise to unit norm *)
+  let ct = ctx.Context.ctable in
   let rec norm2 node =
     if v_is_terminal node then 1.
     else
       let part e =
-        if v_is_zero e then 0. else Cnum.mag2 e.vw *. norm2 e.vt
+        if v_is_zero e then 0. else Ctable.mag2 ct e.vw *. norm2 e.vt
       in
       part node.v_low +. part node.v_high
   in
-  let total = Cnum.mag2 pruned.vw *. norm2 pruned.vt in
+  let total = Ctable.mag2 ct pruned.vw *. norm2 pruned.vt in
   scale ctx (Cnum.of_float (1. /. sqrt total)) pruned

@@ -13,10 +13,23 @@ val make : Context.t -> int -> edge -> edge -> edge
     and high children are [low] and [high] (both of height [level], with
     canonical weights).  Normalisation divides both child weights by the one
     with the largest magnitude (low on ties), which is propagated to the
-    returned edge. *)
+    returned edge.  On a node that already exists it allocates only its
+    children array and at most three edges. *)
 
 val scale : Context.t -> Cnum.t -> edge -> edge
-(** Multiply an edge weight by a scalar (result weight re-interned). *)
+(** Multiply an edge weight by a scalar (result weight interned).  A
+    scalar of exactly zero gives {!zero}, exactly one the edge itself. *)
+
+val scale_tag : Context.t -> int -> edge -> edge
+(** {!scale} by a canonical weight, given by its tag. *)
+
+val scale_product : Context.t -> int -> int -> edge -> edge
+(** [scale_product ctx a b e] is {!scale} by the product of the weights
+    [a] and [b], which is not interned ({!Dd_complex.Ctable.scale_product}). *)
+
+val terminal : int -> edge
+(** The edge of weight tag [w] into the terminal ({!zero} for
+    {!Dd_complex.Ctable.zero_tag}). *)
 
 val basis : Context.t -> n:int -> int -> edge
 (** [basis ctx ~n i] is the computational basis state [|i>] on [n] qubits
@@ -28,12 +41,12 @@ val of_array : Context.t -> Cnum.t array -> edge
     two).  Index bit [k] corresponds to qubit [k]; the context's live
     order decides which level hosts each qubit. *)
 
-val to_array : ?order:Order.t -> edge -> n:int -> Cnum.t array
+val to_array : ?order:Order.t -> Context.t -> edge -> n:int -> Cnum.t array
 (** Expand to a dense vector indexed by qubit bits; [order] (default
     identity) must be the order the DD was built under.  Intended for
     tests and small [n] (raises [Invalid_argument] above 24 qubits). *)
 
-val amplitude : ?order:Order.t -> edge -> n:int -> int -> Cnum.t
+val amplitude : ?order:Order.t -> Context.t -> edge -> n:int -> int -> Cnum.t
 (** Amplitude of basis state [i]: the product of the edge weights along the
     path selected by the bits of [i] (paper's Example 2), with each
     level's steering bit picked through [order] (default identity). *)

@@ -80,7 +80,7 @@ let test_simon_oracle_xors () =
       check_cnum
         (Printf.sprintf "oracle on x=%d y=%d" x y)
         Dd_complex.Cnum.one
-        (Dd.Mdd.entry oracle ~n:(2 * n) ~row:expected ~col:input))
+        (Dd.Mdd.entry ctx oracle ~n:(2 * n) ~row:expected ~col:input))
     [ (0, 0); (3, 5); (7, 7); (2, 1) ]
 
 let test_simon_recovers_period () =

@@ -30,7 +30,7 @@ let test_single_qubit () =
   let state = Dd.Vdd.basis ctx ~n:1 0 in
   let result = check_gate "h" ctx ~n:1 (Gate.h 0) state in
   check_float "H|0> low amplitude" 0.5
-    (Cnum.mag2 (Dd.Vdd.amplitude result ~n:1 0))
+    (Cnum.mag2 (Dd.Vdd.amplitude ctx result ~n:1 0))
 
 let test_target_in_the_middle () =
   let ctx = fresh_ctx () in

@@ -29,7 +29,7 @@ let test_top_amplitudes_matches_dense () =
   Dd_sim.Engine.run engine circuit;
   let state = Dd_sim.Engine.state engine in
   let top = Dd.Vdd.top_amplitudes ctx ~n:6 5 state in
-  let dense = Dd.Vdd.to_array state ~n:6 in
+  let dense = Dd.Vdd.to_array ctx state ~n:6 in
   let sorted =
     Array.mapi (fun i a -> (Cnum.mag2 a, i)) dense
     |> Array.to_list
@@ -73,10 +73,10 @@ let test_truncate_removes_small_branches () =
   let e = Dd.Vdd.of_array ctx v in
   let truncated = Dd.Vdd.truncate ctx ~threshold:1e-3 e in
   check_cnum "small branch removed" Cnum.zero
-    (Dd.Vdd.amplitude truncated ~n:2 2);
+    (Dd.Vdd.amplitude ctx truncated ~n:2 2);
   check_float "renormalised" 1. (Dd.Measure.norm2 ctx truncated);
   check_float "dominant amplitude now exactly one" 1.
-    (Cnum.mag2 (Dd.Vdd.amplitude truncated ~n:2 0))
+    (Cnum.mag2 (Dd.Vdd.amplitude ctx truncated ~n:2 0))
 
 let test_truncate_identity_when_threshold_tiny () =
   let ctx = fresh_ctx () in
@@ -86,8 +86,8 @@ let test_truncate_identity_when_threshold_tiny () =
   let state = Dd_sim.Engine.state engine in
   let truncated = Dd.Vdd.truncate ctx ~threshold:1e-15 state in
   check_cnum_array "nothing removed below machine noise"
-    (Dd.Vdd.to_array state ~n:5)
-    (Dd.Vdd.to_array truncated ~n:5)
+    (Dd.Vdd.to_array ctx state ~n:5)
+    (Dd.Vdd.to_array ctx truncated ~n:5)
 
 let test_truncate_preserves_fidelity () =
   let ctx = fresh_ctx () in

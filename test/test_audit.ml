@@ -47,7 +47,7 @@ let test_norm_drift_detected () =
 let test_norm_drift_repaired () =
   let engine = run_engine (Standard.bell ()) in
   let ctx = Dd_sim.Engine.context engine in
-  let expected = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:2 in
+  let expected = state_array engine ~n:2 in
   Dd_sim.Engine.set_state engine
     (Dd.Vdd.scale ctx (Cnum.of_float 2.) (Dd_sim.Engine.state engine));
   let found = Dd_sim.Engine.audit_now engine in
@@ -55,27 +55,49 @@ let test_norm_drift_repaired () =
   let stats = Dd_sim.Engine.stats engine in
   check_int "repair counted" 1 stats.Dd_sim.Sim_stats.audit_repairs;
   check_cnum_array "state renormalised back" expected
-    (Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:2);
+    (state_array engine ~n:2);
   check_int "clean after repair" 0 (Dd_sim.Engine.audit_now engine)
+
+(* A weight is a tag the context's complex table handed out; a record
+   forged with any other int is reported without reading its value, and
+   since it has no value the recovery ladder cannot repair it: the
+   engine raises the structured failure. *)
+let test_foreign_weight_tag_detected () =
+  let engine = run_engine (Standard.ghz 3) in
+  let ctx = Dd_sim.Engine.context engine in
+  let state = Dd_sim.Engine.state engine in
+  let forged =
+    { state with Dd.Types.vw = Ctable.size ctx.Dd.Context.ctable + 7 }
+  in
+  check_bool "foreign tag reported" true
+    (List.exists
+       (function Dd.Audit.Uninterned_weight _ -> true | _ -> false)
+       (Dd.Audit.check_vector ~norm_tol:1e-6 ctx forged));
+  Dd_sim.Engine.set_state engine forged;
+  check_bool "unrepairable: structured audit failure" true
+    (match Dd_sim.Engine.audit_now engine with
+    | _ -> false
+    | exception Dd_sim.Error.Error (Dd_sim.Error.Audit_failure _) -> true)
 
 let test_norm2_uncached_matches () =
   let engine =
     run_engine (Standard.random_circuit ~seed:9 ~qubits:5 ~gates:40 ())
   in
-  let arr = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:5 in
+  let arr = state_array engine ~n:5 in
   let dense = Array.fold_left (fun a z -> a +. Cnum.mag2 z) 0. arr in
   check_float "norm2 agrees with dense sum" dense
-    (Dd.Audit.norm2_uncached (Dd_sim.Engine.state engine))
+    (Dd.Audit.norm2_uncached (Dd_sim.Engine.context engine)
+       (Dd_sim.Engine.state engine))
 
 let test_rebuild_preserves_amplitudes () =
   let engine =
     run_engine (Standard.random_circuit ~seed:13 ~qubits:5 ~gates:50 ())
   in
   let ctx = Dd_sim.Engine.context engine in
-  let before = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:5 in
+  let before = state_array engine ~n:5 in
   let rebuilt = Dd.Audit.rebuild_vector ctx (Dd_sim.Engine.state engine) in
   check_cnum_array "rebuild is semantics-preserving" before
-    (Dd.Vdd.to_array rebuilt ~n:5);
+    (Dd.Vdd.to_array ctx rebuilt ~n:5);
   check_int "rebuilt DD audits clean" 0
     (List.length (Dd.Audit.check_vector ctx rebuilt))
 
@@ -134,6 +156,8 @@ let suite =
       test_audit_now_clean;
     Alcotest.test_case "norm drift detected" `Quick test_norm_drift_detected;
     Alcotest.test_case "norm drift repaired" `Quick test_norm_drift_repaired;
+    Alcotest.test_case "foreign weight tag detected" `Quick
+      test_foreign_weight_tag_detected;
     Alcotest.test_case "norm2_uncached matches dense" `Quick
       test_norm2_uncached_matches;
     Alcotest.test_case "rebuild preserves amplitudes" `Quick

@@ -61,51 +61,53 @@ let test_compare_mag () =
 let test_intern_constants () =
   let table = Ctable.create () in
   let z = Ctable.intern table (Cnum.make 0. 0.) in
-  check_bool "interned zero is the exact constant" true (z == Cnum.zero);
+  check_bool "interned zero is the exact constant" true (z = Ctable.zero_tag);
   let o = Ctable.intern table (Cnum.make 1. 0.) in
-  check_bool "interned one is the exact constant" true (o == Cnum.one)
+  check_bool "interned one is the exact constant" true (o = Ctable.one_tag)
 
 let test_intern_snaps_noise () =
   let table = Ctable.create () in
   let z = Ctable.intern table (Cnum.make 1e-13 (-1e-13)) in
-  check_bool "FP noise snaps to exact zero" true (Cnum.is_exact_zero z);
+  check_bool "FP noise snaps to exact zero" true
+    (Cnum.is_exact_zero (Ctable.get table z));
   let o = Ctable.intern table (Cnum.make (1. -. 1e-12) 1e-13) in
-  check_bool "near-one snaps to exact one" true (Cnum.is_exact_one o)
+  check_bool "near-one snaps to exact one" true
+    (Cnum.is_exact_one (Ctable.get table o))
 
 let test_intern_own_cell_before_constants () =
   (* the query's own cell is scanned before the cell holding a constant,
      so an earlier entry within tolerance wins over 0 or 1 *)
   let table = Ctable.create () in
   let a = Ctable.intern table (Cnum.make 1.2e-12 0.) in
-  check_int "1.2e-12 is a new entry" 2 (Cnum.tag a);
+  check_int "1.2e-12 is a new entry" 2 a;
   let b = Ctable.intern table (Cnum.make 0.99e-12 0.) in
-  check_bool "0.99e-12 returns the 1.2e-12 entry, not zero" true (a == b);
+  check_bool "0.99e-12 returns the 1.2e-12 entry, not zero" true (a = b);
   let c = Ctable.intern table (Cnum.make (1. +. 1.4e-12) 0.) in
-  check_int "1 + 1.4e-12 is a new entry" 3 (Cnum.tag c);
+  check_int "1 + 1.4e-12 is a new entry" 3 c;
   let d = Ctable.intern table (Cnum.make (1. +. 0.6e-12) 0.) in
   check_bool "1 + 0.6e-12 returns the 1 + 1.4e-12 entry, not one" true
-    (c == d);
+    (c = d);
   check_int "no further entries" 4 (Ctable.size table)
 
 let test_intern_shares () =
   let table = Ctable.create () in
   let a = Ctable.intern table (Cnum.make 0.25 0.75) in
   let b = Ctable.intern table (Cnum.make (0.25 +. 1e-12) 0.75) in
-  check_bool "nearby values share one representative" true (a == b);
-  check_int "same tag" (Cnum.tag a) (Cnum.tag b)
+  check_bool "nearby values share one representative" true
+    (Ctable.get table a = Ctable.get table b);
+  check_int "same tag" a b
 
 let test_intern_distinct () =
   let table = Ctable.create () in
   let a = Ctable.intern table (Cnum.make 0.25 0.) in
   let b = Ctable.intern table (Cnum.make 0.5 0.) in
-  check_bool "distinct values get distinct tags" true
-    (Cnum.tag a <> Cnum.tag b)
+  check_bool "distinct values get distinct tags" true (a <> b)
 
 let test_intern_idempotent () =
   let table = Ctable.create () in
   let a = Ctable.intern table (Cnum.make 0.3 0.4) in
-  let b = Ctable.intern table a in
-  check_bool "interning a canonical value is the identity" true (a == b)
+  let b = Ctable.intern table (Ctable.get table a) in
+  check_bool "interning a canonical value is the identity" true (a = b)
 
 let test_table_size () =
   let table = Ctable.create () in
@@ -120,7 +122,135 @@ let test_bucket_boundary () =
   let table = Ctable.create ~tolerance:1e-6 () in
   let a = Ctable.intern table (Cnum.make (1.5e-6 +. 4.9e-7) 0.) in
   let b = Ctable.intern table (Cnum.make (1.5e-6 -. 4.9e-7) 0.) in
-  check_bool "boundary straddlers merge" true (a == b)
+  check_bool "boundary straddlers merge" true (a = b)
+
+let test_foreign_tag_rejected () =
+  let table = Ctable.create () in
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let unused = Ctable.size table in
+  check_bool "a tag past size" true
+    (rejects (fun () -> Ctable.get table unused));
+  check_bool "a negative tag" true
+    (rejects (fun () -> Ctable.mul table Ctable.one_tag (-1)))
+
+(* Weight arithmetic computes in the table's unboxed arrays: once the
+   results are interned, the hot operations allocate nothing. *)
+let test_arithmetic_allocates_nothing () =
+  let table = Ctable.create () in
+  let a = Ctable.intern table (Cnum.make 0.6 0.8) in
+  let b = Ctable.intern table (Cnum.make (-0.28) 0.96) in
+  let s = Cnum.make 0.5 (-0.5) in
+  let ops () =
+    ignore (Sys.opaque_identity (Ctable.mul table a b));
+    ignore (Sys.opaque_identity (Ctable.div table a b));
+    ignore (Sys.opaque_identity (Ctable.add table a b));
+    ignore (Sys.opaque_identity (Ctable.conj table a));
+    ignore (Sys.opaque_identity (Ctable.conj_mul table a b));
+    ignore (Sys.opaque_identity (Ctable.mul_value table s b));
+    ignore (Sys.opaque_identity (Ctable.scale_product table a b a));
+    ignore (Sys.opaque_identity (Ctable.pivot4 table a b Ctable.zero_tag a))
+  in
+  ops ();
+  let size = Ctable.size table in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ops ()
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_int "no new weights" size (Ctable.size table);
+  check_bool
+    (Printf.sprintf "100k rounds of tag arithmetic allocated %.0f words"
+       allocated)
+    true (allocated < 256.)
+
+(* -- QCheck: tag arithmetic uses Cnum's formulas ------------------------ *)
+
+(* An operand component: any double in [-2, 2], an exact constant, or a
+   value near zero that interning may snap to 0. *)
+let operand_gen =
+  let open QCheck.Gen in
+  let component =
+    frequency
+      [
+        (6, float_range (-2.) 2.);
+        (1, oneofl [ 0.; -0.; 1.; -1. ]);
+        (1, float_range (-1e-11) 1e-11);
+      ]
+  in
+  map2 Cnum.make component component
+
+let bits (z : Cnum.t) = (Int64.bits_of_float z.re, Int64.bits_of_float z.im)
+
+(* [got] is what a tag operation returned when the table had [size]
+   entries, [want] the value the Cnum function computes.  A fresh tag
+   must hold [want] bit for bit; a result that merged with an existing
+   entry must be the representative interning [want] finds. *)
+let agrees table ~size got want =
+  if Ctable.size table > size then
+    got = size && bits (Ctable.get table got) = bits want
+  else got = Ctable.intern table want
+
+let prop_ops_match_cnum =
+  let print (x, y, z) =
+    String.concat ", "
+      (List.map (fun (v : Cnum.t) -> Printf.sprintf "%h%+hi" v.re v.im)
+         [ x; y; z ])
+  in
+  QCheck.Test.make ~name:"ctable ops match cnum" ~count:500
+    (QCheck.make ~print QCheck.Gen.(triple operand_gen operand_gen operand_gen))
+    (fun (x, y, z) ->
+      let table = Ctable.create () in
+      let a = Ctable.intern table x in
+      let b = Ctable.intern table y in
+      let c = Ctable.intern table z in
+      let va = Ctable.get table a
+      and vb = Ctable.get table b
+      and vc = Ctable.get table c in
+      let check name op want =
+        let size = Ctable.size table in
+        let got = op () in
+        let v = Ctable.get table got in
+        agrees table ~size got want
+        || QCheck.Test.fail_reportf "%s gave tag %d (%h%+hi), Cnum gives %h%+hi"
+             name got v.re v.im want.re want.im
+      in
+      let s = Cnum.mul va vb in
+      let scale_product () =
+        let got = Ctable.scale_product table a b c in
+        if Cnum.is_exact_zero s then got = Ctable.zero_tag
+        else if Cnum.is_exact_one s then got = c
+        else check "scale_product" (fun () -> got) (Cnum.mul s vc)
+      in
+      let pivot () =
+        let best = ref Ctable.zero_tag and mag = ref 0. in
+        List.iter
+          (fun (t, v) ->
+            if Cnum.mag2 v > !mag then begin
+              best := t;
+              mag := Cnum.mag2 v
+            end)
+          [ (a, va); (b, vb); (c, vc); (a, va) ];
+        Ctable.pivot4 table a b c a = !best
+      in
+      let div () =
+        if Cnum.is_exact_zero vb then
+          match Ctable.div table a b with
+          | _ -> false
+          | exception Division_by_zero -> true
+        else check "div" (fun () -> Ctable.div table a b) (Cnum.div va vb)
+      in
+      check "mul" (fun () -> Ctable.mul table a b) (Cnum.mul va vb)
+      && check "add" (fun () -> Ctable.add table a b) (Cnum.add va vb)
+      && check "conj" (fun () -> Ctable.conj table a) (Cnum.conj va)
+      && check "conj_mul"
+           (fun () -> Ctable.conj_mul table a b)
+           (Cnum.mul (Cnum.conj va) vb)
+      && check "mul_value"
+           (fun () -> Ctable.mul_value table z b)
+           (Cnum.mul z vb)
+      && div () && scale_product () && pivot ())
 
 (* -- QCheck: the table against a reference model ---------------------- *)
 
@@ -212,15 +342,16 @@ let prop_matches_reference ~name tolerance =
       let model = Reference.create tolerance in
       List.iter
         (fun (re, im) ->
-          let got = Ctable.intern table (Cnum.make re im) in
+          let tag_got = Ctable.intern table (Cnum.make re im) in
+          let got = Ctable.get table tag_got in
           let re', im', tag = Reference.intern model re im in
           if
-            Cnum.tag got <> tag
+            tag_got <> tag
             || not (Float.equal (Cnum.re got) re' && Float.equal (Cnum.im got) im')
           then
             QCheck.Test.fail_reportf
               "intern %h%+hi: table gave tag %d (%h%+hi), model tag %d (%h%+hi)"
-              re im (Cnum.tag got) (Cnum.re got) (Cnum.im got) tag re' im')
+              re im tag_got (Cnum.re got) (Cnum.im got) tag re' im')
         values;
       (* more than 4096 cells: the table grew past its initial slots *)
       Reference.distinct_cells model > 4096
@@ -250,9 +381,14 @@ let suite =
     Alcotest.test_case "bucket_boundary" `Quick test_bucket_boundary;
     Alcotest.test_case "intern_own_cell_before_constants" `Quick
       test_intern_own_cell_before_constants;
+    Alcotest.test_case "foreign_tag_rejected" `Quick
+      test_foreign_tag_rejected;
+    Alcotest.test_case "arithmetic_allocates_nothing" `Quick
+      test_arithmetic_allocates_nothing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
+        prop_ops_match_cnum;
         prop_matches_reference ~name:"ctable matches reference (tol 1e-12)"
           1e-12;
         prop_matches_reference ~name:"ctable matches reference (tol 1e-6)" 1e-6;

@@ -189,19 +189,34 @@ let test_find_store_allocate_nothing () =
     (Printf.sprintf "100k find/store allocated %.0f words" allocated)
     true (allocated < 256.)
 
-(* A fresh context pays for its two 2^10-slot unique tables and a small
-   complex table; its ten compute tables allocate their slots on first
-   store. *)
+(* A fresh context pays for its two 2^8-slot unique tables and a
+   complex table of 2^8 entries; its ten compute tables allocate their
+   slots on first store. *)
 let test_context_create_is_small () =
   let before = Gc.allocated_bytes () in
   let ctx = Sys.opaque_identity (Dd.Context.create ()) in
   let allocated = Gc.allocated_bytes () -. before in
   ignore ctx;
   check_bool
-    (Printf.sprintf "Context.create allocated %.1f KiB (< 256 KiB)"
+    (Printf.sprintf "Context.create allocated %.1f KiB (< 48 KiB)"
        (allocated /. 1024.))
     true
-    (allocated < 256. *. 1024.)
+    (allocated < 48. *. 1024.)
+
+(* The ledger reads the residency gauge at every window commit: it must
+   cost nothing but arithmetic on sizes the tables already keep. *)
+let test_residency_bytes_allocates_nothing () =
+  let ctx = Dd.Context.create () in
+  ignore (Dd.Vdd.basis ctx ~n:6 37);
+  ignore (Sys.opaque_identity (Dd.Context.residency_bytes ctx));
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    ignore (Sys.opaque_identity (Dd.Context.residency_bytes ctx))
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "100k residency_bytes allocated %.0f words" allocated)
+    true (allocated < 256.)
 
 let suite =
   [
@@ -218,4 +233,6 @@ let suite =
       test_find_store_allocate_nothing;
     Alcotest.test_case "context_create_is_small" `Quick
       test_context_create_is_small;
+    Alcotest.test_case "residency_bytes_allocates_nothing" `Quick
+      test_residency_bytes_allocates_nothing;
   ]

@@ -11,11 +11,14 @@ let run_circuit ?strategy circuit =
   Dd_sim.Engine.run ?strategy engine circuit;
   engine
 
+let state_profile engine =
+  Dd.Profile.vector (Dd_sim.Engine.context engine) (Dd_sim.Engine.state engine)
+
 (* -- walks over known states ----------------------------------------- *)
 
 let test_ghz_profile () =
   let engine = run_circuit (Standard.ghz 4) in
-  let s = Dd.Profile.vector (Dd_sim.Engine.state engine) in
+  let s = state_profile engine in
   check_int "nodes" 7 s.Obs.Dd_profile.nodes;
   check_int "levels" 4 (List.length s.levels);
   (match s.levels with
@@ -40,7 +43,7 @@ let test_plus_state_profile () =
     Circuit.of_gates ~qubits:n (List.init n (fun q -> Gate.h q))
   in
   let engine = run_circuit circuit in
-  let s = Dd.Profile.vector (Dd_sim.Engine.state engine) in
+  let s = state_profile engine in
   check_int "one node per level" n s.Obs.Dd_profile.nodes;
   check_float "every node is identity-region" 1.0 s.identity_fraction;
   List.iter
@@ -54,7 +57,7 @@ let test_basis_state_profile () =
   let n = 4 in
   let circuit = Circuit.of_gates ~qubits:n [ Gate.x 2 ] in
   let engine = run_circuit circuit in
-  let s = Dd.Profile.vector (Dd_sim.Engine.state engine) in
+  let s = state_profile engine in
   check_int "a path: one node per level" n s.Obs.Dd_profile.nodes;
   check_float "paths have no identity nodes" 0.0 s.identity_fraction;
   (* each node has exactly one non-zero edge and one zero stub *)
@@ -66,7 +69,7 @@ let test_basis_state_profile () =
 
 let test_edge_totals_consistent () =
   let engine = run_circuit (Grover.circuit ~n:6 ~marked:13 ()) in
-  let s = Dd.Profile.vector (Dd_sim.Engine.state engine) in
+  let s = state_profile engine in
   let level_edges =
     List.fold_left
       (fun acc (l : Obs.Dd_profile.level) -> acc + l.edges)
@@ -85,7 +88,7 @@ let test_matrix_profile_identity () =
   (* the identity matrix DD: every node is identity-region *)
   let ctx = fresh_ctx () in
   let e = Dd.Mdd.identity ctx 3 in
-  let s = Dd.Profile.matrix e in
+  let s = Dd.Profile.matrix ctx e in
   check_int "identity has one node per level" 3 s.Obs.Dd_profile.nodes;
   check_float "all nodes identity-region" 1.0 s.identity_fraction;
   check_bool "dd kind is matrix" true (s.dd = "matrix")

@@ -8,7 +8,7 @@ let contains_sub text sub =
 let test_vector_dot_structure () =
   let ctx = fresh_ctx () in
   let e = Dd.Vdd.basis ctx ~n:3 5 in
-  let dot = Dd.Dot.vector_to_dot e in
+  let dot = Dd.Dot.vector_to_dot ctx e in
   check_bool "digraph header" true (contains_sub dot "digraph vector_dd");
   check_bool "terminal node" true (contains_sub dot "terminal");
   check_bool "level labels" true (contains_sub dot "label=\"q2\"");
@@ -17,7 +17,7 @@ let test_vector_dot_structure () =
 let test_vector_dot_zero_stubs () =
   let ctx = fresh_ctx () in
   let e = Dd.Vdd.basis ctx ~n:2 2 in
-  let dot = Dd.Dot.vector_to_dot e in
+  let dot = Dd.Dot.vector_to_dot ctx e in
   (* a basis state has one zero stub per level *)
   check_bool "zero stubs drawn as points" true
     (contains_sub dot "zero1 [shape=point]")
@@ -28,7 +28,7 @@ let test_vector_dot_weights () =
     Dd.Vdd.of_array ctx
       [| Dd_complex.Cnum.of_float 0.8; Dd_complex.Cnum.of_float 0.6 |]
   in
-  let dot = Dd.Dot.vector_to_dot e in
+  let dot = Dd.Dot.vector_to_dot ctx e in
   check_bool "non-unit weight labelled" true (contains_sub dot "0.75");
   check_bool "weight-one edges unlabelled" false
     (contains_sub dot "label=\"1+0i\"")
@@ -36,7 +36,7 @@ let test_vector_dot_weights () =
 let test_matrix_dot_structure () =
   let ctx = fresh_ctx () in
   let dd = Dd.Mdd.gate ctx ~n:2 ~target:0 (Gate.matrix Gate.H) in
-  let dot = Dd.Dot.matrix_to_dot ~name:"hgate" dd in
+  let dot = Dd.Dot.matrix_to_dot ~name:"hgate" ctx dd in
   check_bool "custom name" true (contains_sub dot "digraph hgate");
   check_bool "quadrant labels" true (contains_sub dot "label=\"01");
   check_bool "terminal present" true (contains_sub dot "terminal")
@@ -44,7 +44,7 @@ let test_matrix_dot_structure () =
 let test_dot_parses_as_graphviz_shape () =
   (* cheap structural sanity: balanced braces, one per line block *)
   let ctx = fresh_ctx () in
-  let dot = Dd.Dot.vector_to_dot (Dd.Vdd.basis ctx ~n:4 9) in
+  let dot = Dd.Dot.vector_to_dot ctx (Dd.Vdd.basis ctx ~n:4 9) in
   let opens =
     String.fold_left (fun acc c -> if c = '{' then acc + 1 else acc) 0 dot
   in
@@ -60,7 +60,7 @@ let test_vector_dot_annotated () =
     Dd.Vdd.of_array ctx
       [| Dd_complex.Cnum.of_float 0.8; Dd_complex.Cnum.of_float 0.6 |]
   in
-  let dot = Dd.Dot.vector_to_dot ~annotate:true e in
+  let dot = Dd.Dot.vector_to_dot ~annotate:true ctx e in
   (* every non-zero edge gets a magnitude + log2-bucket annotation *)
   check_bool "magnitude label" true (contains_sub dot "|w|=0.75");
   check_bool "log2 bucket label" true (contains_sub dot "(2^0)");
@@ -69,7 +69,7 @@ let test_vector_dot_annotated () =
   check_bool "level caption names the hosted qubit" true
     (contains_sub dot "label=\"level 0 (qubit 0)\"");
   (* annotation also labels weight-one edges, unlike the plain export *)
-  let plain = Dd.Dot.vector_to_dot e in
+  let plain = Dd.Dot.vector_to_dot ctx e in
   check_bool "plain export unchanged: no magnitudes" false
     (contains_sub plain "|w|=");
   check_bool "plain export unchanged: no rank rows" false
@@ -78,7 +78,7 @@ let test_vector_dot_annotated () =
 let test_matrix_dot_annotated () =
   let ctx = fresh_ctx () in
   let dd = Dd.Mdd.gate ctx ~n:2 ~target:0 (Gate.matrix Gate.H) in
-  let dot = Dd.Dot.matrix_to_dot ~annotate:true dd in
+  let dot = Dd.Dot.matrix_to_dot ~annotate:true ctx dd in
   (* the Hadamard quadrant weights have magnitude 1/sqrt(2) ~ 0.7071 *)
   check_bool "quadrant magnitude label" true (contains_sub dot "|w|=0.7071");
   check_bool "hadamard bucket" true (contains_sub dot "(2^0)");
@@ -87,7 +87,7 @@ let test_matrix_dot_annotated () =
 
 let test_annotated_dot_braces_balanced () =
   let ctx = fresh_ctx () in
-  let dot = Dd.Dot.vector_to_dot ~annotate:true (Dd.Vdd.basis ctx ~n:4 9) in
+  let dot = Dd.Dot.vector_to_dot ~annotate:true ctx (Dd.Vdd.basis ctx ~n:4 9) in
   let count c0 =
     String.fold_left (fun acc c -> if c = c0 then acc + 1 else acc) 0 dot
   in

@@ -102,8 +102,8 @@ let test_combine_equals_sequential () =
   let product = Dd_sim.Engine.combine engine_b gates in
   Dd_sim.Engine.apply_matrix engine_b product;
   check_cnum_array "combined product equals gate-by-gate"
-    (Dd.Vdd.to_array (Dd_sim.Engine.state engine_a) ~n:3)
-    (Dd.Vdd.to_array (Dd_sim.Engine.state engine_b) ~n:3)
+    (state_array engine_a ~n:3)
+    (state_array engine_b ~n:3)
 
 let test_combine_empty_is_identity () =
   let engine = Dd_sim.Engine.create 3 in

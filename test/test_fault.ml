@@ -159,7 +159,7 @@ let test_unique_drop_detected_and_rebuilt () =
   let engine =
     run_engine (Standard.random_circuit ~seed:23 ~qubits:4 ~gates:30 ())
   in
-  let before = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:4 in
+  let before = state_array engine ~n:4 in
   with_fault [ (Fault.Unique_drop, Fault.Always) ] (fun () ->
       ignore (Dd_sim.Engine.collect_garbage engine);
       check_int "one reachable node was dropped" 1
@@ -177,7 +177,7 @@ let test_unique_drop_detected_and_rebuilt () =
   check_bool "audit_now detects" true (found > 0);
   check_int "rebuild repaired it" 1
     (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.audit_repairs;
-  let after = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:4 in
+  let after = state_array engine ~n:4 in
   check_bool "state recovered bitwise" true (before = after)
 
 (* -- adversarial GC ------------------------------------------------------ *)
@@ -185,7 +185,7 @@ let test_unique_drop_detected_and_rebuilt () =
 let test_forced_gc_is_harmless () =
   let circuit = Standard.random_circuit ~seed:29 ~qubits:5 ~gates:50 () in
   let clean =
-    Dd.Vdd.to_array (Dd_sim.Engine.state (run_engine circuit)) ~n:5
+    state_array (run_engine circuit) ~n:5
   in
   with_fault [ (Fault.Forced_gc, Fault.Always) ] (fun () ->
       let engine = run_engine circuit in
@@ -194,7 +194,7 @@ let test_forced_gc_is_harmless () =
       (* a collection sweeps the weight-interning table, so canonical
          representatives — and hence low-order bits — may differ; the
          state must agree to interning tolerance and audit clean *)
-      let stressed = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:5 in
+      let stressed = state_array engine ~n:5 in
       check_cnum_array "state unchanged under per-gate GC" clean stressed;
       check_int "and audits clean" 0 (Dd_sim.Engine.audit_now engine))
 
@@ -204,7 +204,7 @@ let test_alloc_fail_recovered_from_checkpoint () =
   let circuit = Standard.random_circuit ~seed:31 ~qubits:4 ~gates:40 () in
   let gates = Circuit.flatten circuit in
   let expected =
-    Dd.Vdd.to_array (Dd_sim.Engine.state (run_engine circuit)) ~n:4
+    state_array (run_engine circuit) ~n:4
   in
   let path = temp_path ".ckpt" in
   let split = 20 in
@@ -231,7 +231,7 @@ let test_alloc_fail_recovered_from_checkpoint () =
   let start = Dd_sim.Checkpoint.restore engine2 cp in
   check_int "resumes at the checkpoint gate" split start;
   List.iter (Dd_sim.Engine.apply_gate engine2) rest;
-  let recovered = Dd.Vdd.to_array (Dd_sim.Engine.state engine2) ~n:4 in
+  let recovered = state_array engine2 ~n:4 in
   check_bool "replayed tail matches the clean run bitwise" true
     (expected = recovered);
   Sys.remove path;

@@ -164,7 +164,8 @@ let text_checkpoint version ~stats_fields =
         "rng 00";
         "stats " ^ String.concat " " (List.init stats_fields (fun _ -> "0"));
         "state";
-        Dd.Serialize.vector_to_string (Dd_sim.Engine.state engine);
+        Dd.Serialize.vector_to_string (Dd_sim.Engine.context engine)
+          (Dd_sim.Engine.state engine);
       ]
   in
   body ^ "checksum " ^ Obs.Safe_io.checksum body ^ "\n"

@@ -27,7 +27,7 @@ let test_collect_keeps_rooted_matrix () =
   let v = Dd.Vdd.basis ctx ~n:5 0 in
   let w = Dd.Mdd.apply ctx keep v in
   check_float "H still acts correctly" 0.5
-    (Dd_complex.Cnum.mag2 (Dd.Vdd.amplitude w ~n:5 4))
+    (Dd_complex.Cnum.mag2 (Dd.Vdd.amplitude ctx w ~n:5 4))
 
 let test_operations_after_collect () =
   (* hash-consing must still be canonical after sweeping *)
@@ -40,7 +40,7 @@ let test_operations_after_collect () =
     (Dd.Vdd.equal a b);
   let again = Dd.Vdd.basis ctx ~n:4 9 in
   check_cnum "rebuilt dead state is correct" Dd_complex.Cnum.one
-    (Dd.Vdd.amplitude again ~n:4 9)
+    (Dd.Vdd.amplitude ctx again ~n:4 9)
 
 let test_engine_collect () =
   let engine = Dd_sim.Engine.create 8 in
@@ -48,14 +48,14 @@ let test_engine_collect () =
     (Standard.random_circuit ~seed:5 ~qubits:8 ~gates:150 ());
   let ctx = Dd_sim.Engine.context engine in
   let live_before = Dd.Context.live_v_nodes ctx in
-  let reference = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:8 in
+  let reference = state_array engine ~n:8 in
   let removed_v, _ = Dd_sim.Engine.collect_garbage engine in
   check_bool "intermediate states reclaimed" true (removed_v > 0);
   check_bool "live nodes dropped" true
     (Dd.Context.live_v_nodes ctx < live_before);
   (* state unchanged and engine fully functional afterwards *)
   check_cnum_array "state intact after GC" reference
-    (Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:8);
+    (state_array engine ~n:8);
   Dd_sim.Engine.apply_gate engine (Gate.h 0);
   check_float "still unitary after GC" 1.
     (Dd.Measure.norm2 ctx (Dd_sim.Engine.state engine))
@@ -73,8 +73,8 @@ let test_gc_mid_simulation_equivalence () =
       if i mod 10 = 9 then ignore (Dd_sim.Engine.collect_garbage collected))
     gates;
   check_cnum_array "same state with and without GC"
-    (Dd.Vdd.to_array (Dd_sim.Engine.state plain) ~n:6)
-    (Dd.Vdd.to_array (Dd_sim.Engine.state collected) ~n:6)
+    (state_array plain ~n:6)
+    (state_array collected ~n:6)
 
 let test_collect_keeps_caches_warm () =
   (* generation-aware sweeping: a compute-table entry whose operands and

@@ -5,10 +5,7 @@ open Util
    the state an unguarded run produces; a guarded run that cannot complete
    must abort with a structured error at a resumable point. *)
 
-let final_array engine =
-  Dd.Vdd.to_array
-    (Dd_sim.Engine.state engine)
-    ~n:(Dd_sim.Engine.qubits engine)
+let final_array engine = state_array engine ~n:(Dd_sim.Engine.qubits engine)
 
 let run_plain ?strategy circuit =
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
@@ -327,8 +324,8 @@ let test_checkpoint_roundtrip_fields () =
   check_bool "strategy survives" true
     (loaded.Dd_sim.Checkpoint.strategy = strategy);
   check_cnum_array "state survives re-canonicalisation"
-    (Dd.Vdd.to_array checkpoint.Dd_sim.Checkpoint.state ~n:3)
-    (Dd.Vdd.to_array loaded.Dd_sim.Checkpoint.state ~n:3);
+    (Dd.Vdd.to_array ctx checkpoint.Dd_sim.Checkpoint.state ~n:3)
+    (Dd.Vdd.to_array ctx loaded.Dd_sim.Checkpoint.state ~n:3);
   check_int "stats survive"
     checkpoint.Dd_sim.Checkpoint.stats.Dd_sim.Sim_stats.mat_vec_mults
     loaded.Dd_sim.Checkpoint.stats.Dd_sim.Sim_stats.mat_vec_mults

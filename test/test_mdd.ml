@@ -19,7 +19,7 @@ let check_dense_matrix msg expected actual =
 let test_identity () =
   let ctx = fresh_ctx () in
   let e = Dd.Mdd.identity ctx 3 in
-  check_dense_matrix "identity" (dense_id 3) (Dd.Mdd.to_dense e ~n:3)
+  check_dense_matrix "identity" (dense_id 3) (Dd.Mdd.to_dense ctx e ~n:3)
 
 let test_identity_linear_size () =
   let ctx = fresh_ctx () in
@@ -36,7 +36,7 @@ let test_single_qubit_gate_each_target () =
       let dd = Dd.Mdd.gate ctx ~n ~target (Gate.matrix gate.Gate.kind) in
       check_dense_matrix
         (Printf.sprintf "H on qubit %d" target)
-        (dense_gate ~n gate) (Dd.Mdd.to_dense dd ~n))
+        (dense_gate ~n gate) (Dd.Mdd.to_dense ctx dd ~n))
     [ 0; 1; 2 ]
 
 let test_gate_kinds_dense () =
@@ -47,7 +47,7 @@ let test_gate_kinds_dense () =
       let gate = Gate.make kind 1 in
       let dd = Dd.Mdd.gate ctx ~n ~target:1 (Gate.matrix kind) in
       check_dense_matrix (Gate.name gate) (dense_gate ~n gate)
-        (Dd.Mdd.to_dense dd ~n))
+        (Dd.Mdd.to_dense ctx dd ~n))
     [
       Gate.X; Gate.Y; Gate.Z; Gate.S; Gate.Sdg; Gate.T; Gate.Tdg; Gate.Sx;
       Gate.Sxdg; Gate.Sy; Gate.Sydg; Gate.Rx 0.7; Gate.Ry 1.1; Gate.Rz 2.3;
@@ -66,7 +66,7 @@ let test_cx_both_orientations () =
       check_dense_matrix
         (Printf.sprintf "cx %d %d" control target)
         (dense_gate ~n:2 gate)
-        (Dd.Mdd.to_dense (gate_dd ctx ~n:2 gate) ~n:2))
+        (Dd.Mdd.to_dense ctx (gate_dd ctx ~n:2 gate) ~n:2))
     [ (0, 1); (1, 0) ]
 
 let test_cx_matches_paper_matrix () =
@@ -81,19 +81,19 @@ let test_cx_matches_paper_matrix () =
       [| r 0.; r 0.; r 1.; r 0. |];
     |]
   in
-  check_dense_matrix "CX" expected (Dd.Mdd.to_dense dd ~n:2)
+  check_dense_matrix "CX" expected (Dd.Mdd.to_dense ctx dd ~n:2)
 
 let test_negative_control () =
   let ctx = fresh_ctx () in
   let gate = Gate.make ~controls:[ Gate.nctrl 1 ] Gate.X 0 in
   check_dense_matrix "negatively controlled X" (dense_gate ~n:2 gate)
-    (Dd.Mdd.to_dense (gate_dd ctx ~n:2 gate) ~n:2)
+    (Dd.Mdd.to_dense ctx (gate_dd ctx ~n:2 gate) ~n:2)
 
 let test_toffoli () =
   let ctx = fresh_ctx () in
   let gate = Gate.ccx 0 1 2 in
   check_dense_matrix "ccx" (dense_gate ~n:3 gate)
-    (Dd.Mdd.to_dense (gate_dd ctx ~n:3 gate) ~n:3)
+    (Dd.Mdd.to_dense ctx (gate_dd ctx ~n:3 gate) ~n:3)
 
 let test_mcz_mixed_polarity () =
   let ctx = fresh_ctx () in
@@ -101,7 +101,7 @@ let test_mcz_mixed_polarity () =
     Gate.make ~controls:[ Gate.ctrl 3; Gate.nctrl 1 ] Gate.Z 2
   in
   check_dense_matrix "mixed-polarity mcz" (dense_gate ~n:4 gate)
-    (Dd.Mdd.to_dense (gate_dd ctx ~n:4 gate) ~n:4)
+    (Dd.Mdd.to_dense ctx (gate_dd ctx ~n:4 gate) ~n:4)
 
 let test_gate_rejects_bad_input () =
   let ctx = fresh_ctx () in
@@ -133,7 +133,7 @@ let test_of_dense_roundtrip () =
     |]
   in
   check_dense_matrix "of_dense/to_dense roundtrip" m
-    (Dd.Mdd.to_dense (Dd.Mdd.of_dense ctx m) ~n:2)
+    (Dd.Mdd.to_dense ctx (Dd.Mdd.of_dense ctx m) ~n:2)
 
 let test_permutation () =
   let ctx = fresh_ctx () in
@@ -143,7 +143,7 @@ let test_permutation () =
     Array.init 8 (fun row ->
         Array.init 8 (fun col -> if row = f col then Cnum.one else Cnum.zero))
   in
-  check_dense_matrix "cyclic shift" expected (Dd.Mdd.to_dense dd ~n:3)
+  check_dense_matrix "cyclic shift" expected (Dd.Mdd.to_dense ctx dd ~n:3)
 
 let test_permutation_rejects_non_bijection () =
   let ctx = fresh_ctx () in
@@ -159,7 +159,7 @@ let test_mul_matches_dense () =
   let expected =
     dense_matmul (dense_gate ~n:2 (Gate.cx 0 1)) (dense_gate ~n:2 (Gate.h 0))
   in
-  check_dense_matrix "CX x H" expected (Dd.Mdd.to_dense product ~n:2)
+  check_dense_matrix "CX x H" expected (Dd.Mdd.to_dense ctx product ~n:2)
 
 let test_mul_with_identity () =
   let ctx = fresh_ctx () in
@@ -190,7 +190,7 @@ let test_apply_matches_dense () =
   in
   check_cnum_array "matrix-vector multiplication"
     (dense_matvec (dense_gate ~n:2 gate) v)
-    (Dd.Vdd.to_array result ~n:2)
+    (Dd.Vdd.to_array ctx result ~n:2)
 
 let test_apply_zero () =
   let ctx = fresh_ctx () in
@@ -207,7 +207,7 @@ let test_adjoint_matches_dense () =
         Array.init 4 (fun col -> Cnum.conj m.(col).(row)))
   in
   check_dense_matrix "adjoint" expected
-    (Dd.Mdd.to_dense (Dd.Mdd.adjoint ctx u) ~n:2)
+    (Dd.Mdd.to_dense ctx (Dd.Mdd.adjoint ctx u) ~n:2)
 
 let test_kron_matches_dense () =
   let ctx = fresh_ctx () in
@@ -217,7 +217,7 @@ let test_kron_matches_dense () =
     dense_kron (dense_gate ~n:1 (Gate.h 0)) (dense_gate ~n:1 (Gate.x 0))
   in
   check_dense_matrix "H (x) X" expected
-    (Dd.Mdd.to_dense (Dd.Mdd.kron ctx h x) ~n:2)
+    (Dd.Mdd.to_dense ctx (Dd.Mdd.kron ctx h x) ~n:2)
 
 let test_kron_with_identity_is_gate () =
   let ctx = fresh_ctx () in
@@ -243,14 +243,14 @@ let test_add_matrices () =
   let expected =
     [| [| r 1.; r 1. |]; [| r 1.; r (-1.) |] |]
   in
-  check_dense_matrix "X + Z" expected (Dd.Mdd.to_dense sum ~n:1)
+  check_dense_matrix "X + Z" expected (Dd.Mdd.to_dense ctx sum ~n:1)
 
 let test_entry () =
   let ctx = fresh_ctx () in
   let dd = gate_dd ctx ~n:3 (Gate.ccx 0 1 2) in
-  check_cnum "flip entry" Cnum.one (Dd.Mdd.entry dd ~n:3 ~row:7 ~col:3);
-  check_cnum "identity entry" Cnum.one (Dd.Mdd.entry dd ~n:3 ~row:2 ~col:2);
-  check_cnum "off entry" Cnum.zero (Dd.Mdd.entry dd ~n:3 ~row:0 ~col:1)
+  check_cnum "flip entry" Cnum.one (Dd.Mdd.entry ctx dd ~n:3 ~row:7 ~col:3);
+  check_cnum "identity entry" Cnum.one (Dd.Mdd.entry ctx dd ~n:3 ~row:2 ~col:2);
+  check_cnum "off entry" Cnum.zero (Dd.Mdd.entry ctx dd ~n:3 ~row:0 ~col:1)
 
 (* -- the gate-DD memo (Context.gate) -------------------------------------- *)
 
@@ -266,8 +266,7 @@ let test_gate_memo_hit () =
   let again = gate_dd ctx ~n:4 gate in
   let after = gate_table ctx in
   check_bool "same node" true (first.Dd.Types.mt == again.Dd.Types.mt);
-  check_int "same weight tag" (Cnum.tag first.Dd.Types.mw)
-    (Cnum.tag again.Dd.Types.mw);
+  check_int "same weight tag" first.Dd.Types.mw again.Dd.Types.mw;
   check_int "no matrix node created" nodes (Dd.Context.m_unique_size ctx);
   check_int "no weight interned" weights (Ctable.size ctx.Dd.Context.ctable);
   check_int "one gate hit" (before.hits + 1) after.hits;
@@ -278,7 +277,7 @@ let test_gate_memo_hit () =
 let fresh_dense ~order ~n gate =
   let ctx = fresh_ctx () in
   Dd.Context.set_order ctx order;
-  Dd.Mdd.to_dense ~order (gate_dd ctx ~n gate) ~n
+  Dd.Mdd.to_dense ~order ctx (gate_dd ctx ~n gate) ~n
 
 let test_gate_memo_key_is_exact () =
   let ctx = fresh_ctx () in
@@ -290,7 +289,7 @@ let test_gate_memo_key_is_exact () =
     check_int (msg ^ ": a miss") (before.misses + 1) after.misses;
     check_int (msg ^ ": its own entry") (before.entries + 1) after.entries;
     check_dense_matrix msg (fresh_dense ~order ~n gate)
-      (Dd.Mdd.to_dense ~order dd ~n)
+      (Dd.Mdd.to_dense ~order ctx dd ~n)
   in
   own_entry "cx 0 2" ~n:3 (Gate.cx 0 2);
   own_entry "cx 0 2 under a non-identity order"
@@ -305,7 +304,7 @@ let test_gate_memo_key_is_exact () =
 let test_gate_memo_follows_collect () =
   let ctx = fresh_ctx () in
   let n = 5 and h = Gate.h 2 in
-  let original = Dd.Mdd.to_dense (gate_dd ctx ~n h) ~n in
+  let original = Dd.Mdd.to_dense ctx (gate_dd ctx ~n h) ~n in
   ignore (Dd.Context.collect ctx ~v_roots:[] ~m_roots:[]);
   check_int "unrooted: the entry is swept" 0 (gate_table ctx).entries;
   let before = gate_table ctx in
@@ -313,7 +312,7 @@ let test_gate_memo_follows_collect () =
   check_int "the rebuild is a miss" (before.misses + 1)
     (gate_table ctx).misses;
   check_dense_matrix "the rebuild equals the original" original
-    (Dd.Mdd.to_dense rebuilt ~n);
+    (Dd.Mdd.to_dense ctx rebuilt ~n);
   ignore (Dd.Context.collect ctx ~v_roots:[] ~m_roots:[ rebuilt ]);
   check_int "rooted: the entry survives" 1 (gate_table ctx).entries;
   let before = gate_table ctx in
@@ -366,7 +365,7 @@ let test_of_diagonal () =
   let ctx = fresh_ctx () in
   let f i = Cnum.of_polar 1. (0.3 *. float_of_int i) in
   let dd = Dd.Mdd.of_diagonal ctx ~n:3 f in
-  let dense = Dd.Mdd.to_dense dd ~n:3 in
+  let dense = Dd.Mdd.to_dense ctx dd ~n:3 in
   for row = 0 to 7 do
     for col = 0 to 7 do
       check_cnum

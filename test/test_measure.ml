@@ -42,7 +42,7 @@ let test_collapse () =
   let collapsed = Dd.Measure.collapse ctx e ~qubit:0 ~outcome:true in
   check_float "collapsed norm" 1. (Dd.Measure.norm2 ctx collapsed);
   check_cnum "collapsed amplitude" Cnum.one
-    (Dd.Vdd.amplitude collapsed ~n:2 3)
+    (Dd.Vdd.amplitude ctx collapsed ~n:2 3)
 
 let test_collapse_middle_qubit () =
   let ctx = fresh_ctx () in
@@ -52,10 +52,10 @@ let test_collapse_middle_qubit () =
   check_float "norm after collapse" 1. (Dd.Measure.norm2 ctx collapsed);
   (* only indices with bit 1 set survive: 2 and 7 here *)
   check_float "p(idx 2)" 0.5
-    (Cnum.mag2 (Dd.Vdd.amplitude collapsed ~n:3 2));
+    (Cnum.mag2 (Dd.Vdd.amplitude ctx collapsed ~n:3 2));
   check_float "p(idx 7)" 0.5
-    (Cnum.mag2 (Dd.Vdd.amplitude collapsed ~n:3 7));
-  check_cnum "erased branch" Cnum.zero (Dd.Vdd.amplitude collapsed ~n:3 0)
+    (Cnum.mag2 (Dd.Vdd.amplitude ctx collapsed ~n:3 7));
+  check_cnum "erased branch" Cnum.zero (Dd.Vdd.amplitude ctx collapsed ~n:3 0)
 
 let test_collapse_impossible () =
   let ctx = fresh_ctx () in
@@ -106,7 +106,7 @@ let test_sample_respects_weights () =
 let test_probabilities () =
   let ctx = fresh_ctx () in
   let e = superposition ctx [| 0.6; 0.; 0.; 0.8 |] in
-  let p = Dd.Measure.probabilities e ~n:2 in
+  let p = Dd.Measure.probabilities ctx e ~n:2 in
   check_float "p0" 0.36 p.(0);
   check_float "p3" 0.64 p.(3)
 
@@ -138,7 +138,7 @@ let test_collapse_under_order () =
   let collapsed = Dd.Measure.collapse ctx e ~qubit:0 ~outcome:true in
   check_float "norm after collapse" 1. (Dd.Measure.norm2 ctx collapsed);
   check_cnum "collapse lands on |001>" Cnum.one
-    (Dd.Vdd.amplitude ~order:(Dd.Context.order ctx) collapsed ~n:3 1)
+    (Dd.Vdd.amplitude ~order:(Dd.Context.order ctx) ctx collapsed ~n:3 1)
 
 let test_sample_under_order () =
   let ctx = fresh_ctx () in
@@ -152,7 +152,7 @@ let test_sample_under_order () =
 let test_probabilities_under_order () =
   let ctx = fresh_ctx () in
   let e = reordered_state ctx in
-  let p = Dd.Measure.probabilities ~order:(Dd.Context.order ctx) e ~n:3 in
+  let p = Dd.Measure.probabilities ~order:(Dd.Context.order ctx) ctx e ~n:3 in
   check_float "p(|001>)" 0.36 p.(1);
   check_float "p(|100>)" 0.64 p.(4);
   check_float "p(|000>)" 0. p.(0)

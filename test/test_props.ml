@@ -33,7 +33,7 @@ let prop_roundtrip =
   QCheck.Test.make ~name:"of_array/to_array is the identity" ~count:100
     (vector_arb 4) (fun v ->
       let ctx = Dd.Context.create () in
-      arrays_close v (Dd.Vdd.to_array (Dd.Vdd.of_array ctx v) ~n:4))
+      arrays_close v (Dd.Vdd.to_array ctx (Dd.Vdd.of_array ctx v) ~n:4))
 
 let prop_canonicity =
   QCheck.Test.make ~name:"equal vectors build the identical edge" ~count:100
@@ -67,7 +67,9 @@ let prop_add_associates =
       and c = Dd.Vdd.of_array ctx vc in
       let left = Dd.Vdd.add ctx (Dd.Vdd.add ctx a b) c in
       let right = Dd.Vdd.add ctx a (Dd.Vdd.add ctx b c) in
-      arrays_close (Dd.Vdd.to_array left ~n:3) (Dd.Vdd.to_array right ~n:3))
+      arrays_close
+        (Dd.Vdd.to_array ctx left ~n:3)
+        (Dd.Vdd.to_array ctx right ~n:3))
 
 let prop_eq1_equals_eq2 =
   (* the paper's pivotal identity: (M2 x M1) x v  =  M2 x (M1 x v).
@@ -87,8 +89,8 @@ let prop_eq1_equals_eq2 =
       in
       Dd_sim.Engine.apply_matrix engine_comb product;
       arrays_close
-        (Dd.Vdd.to_array (Dd_sim.Engine.state engine_seq) ~n:4)
-        (Dd.Vdd.to_array (Dd_sim.Engine.state engine_comb) ~n:4))
+        (Util.state_array engine_seq ~n:4)
+        (Util.state_array engine_comb ~n:4))
 
 let prop_strategies_preserve_norm =
   QCheck.Test.make ~name:"every strategy preserves the norm" ~count:40
@@ -240,9 +242,11 @@ let prop_serialize_roundtrip =
       let ctx = Dd.Context.create () in
       let e = Dd.Vdd.of_array ctx v in
       let reloaded =
-        Dd.Serialize.vector_of_string ctx (Dd.Serialize.vector_to_string e)
+        Dd.Serialize.vector_of_string ctx (Dd.Serialize.vector_to_string ctx e)
       in
-      arrays_close (Dd.Vdd.to_array e ~n:4) (Dd.Vdd.to_array reloaded ~n:4))
+      arrays_close
+        (Dd.Vdd.to_array ctx e ~n:4)
+        (Dd.Vdd.to_array ctx reloaded ~n:4))
 
 let prop_qasm_roundtrip =
   QCheck.Test.make ~name:"QASM export/import round-trips random circuits"
@@ -277,9 +281,9 @@ let prop_gc_preserves_state =
     (fun (_, circuit) ->
       let engine = Dd_sim.Engine.create 4 in
       Dd_sim.Engine.run engine circuit;
-      let before = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:4 in
+      let before = Util.state_array engine ~n:4 in
       ignore (Dd_sim.Engine.collect_garbage engine);
-      let after = Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:4 in
+      let after = Util.state_array engine ~n:4 in
       arrays_close before after)
 
 let suite =

@@ -13,7 +13,7 @@ let reversed n =
   Dd.Order.of_qubit_of_level (Array.init n (fun l -> n - 1 - l))
 
 let qubit_amplitudes ctx edge ~n =
-  Dd.Vdd.to_array ~order:(Dd.Context.order ctx) edge ~n
+  Dd.Vdd.to_array ~order:(Dd.Context.order ctx) ctx edge ~n
 
 (* a state whose identity-order DD is wide: qubit i is entangled with
    qubit i+k, so all k pairs straddle the middle of the level stack *)
@@ -109,10 +109,10 @@ let test_swap_matrix_matches_dense () =
     Dd_sim.Engine.combine engine
       (Circuit.flatten (Standard.random_circuit ~seed:6 ~qubits:3 ~gates:12 ()))
   in
-  let dense_before = Dd.Mdd.to_dense product ~n:3 in
+  let dense_before = Dd.Mdd.to_dense ctx product ~n:3 in
   let swapped = Dd.Reorder.swap_matrix ctx product ~level:1 in
   let order = Dd.Order.swap_levels Dd.Order.identity ~n:3 1 in
-  let dense_after = Dd.Mdd.to_dense ~order swapped ~n:3 in
+  let dense_after = Dd.Mdd.to_dense ~order ctx swapped ~n:3 in
   Array.iteri
     (fun r row ->
       Array.iteri
@@ -331,7 +331,7 @@ let prop_fixed_order_equals_identity =
       let identity_engine = Dd_sim.Engine.create 4 in
       Dd_sim.Engine.run identity_engine circuit;
       let reference =
-        Dd.Vdd.to_array (Dd_sim.Engine.state identity_engine) ~n:4
+        state_array identity_engine ~n:4
       in
       let engine = Dd_sim.Engine.create 4 in
       ignore (Dd_sim.Engine.set_order engine order);

@@ -107,8 +107,8 @@ let test_use_repeating_agrees () =
   let repeating = Dd_sim.Engine.create 7 in
   Dd_sim.Engine.run ~use_repeating:true repeating circuit;
   check_cnum_array "DD-repeating result equals sequential"
-    (Dd.Vdd.to_array (Dd_sim.Engine.state plain) ~n:7)
-    (Dd.Vdd.to_array (Dd_sim.Engine.state repeating) ~n:7)
+    (state_array plain ~n:7)
+    (state_array repeating ~n:7)
 
 let test_use_repeating_reduces_matvecs () =
   let circuit = Grover.circuit ~n:7 ~marked:3 () in

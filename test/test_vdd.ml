@@ -7,7 +7,7 @@ let r = Cnum.of_float
 let test_basis_amplitudes () =
   let ctx = fresh_ctx () in
   let e = Dd.Vdd.basis ctx ~n:3 5 in
-  let dense = Dd.Vdd.to_array e ~n:3 in
+  let dense = Dd.Vdd.to_array ctx e ~n:3 in
   Array.iteri
     (fun i amp ->
       check_cnum
@@ -25,13 +25,13 @@ let test_roundtrip () =
   let ctx = fresh_ctx () in
   let v = [| c 0.5 0.; c 0. 0.5; c (-0.5) 0.; c 0. (-0.5) |] in
   check_cnum_array "of_array/to_array roundtrip" v
-    (Dd.Vdd.to_array (Dd.Vdd.of_array ctx v) ~n:2)
+    (Dd.Vdd.to_array ctx (Dd.Vdd.of_array ctx v) ~n:2)
 
 let test_roundtrip_with_zero_block () =
   let ctx = fresh_ctx () in
   let v = [| r 0.; r 0.; r 0.; r 0.; r 0.5; r 0.5; r 0.5; r 0.5 |] in
   let e = Dd.Vdd.of_array ctx v in
-  check_cnum_array "zero block preserved" v (Dd.Vdd.to_array e ~n:3);
+  check_cnum_array "zero block preserved" v (Dd.Vdd.to_array ctx e ~n:3);
   (* |1> (x) |++> needs one node per level only *)
   check_int "zero-stub vector is compact" 3 (Dd.Vdd.node_count e)
 
@@ -43,7 +43,7 @@ let test_amplitude_path () =
     check_cnum
       (Printf.sprintf "amplitude %d" i)
       v.(i)
-      (Dd.Vdd.amplitude e ~n:3 i)
+      (Dd.Vdd.amplitude ctx e ~n:3 i)
   done
 
 let test_canonicity () =
@@ -74,7 +74,7 @@ let test_add_matches_dense () =
   let expected = Array.init 4 (fun i -> Cnum.add va.(i) vb.(i)) in
   let sum = Dd.Vdd.add ctx (Dd.Vdd.of_array ctx va) (Dd.Vdd.of_array ctx vb) in
   check_cnum_array "DD addition matches dense" expected
-    (Dd.Vdd.to_array sum ~n:2)
+    (Dd.Vdd.to_array ctx sum ~n:2)
 
 let test_add_zero () =
   let ctx = fresh_ctx () in
@@ -139,8 +139,27 @@ let test_normalized_child_weight () =
   let node = e.Dd.Types.vt in
   let larger = node.Dd.Types.v_high.Dd.Types.vw in
   check_bool "pivot child weight is exactly one" true
-    (Cnum.is_exact_one larger);
-  check_cnum "edge weight carries the factor" (r 0.75) e.Dd.Types.vw
+    (larger = Ctable.one_tag);
+  check_cnum "edge weight carries the factor" (r 0.75)
+    (Ctable.get ctx.Dd.Context.ctable e.Dd.Types.vw)
+
+(* Hash-consing a node that exists allocates its children array and at
+   most three edges — the two normalised children and the result, 3 + 3 x 3
+   words — and nothing for the weight arithmetic. *)
+let test_make_existing_node_allocation () =
+  let ctx = fresh_ctx () in
+  let low = Dd.Vdd.terminal (Dd.Context.cnum ctx (r 0.6)) in
+  let high = Dd.Vdd.terminal (Dd.Context.cnum ctx (c 0. 0.8)) in
+  ignore (Dd.Vdd.make ctx 0 low high);
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Dd.Vdd.make ctx 0 low high))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "Vdd.make on an existing node allocated %.1f words" words)
+    true (words <= 12.)
 
 let test_unique_table_hit () =
   let ctx = fresh_ctx () in
@@ -176,4 +195,6 @@ let suite =
     Alcotest.test_case "normalized_child_weight" `Quick
       test_normalized_child_weight;
     Alcotest.test_case "unique_table_hit" `Quick test_unique_table_hit;
+    Alcotest.test_case "make_existing_node_allocation" `Quick
+      test_make_existing_node_allocation;
   ]

@@ -84,11 +84,16 @@ let dense_circuit_matrix circuit =
     (fun acc gate -> dense_matmul (dense_gate ~n gate) acc)
     (dense_id n) (Circuit.flatten circuit)
 
+(* An engine's state as a dense vector (identity order). *)
+let state_array engine ~n =
+  Dd.Vdd.to_array (Dd_sim.Engine.context engine) (Dd_sim.Engine.state engine)
+    ~n
+
 (* Run a circuit on the DD engine and return the dense state. *)
 let dd_state_of_circuit ?strategy circuit =
   let engine = Dd_sim.Engine.create Circuit.(circuit.qubits) in
   Dd_sim.Engine.run ?strategy engine circuit;
-  Dd.Vdd.to_array (Dd_sim.Engine.state engine) ~n:Circuit.(circuit.qubits)
+  state_array engine ~n:Circuit.(circuit.qubits)
 
 (* Run a circuit on the dense simulator and return the state. *)
 let dense_state_of_circuit circuit =
