@@ -230,6 +230,11 @@ let restore engine checkpoint =
            expected = Engine.qubits engine;
            actual = checkpoint.qubits;
          });
+  (* the state's weights are tags of the table that loaded it; read
+     through another context they name other values *)
+  if checkpoint.context != Engine.context engine then
+    invalid ~source:"Checkpoint.restore"
+      "the checkpoint was loaded into another context than the engine's";
   Dd.Context.set_order (Engine.context engine) checkpoint.order;
   Engine.set_state engine checkpoint.state;
   Engine.set_rng engine (Random.State.copy checkpoint.rng);

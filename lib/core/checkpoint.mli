@@ -98,4 +98,6 @@ val restore : Engine.t -> t -> int
     into the engine and return its [gate_index] — the value to pass as
     [?start_gate] to {!Engine.run}.  Raises {!Error.Error}
     ([Width_mismatch]) when the checkpoint's width differs from the
-    engine's. *)
+    engine's, and ([Invalid_checkpoint]) when its [context] is not the
+    engine's: load a checkpoint with [Engine.context engine] to restore
+    it there.  Neither error changes the engine. *)

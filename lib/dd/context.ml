@@ -78,7 +78,7 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     identity_cache = Hashtbl.create 64;
     gate_kind_ids = Hashtbl.create 64;
     gate_layout_ids = Hashtbl.create 64;
-    apply_stable = Hashtbl.create 64;
+    apply_stable = Hashtbl.create 1024;
     gc =
       {
         collections = 0;

@@ -60,9 +60,9 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
     [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
-    its slots on its first store, and the two unique tables start at 2^8
+    its slots on its first store, the two unique tables start at 2^10
     slots and the complex table at 2^8 entries, so a fresh context
-    allocates about 17 KiB.  Raises [Invalid_argument] outside
+    allocates about 29 KiB.  Raises [Invalid_argument] outside
     [4, 24]. *)
 
 val cnum : t -> Cnum.t -> int

@@ -69,7 +69,7 @@ module Make (N : NODE) :
     mutable level_counts : int array;
   }
 
-  let initial_bits = 8
+  let initial_bits = 10
 
   let create ctable =
     let capacity = 1 lsl initial_bits in

@@ -1,6 +1,6 @@
 (** Shared hash-consing core for vector and matrix DD nodes: one
     normalisation + unique-table code path, instantiated per node arity.
-    Each unique table is one open-addressed array of nodes (2^8 slots
+    Each unique table is one open-addressed array of nodes (2^10 slots
     to start, doubled to keep the load factor at or below 1/2).  See
     {!Vdd.make} / {!Mdd.make} for the public entry points. *)
 

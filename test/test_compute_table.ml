@@ -189,7 +189,7 @@ let test_find_store_allocate_nothing () =
     (Printf.sprintf "100k find/store allocated %.0f words" allocated)
     true (allocated < 256.)
 
-(* A fresh context pays for its two 2^8-slot unique tables and a
+(* A fresh context pays for its two 2^10-slot unique tables and a
    complex table of 2^8 entries; its ten compute tables allocate their
    slots on first store. *)
 let test_context_create_is_small () =

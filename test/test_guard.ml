@@ -324,7 +324,8 @@ let test_checkpoint_roundtrip_fields () =
   check_bool "strategy survives" true
     (loaded.Dd_sim.Checkpoint.strategy = strategy);
   check_cnum_array "state survives re-canonicalisation"
-    (Dd.Vdd.to_array ctx checkpoint.Dd_sim.Checkpoint.state ~n:3)
+    (Dd.Vdd.to_array checkpoint.Dd_sim.Checkpoint.context
+       checkpoint.Dd_sim.Checkpoint.state ~n:3)
     (Dd.Vdd.to_array ctx loaded.Dd_sim.Checkpoint.state ~n:3);
   check_int "stats survive"
     checkpoint.Dd_sim.Checkpoint.stats.Dd_sim.Sim_stats.mat_vec_mults
@@ -343,6 +344,41 @@ let test_checkpoint_width_mismatch () =
        (Dd_sim.Error.Width_mismatch
           { what = "Checkpoint.restore"; expected = 3; actual = 2 }))
     (fun () -> ignore (Dd_sim.Checkpoint.restore wrong checkpoint))
+
+(* A checkpoint's state names weights by tags of the context that loaded
+   it, so restoring it into an engine over another context is refused
+   before anything is installed. *)
+let test_checkpoint_context_mismatch () =
+  let source = Dd_sim.Engine.create ~seed:3 4 in
+  Dd_sim.Engine.run source
+    (Standard.random_circuit ~seed:17 ~qubits:4 ~gates:24 ());
+  let text =
+    Dd_sim.Checkpoint.to_string
+      (Dd_sim.Checkpoint.snapshot source ~strategy:Dd_sim.Strategy.Sequential
+         ~gate_index:24)
+  in
+  let target = Dd_sim.Engine.create 4 in
+  let before = state_array target ~n:4 in
+  let foreign = Dd_sim.Checkpoint.of_string (fresh_ctx ()) text in
+  Alcotest.check_raises "restore of a checkpoint loaded elsewhere"
+    (Dd_sim.Error.Error
+       (Dd_sim.Error.Invalid_checkpoint
+          {
+            source = "Checkpoint.restore";
+            message =
+              "the checkpoint was loaded into another context than the \
+               engine's";
+          }))
+    (fun () -> ignore (Dd_sim.Checkpoint.restore target foreign));
+  check_cnum_array "the refused restore left the state alone" before
+    (state_array target ~n:4);
+  let own =
+    Dd_sim.Checkpoint.of_string (Dd_sim.Engine.context target) text
+  in
+  check_int "loaded with the engine's context it restores" 24
+    (Dd_sim.Checkpoint.restore target own);
+  check_cnum_array "the restored state is the source's" (state_array source ~n:4)
+    (state_array target ~n:4)
 
 (* -- guard construction -------------------------------------------------- *)
 
@@ -389,6 +425,8 @@ let suite =
       test_checkpoint_roundtrip_fields;
     Alcotest.test_case "checkpoint_width_mismatch" `Quick
       test_checkpoint_width_mismatch;
+    Alcotest.test_case "checkpoint_context_mismatch" `Quick
+      test_checkpoint_context_mismatch;
     Alcotest.test_case "guard_validation" `Quick
       test_guard_validation_and_printing;
   ]
