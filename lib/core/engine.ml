@@ -4,7 +4,9 @@ type t = {
   context : Dd.Context.t;
   n : int;
   mutable state_edge : Dd.Vdd.edge;
-  mutable rng_state : Random.State.t;
+  (* built on first use (sampling, measurement, [rng], checkpoints): a
+     run that never draws does not pay for seeding it *)
+  mutable rng_state : Random.State.t Lazy.t;
   stats : Sim_stats.t;
   mutable track_peaks : bool;
   (* when set (the default), single-target gates applied outside a
@@ -53,7 +55,7 @@ let create ?(seed = 0xDD) ?context n =
     context;
     n;
     state_edge = Dd.Vdd.basis context ~n 0;
-    rng_state = Random.State.make [| seed |];
+    rng_state = lazy (Random.State.make [| seed |]);
     stats = Sim_stats.create ();
     track_peaks = false;
     fused_apply = true;
@@ -73,8 +75,8 @@ let create ?(seed = 0xDD) ?context n =
 let context engine = engine.context
 let qubits engine = engine.n
 let stats engine = engine.stats
-let rng engine = engine.rng_state
-let set_rng engine rng = engine.rng_state <- rng
+let rng engine = Lazy.force engine.rng_state
+let set_rng engine rng = engine.rng_state <- Lazy.from_val rng
 let state engine = engine.state_edge
 
 let require_width engine ~what actual =
@@ -82,8 +84,16 @@ let require_width engine ~what actual =
     Error.raise_error
       (Error.Width_mismatch { what; expected = engine.n; actual })
 
+(* Nodes and weight tags mean something only in the context that made
+   them, and a node is resident in exactly one unique table: one probe
+   for the root (non-terminal once the width matches) tells a foreign
+   state from our own. *)
 let set_state engine edge =
   require_width engine ~what:"Engine.set_state" (Dd.Types.v_height edge);
+  let unique = engine.context.Dd.Context.v_unique in
+  if not (Dd.Hashcons.V.mem unique edge.Dd.Types.vt) then
+    Error.invalid_parameter ~what:"Engine.set_state"
+      "the state's root node is not resident in this engine's context";
   engine.state_edge <- edge
 
 let reset engine =
@@ -912,8 +922,8 @@ let state_node_count engine = Dd.Vdd.node_count engine.state_edge
 
 let measure_qubit engine ~qubit =
   let outcome, collapsed =
-    Dd.Measure.measure_qubit engine.context engine.rng_state
-      engine.state_edge ~qubit
+    Dd.Measure.measure_qubit engine.context (rng engine) engine.state_edge
+      ~qubit
   in
   engine.state_edge <- collapsed;
   if Obs.Trace.is_on engine.trace then
@@ -933,7 +943,7 @@ let measure_all engine =
   loop 0 0
 
 let sample engine =
-  Dd.Measure.sample engine.context engine.rng_state engine.state_edge
+  Dd.Measure.sample engine.context (rng engine) engine.state_edge
 
 let fidelity_dense engine reference =
   if Array.length reference <> 1 lsl engine.n then

@@ -19,8 +19,8 @@ type t
 
 val create : ?seed:int -> ?context:Dd.Context.t -> int -> t
 (** [create n] — an [n]-qubit engine in state [|0...0>].  [seed] initialises
-    the measurement RNG (default [0xDD]); [context] shares an existing DD
-    package (default: a fresh one). *)
+    the measurement RNG (default [0xDD]), which is built on its first use;
+    [context] shares an existing DD package (default: a fresh one). *)
 
 val context : t -> Dd.Context.t
 val qubits : t -> int
@@ -35,8 +35,11 @@ val state : t -> Dd.Vdd.edge
 
 val set_state : t -> Dd.Vdd.edge -> unit
 (** Replace the state (e.g. with a custom initial state).  The edge must
-    have the engine's height; raises {!Error.Error} ([Width_mismatch])
-    otherwise. *)
+    have the engine's height, or {!Error.Error} ([Width_mismatch]) is
+    raised, and its root node must be resident in the engine's context
+    (built there and not collected since), or {!Error.Error}
+    ([Invalid_parameter]) is raised; either way the engine keeps its
+    state.  The residency check is one unique-table probe. *)
 
 val reset : t -> unit
 (** Back to [|0...0>]; statistics are reset too. *)

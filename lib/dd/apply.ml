@@ -88,10 +88,10 @@ let rec rebuild_stable ctx (v : vnode) =
   match Hashtbl.find_opt ctx.Context.apply_stable v.vid with
   | Some s -> s
   | None ->
-    let stable_edge (e : vedge) = v_is_zero e || rebuild_stable ctx e.vt in
+    let stable_child w t = w = zero || rebuild_stable ctx t in
     let s =
-      Ctable.pivot4 ctx.Context.ctable v.v_low.vw v.v_high.vw zero zero = one
-      && stable_edge v.v_low && stable_edge v.v_high
+      Ctable.pivot4 ctx.Context.ctable v.lw v.hw zero zero = one
+      && stable_child v.lw v.lt && stable_child v.hw v.ht
     in
     Hashtbl.add ctx.Context.apply_stable v.vid s;
     s
@@ -220,7 +220,9 @@ let apply ctx ~n ~target ?(controls = []) entries state =
           cur := pv
       done;
       let w_root = !cur in
-      (* ---- recursion: Mdd.apply on the virtual gate DD ---- *)
+      (* ---- recursion: Mdd.apply on the virtual gate DD ----
+         Like Mdd.apply, it takes a child as the (weight tag, node)
+         fields it reads and builds edges only for results. *)
       let table = ctx.Context.apply_v in
       let k3_of role = (layout_id lsl 3) lor role in
       (* Identity acting on a subtree.  Rebuild-stable subtrees collapse
@@ -230,46 +232,45 @@ let apply ctx ~n ~target ?(controls = []) entries state =
          node for node, so the re-normalisation it performs happens here
          too and both paths stay bitwise in lockstep. *)
       let rec ident_unit (v : vnode) =
-        match Compute_table.find table ~k1:v.vid ~k2:0 ~k3:role_ident with
-        | Some r -> r
-        | None ->
-          let low = ident_sub v.v_low in
-          let high = ident_sub v.v_high in
+        if Compute_table.find table ~k1:v.vid ~k2:0 ~k3:role_ident then
+          Compute_table.found table
+        else begin
+          let low = ident_sub v.lw v.lt in
+          let high = ident_sub v.hw v.ht in
           let r = Vdd.make ctx v.level low high in
           Compute_table.store table ~k1:v.vid ~k2:0 ~k3:role_ident r;
           r
-      and ident_sub (edge : vedge) =
-        if v_is_zero edge then v_zero
-        else if v_is_terminal edge.vt then edge
-        else if rebuild_stable ctx edge.vt then begin
+        end
+      and ident_sub w (t : vnode) =
+        if w = zero then v_zero
+        else if v_is_terminal t then { vw = w; vt = t }
+        else if rebuild_stable ctx t then begin
           (* cache-equivalent win without a table probe — counted so the
              bench can see the reuse the apply_v hit rate misses *)
           Context.note_apply_skip ctx;
-          edge
+          { vw = w; vt = t }
         end
-        else Vdd.scale_product ctx one edge.vw (ident_unit edge.vt)
+        else Vdd.scale_product ctx one w (ident_unit t)
       in
-      let ident_edge w (edge : vedge) =
-        if v_is_zero edge then v_zero
-        else if v_is_terminal edge.vt then
-          Vdd.terminal (Ctable.mul ct w edge.vw)
-        else if rebuild_stable ctx edge.vt then begin
+      let ident_edge w ew (t : vnode) =
+        if ew = zero then v_zero
+        else if v_is_terminal t then Vdd.terminal (Ctable.mul ct w ew)
+        else if rebuild_stable ctx t then begin
           (* the generic rebuild returns the same node under its raw
              normalisation pivot (bitwise one, but a tagged representative
              — tags feed Vdd.add's operand swap, so the exact value
              matters, not just its bits) *)
           Context.note_apply_skip ctx;
-          let v = edge.vt in
-          Vdd.scale_product ctx w edge.vw
-            { vw = pivot4 v.v_low.vw v.v_high.vw zero zero; vt = v }
+          Vdd.scale_product ctx w ew
+            { vw = pivot4 t.lw t.hw zero zero; vt = t }
         end
-        else Vdd.scale_product ctx w edge.vw (ident_unit edge.vt)
+        else Vdd.scale_product ctx w ew (ident_unit t)
       in
       let rec unit_main (v : vnode) =
         let k3 = k3_of role_main in
-        match Compute_table.find table ~k1:v.vid ~k2:kind_id ~k3 with
-        | Some r -> r
-        | None ->
+        if Compute_table.find table ~k1:v.vid ~k2:kind_id ~k3 then
+          Compute_table.found table
+        else begin
           let level = v.level in
           (* Child evaluation order mirrors Mdd.apply exactly: low branch
              first, then high, and inside each Vdd.add the high-side
@@ -282,79 +283,80 @@ let apply ctx ~n ~target ?(controls = []) entries state =
             if level > target then
               match above.(level - target - 1) with
               | Skip ->
-                let low = main_edge one v.v_low in
-                let high = main_edge one v.v_high in
+                let low = main_edge one v.lw v.lt in
+                let high = main_edge one v.hw v.ht in
                 Vdd.make ctx level low high
               | Ctrl { active_high; ident_w; active_w } ->
                 let iw = Option.get ident_w in
                 if active_high then begin
-                  let low = ident_edge iw v.v_low in
-                  let high = main_edge active_w v.v_high in
+                  let low = ident_edge iw v.lw v.lt in
+                  let high = main_edge active_w v.hw v.ht in
                   Vdd.make ctx level low high
                 end
                 else begin
-                  let low = main_edge active_w v.v_low in
-                  let high = ident_edge iw v.v_high in
+                  let low = main_edge active_w v.lw v.lt in
+                  let high = ident_edge iw v.hw v.ht in
                   Vdd.make ctx level low high
                 end
             else begin
               (* level = target: no level skipping, so the descent from
                  the root hits every level down to here *)
-              let a01 = block_edge 1 nw.(1) v.v_high in
-              let a00 = block_edge 0 nw.(0) v.v_low in
+              let a01 = block_edge 1 nw.(1) v.hw v.ht in
+              let a00 = block_edge 0 nw.(0) v.lw v.lt in
               let low = Vdd.add ctx a00 a01 in
-              let a11 = block_edge 3 nw.(3) v.v_high in
-              let a10 = block_edge 2 nw.(2) v.v_low in
+              let a11 = block_edge 3 nw.(3) v.hw v.ht in
+              let a10 = block_edge 2 nw.(2) v.lw v.lt in
               let high = Vdd.add ctx a10 a11 in
               Vdd.make ctx level low high
             end
           in
           Compute_table.store table ~k1:v.vid ~k2:kind_id ~k3 r;
           r
-      and main_edge w (edge : vedge) =
-        if v_is_zero edge then v_zero
-        else Vdd.scale_product ctx w edge.vw (unit_main edge.vt)
-      and block_edge ij w (edge : vedge) =
-        if w = zero || v_is_zero edge then v_zero
-        else if v_is_terminal edge.vt then
-          Vdd.terminal (Ctable.mul ct w edge.vw)
-        else if edge.vt.level < lowest_ctrl.(ij) then
+        end
+      and main_edge w ew (t : vnode) =
+        if ew = zero then v_zero
+        else Vdd.scale_product ctx w ew (unit_main t)
+      and block_edge ij w ew (t : vnode) =
+        if w = zero || ew = zero then v_zero
+        else if v_is_terminal t then Vdd.terminal (Ctable.mul ct w ew)
+        else if t.level < lowest_ctrl.(ij) then
           (* only identity levels below: the identity acts on the subtree *)
-          ident_edge w edge
-        else Vdd.scale_product ctx w edge.vw (unit_block ij edge.vt)
+          ident_edge w ew t
+        else Vdd.scale_product ctx w ew (unit_block ij t)
       and unit_block ij (v : vnode) =
         let k3 = k3_of (role_block ij) in
-        match Compute_table.find table ~k1:v.vid ~k2:kind_id ~k3 with
-        | Some r -> r
-        | None ->
+        if Compute_table.find table ~k1:v.vid ~k2:kind_id ~k3 then
+          Compute_table.found table
+        else begin
           let level = v.level in
           (* low before high, as in unit_main *)
           let r =
             match below.(ij).(level) with
             | Skip ->
-              let low = block_edge ij one v.v_low in
-              let high = block_edge ij one v.v_high in
+              let low = block_edge ij one v.lw v.lt in
+              let high = block_edge ij one v.hw v.ht in
               Vdd.make ctx level low high
             | Ctrl { active_high; ident_w; active_w } ->
-              let inactive edge =
+              let inactive ew t =
                 match ident_w with
                 | None -> v_zero
-                | Some w -> ident_edge w edge
+                | Some w -> ident_edge w ew t
               in
               if active_high then begin
-                let low = inactive v.v_low in
-                let high = block_edge ij active_w v.v_high in
+                let low = inactive v.lw v.lt in
+                let high = block_edge ij active_w v.hw v.ht in
                 Vdd.make ctx level low high
               end
               else begin
-                let low = block_edge ij active_w v.v_low in
-                let high = inactive v.v_high in
+                let low = block_edge ij active_w v.lw v.lt in
+                let high = inactive v.hw v.ht in
                 Vdd.make ctx level low high
               end
           in
           Compute_table.store table ~k1:v.vid ~k2:kind_id ~k3 r;
           r
+        end
       in
-      main_edge w_root state
+      main_edge w_root state.vw state.vt
     end
   end

@@ -118,12 +118,12 @@ let norm2_uncached ctx (edge : Types.vedge) =
       match Hashtbl.find_opt memo node.Types.vid with
       | Some v -> v
       | None ->
-        let contribution (child : Types.vedge) =
-          if Types.v_is_zero child then 0.
-          else mag2 child.Types.vw *. node_norm child.Types.vt
+        let contribution w t =
+          if w = Ctable.zero_tag then 0. else mag2 w *. node_norm t
         in
         let v =
-          contribution node.Types.v_low +. contribution node.Types.v_high
+          contribution node.Types.lw node.Types.lt
+          +. contribution node.Types.hw node.Types.ht
         in
         Hashtbl.add memo node.Types.vid v;
         v
@@ -142,11 +142,11 @@ let check_vector ?norm_tol ctx (edge : Types.vedge) =
         ~mem:(fun () -> Hashcons.V.mem ctx.Context.v_unique node)
         ~level:node.Types.level ~id:node.Types.vid
         [|
-          (node.Types.v_low.Types.vw, node.Types.v_low.Types.vt.Types.level);
-          (node.Types.v_high.Types.vw, node.Types.v_high.Types.vt.Types.level);
+          (node.Types.lw, node.Types.lt.Types.level);
+          (node.Types.hw, node.Types.ht.Types.level);
         |];
-      walk node.Types.v_low.Types.vt;
-      walk node.Types.v_high.Types.vt
+      walk node.Types.lt;
+      walk node.Types.ht
     end
   in
   if not (Types.v_is_zero edge) then begin
@@ -169,7 +169,7 @@ let check_matrix ctx (edge : Types.medge) =
   let violations = ref [] in
   let push v = violations := v :: !violations in
   let seen = Hashtbl.create 256 in
-  let child (e : Types.medge) = (e.Types.mw, e.Types.mt.Types.level) in
+  let child w (t : Types.mnode) = (w, t.Types.level) in
   let rec walk (node : Types.mnode) =
     if node.Types.level >= 0 && not (Hashtbl.mem seen node.Types.mid) then begin
       Hashtbl.add seen node.Types.mid ();
@@ -177,13 +177,15 @@ let check_matrix ctx (edge : Types.medge) =
         ~mem:(fun () -> Hashcons.M.mem ctx.Context.m_unique node)
         ~level:node.Types.level ~id:node.Types.mid
         [|
-          child node.Types.m00; child node.Types.m01; child node.Types.m10;
-          child node.Types.m11;
+          child node.Types.w00 node.Types.t00;
+          child node.Types.w01 node.Types.t01;
+          child node.Types.w10 node.Types.t10;
+          child node.Types.w11 node.Types.t11;
         |];
-      walk node.Types.m00.Types.mt;
-      walk node.Types.m01.Types.mt;
-      walk node.Types.m10.Types.mt;
-      walk node.Types.m11.Types.mt
+      walk node.Types.t00;
+      walk node.Types.t01;
+      walk node.Types.t10;
+      walk node.Types.t11
     end
   in
   if not (Types.m_is_zero edge) then begin
@@ -270,8 +272,8 @@ let rebuild_vector ctx (edge : Types.vedge) =
         match Hashtbl.find_opt memo node.Types.vid with
         | Some r -> r
         | None ->
-          let low = rebuild node.Types.v_low in
-          let high = rebuild node.Types.v_high in
+          let low = rebuild (Types.v_low node) in
+          let high = rebuild (Types.v_high node) in
           let r = Vdd.make ctx node.Types.level low high in
           Hashtbl.add memo node.Types.vid r;
           r

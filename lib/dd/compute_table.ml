@@ -24,6 +24,9 @@ type 'v t = {
   mutable k2 : int array;
   mutable k3 : int array;
   mutable value : 'v array;
+  (* the slot the last hit read, or -1 after a poisoned hit; [found]
+     reads the value from here, so a hit allocates nothing *)
+  mutable hit_slot : int;
   mutable entries : int;
   mutable generation : int;  (* sweeps so far *)
   mutable lookups : int;
@@ -59,6 +62,7 @@ let create ~name ~bits ~dummy =
     k2 = [| 0 |];
     k3 = [| 0 |];
     value = [| dummy |];
+    hit_slot = 0;
     entries = 0;
     generation = 0;
     lookups = 0;
@@ -93,10 +97,13 @@ let find (t : 'v t) ~k1 ~k2 ~k3 =
     t.hits <- t.hits + 1;
     (* fault harness: a poisoned hit hands back the dummy value — the
        corruption a collision-checking bug or torn store would produce *)
-    if Fault.fire Fault.Table_poison then Some t.dummy
-    else Some t.value.(i)
+    t.hit_slot <- (if Fault.fire Fault.Table_poison then -1 else i);
+    true
   end
-  else None
+  else false
+
+let found (t : 'v t) =
+  if t.hit_slot < 0 then t.dummy else t.value.(t.hit_slot)
 
 let allocate (t : 'v t) =
   let capacity = capacity t in

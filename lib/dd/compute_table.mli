@@ -32,7 +32,19 @@ val create : name:string -> bits:int -> dummy:'v -> 'v t
     first {!store}; [dummy] fills unoccupied value slots and is never
     returned. *)
 
-val find : 'v t -> k1:int -> k2:int -> k3:int -> 'v option
+val find : 'v t -> k1:int -> k2:int -> k3:int -> bool
+(** Is the key stored?  On a hit, {!found} reads its value.  Allocates
+    nothing:
+
+    {[
+      if Compute_table.find t ~k1 ~k2 ~k3 then Compute_table.found t
+      else (let v = compute () in Compute_table.store t ~k1 ~k2 ~k3 v; v)
+    ]} *)
+
+val found : 'v t -> 'v
+(** The value of the last {!find} that hit.  Read it before the next
+    {!store} into the table. *)
+
 val store : 'v t -> k1:int -> k2:int -> k3:int -> 'v -> unit
 
 val clear : 'v t -> unit

@@ -78,7 +78,7 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     identity_cache = Hashtbl.create 64;
     gate_kind_ids = Hashtbl.create 64;
     gate_layout_ids = Hashtbl.create 64;
-    apply_stable = Hashtbl.create 1024;
+    apply_stable = Hashtbl.create 16;
     gc =
       {
         collections = 0;
@@ -192,15 +192,15 @@ let table_stats ctx =
 (* -- table residency estimates ---------------------------------------- *)
 
 (* Per-entry heap-word costs, from the record layouts in types.ml / the
-   packed compute-table slots.  A vnode is a 5-word block (header + vid,
-   level, v_low, v_high) plus two boxed vedges at 3 words each — 11 words.
-   An mnode is a 7-word block plus four boxed medges — 19 words.  A packed
+   packed compute-table slots.  A vnode is one 7-word block (header + vid,
+   level and two inline (weight tag, target) child pairs); an mnode is one
+   11-word block with four pairs.  A packed
    compute-table entry is four key/value slots plus the boxed result edge
    and weight sharing — call it 8 words.  These are estimates for
    telemetry gauges, not an allocator census.  The complex table needs no
    estimate: its arrays report their own capacity. *)
-let vnode_words = 11
-let mnode_words = 19
+let vnode_words = 7
+let mnode_words = 11
 let compute_entry_words = 8
 let bytes_per_word = 8
 
@@ -272,18 +272,18 @@ let collect ctx ~v_roots ~m_roots =
     if node.Types.level >= 0 && not (Hashtbl.mem v_marked node.Types.vid)
     then begin
       Hashtbl.add v_marked node.Types.vid ();
-      mark_v node.Types.v_low.Types.vt;
-      mark_v node.Types.v_high.Types.vt
+      mark_v node.Types.lt;
+      mark_v node.Types.ht
     end
   in
   let rec mark_m (node : Types.mnode) =
     if node.Types.level >= 0 && not (Hashtbl.mem m_marked node.Types.mid)
     then begin
       Hashtbl.add m_marked node.Types.mid ();
-      mark_m node.Types.m00.Types.mt;
-      mark_m node.Types.m01.Types.mt;
-      mark_m node.Types.m10.Types.mt;
-      mark_m node.Types.m11.Types.mt
+      mark_m node.Types.t00;
+      mark_m node.Types.t01;
+      mark_m node.Types.t10;
+      mark_m node.Types.t11
     end
   in
   List.iter (fun (e : Types.vedge) -> mark_v e.Types.vt) v_roots;

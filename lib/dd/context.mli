@@ -60,9 +60,9 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
     [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
-    its slots on its first store, the two unique tables start at 2^10
+    its slots on its first store, the two unique tables start at 2^6
     slots and the complex table at 2^8 entries, so a fresh context
-    allocates about 29 KiB.  Raises [Invalid_argument] outside
+    allocates about 5 KiB.  Raises [Invalid_argument] outside
     [4, 24]. *)
 
 val cnum : t -> Cnum.t -> int
@@ -133,8 +133,8 @@ val table_stats : t -> Compute_table.stats list
 
 val unique_table_bytes : t -> int
 (** Bytes resident in the unique tables and the canonical weight table:
-    live node counts times documented per-node layout costs (vnode 11
-    words, mnode 19; 8-byte words), plus the complex table's arrays at
+    live node counts times documented per-node layout costs (vnode 7
+    words, mnode 11; 8-byte words), plus the complex table's arrays at
     their capacity ({!Ctable.bytes}).  O(1) and allocation-free — safe on
     hot observability paths. *)
 

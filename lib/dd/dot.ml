@@ -63,8 +63,8 @@ let vector_to_dot ?(name = "vector_dd") ?(annotate = false)
       Buffer.add_string buf
         (Printf.sprintf "  %s [label=\"q%d\"];\n" src
            (Order.qubit_of_level order node.level));
-      edge_line src node.v_low " [style=dashed]";
-      edge_line src node.v_high "")
+      edge_line src (v_low node) " [style=dashed]";
+      edge_line src (v_high node) "")
     edge;
   if not (v_is_zero edge) then begin
     let dst =
@@ -118,10 +118,10 @@ let matrix_to_dot ?(name = "matrix_dd") ?(annotate = false)
       Buffer.add_string buf
         (Printf.sprintf "  %s [label=\"q%d\"];\n" src
            (Order.qubit_of_level order node.level));
-      edge_line src "00" node.m00;
-      edge_line src "01" node.m01;
-      edge_line src "10" node.m10;
-      edge_line src "11" node.m11)
+      edge_line src "00" (m_child node 0);
+      edge_line src "01" (m_child node 1);
+      edge_line src "10" (m_child node 2);
+      edge_line src "11" (m_child node 3))
     edge;
   if not (m_is_zero edge) then begin
     let dst =

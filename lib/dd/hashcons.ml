@@ -4,9 +4,16 @@
    different arities: (1) normalise the children by the first
    maximal-magnitude child weight, (2) intern the normalised weights,
    (3) look the node up in a unique table keyed by (level, child weight
-   tags, child node ids).  The functor below is that code path once,
-   over an open-addressed table specialised to the node type — no tuple
-   keys, no polymorphic hashing. *)
+   tags, child targets).  The functor below is that code path once, over
+   an open-addressed table specialised to the node type — no tuple keys,
+   no polymorphic hashing.
+
+   Children travel as four (weight tag, target) argument pairs, never as
+   an array or as edge blocks: a binary node passes zero for the last
+   two.  A candidate is matched on its own fields, and targets by
+   physical equality — a node id is handed out once, so a target is the
+   same node exactly when its id is — so a hit allocates nothing but the
+   returned edge. *)
 
 open Dd_complex
 
@@ -17,14 +24,15 @@ module type NODE = sig
   val arity : int
   val terminal : node
   val zero_edge : edge
-  val is_zero : edge -> bool
-  val weight : edge -> int
-  val target : edge -> node
   val edge : int -> node -> edge
   val id : node -> int
   val level : node -> int
-  val child : node -> int -> edge
-  val build : id:int -> level:int -> edge array -> node
+  val weight : node -> int -> int
+  val target : node -> int -> node
+
+  val build :
+    id:int -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> node
 end
 
 module type S = sig
@@ -34,10 +42,12 @@ module type S = sig
 
   val create : Ctable.t -> t
 
-  (* Normalise [children] (mutated in place), intern the node, return the
-     canonical edge.  [children] must have length [arity]; non-zero
+  (* Normalise the children, intern the node, return the canonical edge.
+     A binary node passes zero weights as children 2 and 3; non-zero
      children must sit one level below [level]. *)
-  val make : t -> level:int -> edge array -> edge
+  val make :
+    t -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> edge
 
   val length : t -> int
   val created : t -> int
@@ -46,7 +56,8 @@ module type S = sig
 
   (* Is this exact node (physical equality) the table's representative?
      The invariant auditor uses it to detect reachable nodes that were
-     dropped from, or never entered, the unique table. *)
+     dropped from, or never entered, the unique table; the engine uses it
+     to refuse a state from another context. *)
   val mem : t -> node -> bool
 
   val per_level_counts : t -> levels:int -> int array
@@ -69,7 +80,8 @@ module Make (N : NODE) :
     mutable level_counts : int array;
   }
 
-  let initial_bits = 10
+  let initial_bits = 6
+  let zero = Ctable.zero_tag
 
   let create ctable =
     let capacity = 1 lsl initial_bits in
@@ -90,37 +102,30 @@ module Make (N : NODE) :
   let mix2 = 0x27D4EB2F165667C5
   let mix3 = 0x165667B19E3779F9
 
-  let hash_children ~level (children : N.edge array) =
-    let h = ref (level * mix1) in
-    for i = 0 to N.arity - 1 do
-      let c = children.(i) in
-      h := (!h lxor N.weight c) * mix2;
-      h := (!h lxor N.id (N.target c)) * mix3
-    done;
-    !h lxor (!h lsr 29)
+  (* fold one child's weight tag and target id into the hash *)
+  let mix h w t = (((h lxor w) * mix2) lxor N.id t) * mix3
+
+  let hash ~level w0 t0 w1 t1 w2 t2 w3 t3 =
+    let h = mix (mix (level * mix1) w0 t0) w1 t1 in
+    let h = if N.arity = 2 then h else mix (mix h w2 t2) w3 t3 in
+    h lxor (h lsr 29)
 
   let hash_node n =
-    let level = N.level n in
-    let h = ref (level * mix1) in
-    for i = 0 to N.arity - 1 do
-      let c = N.child n i in
-      h := (!h lxor N.weight c) * mix2;
-      h := (!h lxor N.id (N.target c)) * mix3
-    done;
-    !h lxor (!h lsr 29)
+    hash ~level:(N.level n) (N.weight n 0) (N.target n 0) (N.weight n 1)
+      (N.target n 1) (N.weight n 2) (N.target n 2) (N.weight n 3)
+      (N.target n 3)
 
-  let node_matches n ~level (children : N.edge array) =
+  let node_matches n ~level w0 t0 w1 t1 w2 t2 w3 t3 =
     N.level n = level
-    &&
-    let ok = ref true in
-    for i = 0 to N.arity - 1 do
-      let c = N.child n i and d = children.(i) in
-      if
-        N.id (N.target c) <> N.id (N.target d)
-        || N.weight c <> N.weight d
-      then ok := false
-    done;
-    !ok
+    && N.weight n 0 = w0
+    && N.target n 0 == t0
+    && N.weight n 1 = w1
+    && N.target n 1 == t1
+    && (N.arity = 2
+       || N.weight n 2 = w2
+          && N.target n 2 == t2
+          && N.weight n 3 = w3
+          && N.target n 3 == t3)
 
   let insert_rehashed t n =
     let i = ref (hash_node n land t.mask) in
@@ -154,12 +159,12 @@ module Make (N : NODE) :
     Array.blit t.level_counts 0 out 0 (min levels (Array.length t.level_counts));
     out
 
-  let find_or_insert t ~level ~h (children : N.edge array) =
+  let find_or_insert t ~level w0 t0 w1 t1 w2 t2 w3 t3 =
     ensure_room t;
-    let i = ref (h land t.mask) in
+    let i = ref (hash ~level w0 t0 w1 t1 w2 t2 w3 t3 land t.mask) in
     while
       let n = t.slots.(!i) in
-      N.id n <> 0 && not (node_matches n ~level children)
+      N.id n <> 0 && not (node_matches n ~level w0 t0 w1 t1 w2 t2 w3 t3)
     do
       i := (!i + 1) land t.mask
     done;
@@ -168,62 +173,51 @@ module Make (N : NODE) :
     else begin
       if Fault.fire Fault.Alloc_fail then raise Out_of_memory;
       t.created <- t.created + 1;
-      let node = N.build ~id:t.created ~level children in
+      let node = N.build ~id:t.created ~level w0 t0 w1 t1 w2 t2 w3 t3 in
       t.slots.(!i) <- node;
       t.entries <- t.entries + 1;
       count_level t level;
       node
     end
 
-  let make t ~level (children : N.edge array) =
-    let all_zero = ref true in
-    for i = 0 to N.arity - 1 do
-      if not (N.is_zero children.(i)) then all_zero := false
-    done;
-    if !all_zero then N.zero_edge
+  (* A non-zero child weight divided by the pivot.  The fault harness
+     corrupts a weight here, in the funnel every child weight of every
+     new node passes through, the way cosmic FP noise would. *)
+  let normalise ct pivot w =
+    if w = zero then zero
+    else if Fault.fire Fault.Weight_flip then begin
+      let z = Cnum.div (Ctable.get ct w) (Ctable.get ct pivot) in
+      Ctable.intern ct (Cnum.make (Fault.flip_float z.re) z.im)
+    end
+    else Ctable.div ct w pivot
+
+  let below ~level w t = w = zero || N.level t = level - 1
+
+  let make t ~level w0 t0 w1 t1 w2 t2 w3 t3 =
+    if w0 = zero && w1 = zero && w2 = zero && w3 = zero then N.zero_edge
     else begin
       assert (level >= 0);
       assert (
-        let ok = ref true in
-        for i = 0 to N.arity - 1 do
-          let c = children.(i) in
-          if not (N.is_zero c || N.level (N.target c) = level - 1) then
-            ok := false
-        done;
-        !ok);
+        below ~level w0 t0 && below ~level w1 t1 && below ~level w2 t2
+        && below ~level w3 t3);
       (* Normalisation: divide every child weight by the first
          maximal-magnitude child weight, which becomes the weight of the
          returned edge.  Canonical because weights are canonical
          (interning merges FP noise); stable because normalised child
-         weights have magnitude <= 1. *)
+         weights have magnitude <= 1.  Children are normalised in index
+         order, and a child given with weight zero points at the
+         terminal. *)
       let ct = t.ctable in
-      (* zero_tag for absent children: zero is never the pivot *)
-      let w2 = if N.arity > 2 then N.weight children.(2) else Ctable.zero_tag
-      and w3 = if N.arity > 3 then N.weight children.(3) else Ctable.zero_tag in
-      let pivot =
-        Ctable.pivot4 ct (N.weight children.(0)) (N.weight children.(1)) w2 w3
-      in
-      for i = 0 to N.arity - 1 do
-        let c = children.(i) in
-        if N.is_zero c then children.(i) <- N.zero_edge
-        else begin
-          let w = N.weight c in
-          let q =
-            (* the fault harness corrupts a weight here, in the funnel
-               every child weight of every new node passes through, the
-               way cosmic FP noise would *)
-            if Fault.fire Fault.Weight_flip then begin
-              let z = Cnum.div (Ctable.get ct w) (Ctable.get ct pivot) in
-              Ctable.intern ct (Cnum.make (Fault.flip_float z.re) z.im)
-            end
-            else Ctable.div ct w pivot
-          in
-          (* an unchanged weight keeps its edge *)
-          if q <> w then children.(i) <- N.edge q (N.target c)
-        end
-      done;
-      let h = hash_children ~level children in
-      N.edge pivot (find_or_insert t ~level ~h children)
+      let pivot = Ctable.pivot4 ct w0 w1 w2 w3 in
+      let t0 = if w0 = zero then N.terminal else t0 in
+      let t1 = if w1 = zero then N.terminal else t1 in
+      let t2 = if w2 = zero then N.terminal else t2 in
+      let t3 = if w3 = zero then N.terminal else t3 in
+      let w0 = normalise ct pivot w0 in
+      let w1 = normalise ct pivot w1 in
+      let w2 = normalise ct pivot w2 in
+      let w3 = normalise ct pivot w3 in
+      N.edge pivot (find_or_insert t ~level w0 t0 w1 t1 w2 t2 w3 t3)
     end
 
   let mem t node =
@@ -266,18 +260,18 @@ module V = Make (struct
   let arity = 2
   let terminal = Types.v_terminal
   let zero_edge = Types.v_zero
-  let is_zero = Types.v_is_zero
-  let weight (e : edge) = e.Types.vw
-  let target (e : edge) = e.Types.vt
-  let edge w t = { Types.vw = w; Types.vt = t }
+  let edge w t = { Types.vw = w; vt = t }
   let id (n : node) = n.Types.vid
   let level (n : node) = n.Types.level
 
-  let child (n : node) i =
-    if i = 0 then n.Types.v_low else n.Types.v_high
+  let weight (n : node) i =
+    if i = 0 then n.Types.lw else if i = 1 then n.Types.hw else Ctable.zero_tag
 
-  let build ~id ~level (c : edge array) =
-    { Types.vid = id; Types.level; Types.v_low = c.(0); Types.v_high = c.(1) }
+  let target (n : node) i =
+    if i = 0 then n.Types.lt else if i = 1 then n.Types.ht else terminal
+
+  let build ~id ~level lw lt hw ht _ _ _ _ =
+    { Types.vid = id; level; lw; lt; hw; ht }
 end)
 
 module M = Make (struct
@@ -287,27 +281,24 @@ module M = Make (struct
   let arity = 4
   let terminal = Types.m_terminal
   let zero_edge = Types.m_zero
-  let is_zero = Types.m_is_zero
-  let weight (e : edge) = e.Types.mw
-  let target (e : edge) = e.Types.mt
-  let edge w t = { Types.mw = w; Types.mt = t }
+  let edge w t = { Types.mw = w; mt = t }
   let id (n : node) = n.Types.mid
   let level (n : node) = n.Types.level
 
-  let child (n : node) i =
+  let weight (n : node) i =
     match i with
-    | 0 -> n.Types.m00
-    | 1 -> n.Types.m01
-    | 2 -> n.Types.m10
-    | _ -> n.Types.m11
+    | 0 -> n.Types.w00
+    | 1 -> n.Types.w01
+    | 2 -> n.Types.w10
+    | _ -> n.Types.w11
 
-  let build ~id ~level (c : edge array) =
-    {
-      Types.mid = id;
-      Types.level;
-      Types.m00 = c.(0);
-      Types.m01 = c.(1);
-      Types.m10 = c.(2);
-      Types.m11 = c.(3);
-    }
+  let target (n : node) i =
+    match i with
+    | 0 -> n.Types.t00
+    | 1 -> n.Types.t01
+    | 2 -> n.Types.t10
+    | _ -> n.Types.t11
+
+  let build ~id ~level w00 t00 w01 t01 w10 t10 w11 t11 =
+    { Types.mid = id; level; w00; t00; w01; t01; w10; t10; w11; t11 }
 end)

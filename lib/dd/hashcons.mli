@@ -1,8 +1,12 @@
 (** Shared hash-consing core for vector and matrix DD nodes: one
     normalisation + unique-table code path, instantiated per node arity.
-    Each unique table is one open-addressed array of nodes (2^10 slots
-    to start, doubled to keep the load factor at or below 1/2).  See
-    {!Vdd.make} / {!Mdd.make} for the public entry points. *)
+    Each unique table is one open-addressed array of nodes (2^6 slots
+    to start, doubled to keep the load factor at or below 1/2).  A node
+    keeps its children inline ({!Types}), so the core hashes and matches
+    a candidate on the candidate's own fields: its level, its child
+    weight tags and its child targets, compared physically (a node id is
+    handed out once, so a target is the same node exactly when its id
+    is).  See {!Vdd.make} / {!Mdd.make} for the public entry points. *)
 
 open Dd_complex
 
@@ -13,14 +17,23 @@ module type NODE = sig
   val arity : int
   val terminal : node
   val zero_edge : edge
-  val is_zero : edge -> bool
-  val weight : edge -> int
-  val target : edge -> node
   val edge : int -> node -> edge
   val id : node -> int
   val level : node -> int
-  val child : node -> int -> edge
-  val build : id:int -> level:int -> edge array -> node
+
+  val weight : node -> int -> int
+  (** [weight n i] is child [i]'s weight tag; the zero tag for
+      [i >= arity]. *)
+
+  val target : node -> int -> node
+  (** [target n i] is child [i]'s target; the terminal for
+      [i >= arity]. *)
+
+  val build :
+    id:int -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> node
+  (** A node from its id, level and four (weight tag, target) child
+      pairs; a binary node ignores the last two. *)
 end
 
 module type S = sig
@@ -32,14 +45,18 @@ module type S = sig
   (** An empty unique table whose nodes' weights are tags of the given
       complex table. *)
 
-  val make : t -> level:int -> edge array -> edge
-  (** Normalise [children] (mutated in place: child weights are divided by
-      the first maximal-magnitude child weight, {!Ctable.pivot4}, with
-      {!Ctable.div}), hash-cons the node, return the canonical edge
-      carrying the factored-out weight.  [children] must have length
-      [arity]; non-zero children must sit one level below [level].
-      Allocates nothing beyond the normalised child edges and the
-      returned edge. *)
+  val make :
+    t -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> edge
+  (** [make t ~level w0 t0 w1 t1 w2 t2 w3 t3] normalises the children
+      (child weights, in index order, are divided by the first
+      maximal-magnitude child weight, {!Ctable.pivot4}, with
+      {!Ctable.div}; a child given with weight zero points at the
+      terminal), hash-conses
+      the node and returns the canonical edge carrying the factored-out
+      weight.  A binary node passes zero weights as children 2 and 3.
+      Non-zero children must sit one level below [level].  A hit
+      allocates only the returned edge, a miss also the node. *)
 
   val length : t -> int
   (** Nodes currently resident. *)
@@ -56,8 +73,10 @@ module type S = sig
 
   val mem : t -> node -> bool
   (** Is this exact node (physical equality) the table's resident
-      representative?  False for a node that was pruned or forged —
-      the auditor's canonicity probe. *)
+      representative?  False for a node that was pruned or forged, or
+      that belongs to another context's table — the auditor's
+      canonicity probe and [Engine.set_state]'s context check.  One
+      probe sequence, allocation-free. *)
 
   val per_level_counts : t -> levels:int -> int array
   (** Resident-node count per level, [0 .. levels-1], maintained

@@ -9,7 +9,8 @@ let zero = m_zero
    the four quadrants are divided by the first maximal-magnitude quadrant
    weight, which becomes the weight of the returned edge. *)
 let make ctx level e00 e01 e10 e11 =
-  Hashcons.M.make ctx.Context.m_unique ~level [| e00; e01; e10; e11 |]
+  Hashcons.M.make ctx.Context.m_unique ~level e00.mw e00.mt e01.mw e01.mt
+    e10.mw e10.mt e11.mw e11.mt
 
 (* The scalings share Vdd's rule: a zero factor or a zero edge gives the
    zero edge, a factor of exactly one gives the edge itself, anything
@@ -42,6 +43,8 @@ let scale_conj ctx w edge =
 
 let terminal w =
   if w = Ctable.zero_tag then m_zero else { mw = w; mt = m_terminal }
+
+let zero_tag = Ctable.zero_tag
 
 let terminal_edge ctx z = terminal (Context.cnum ctx z)
 
@@ -104,12 +107,12 @@ let gate ctx ~n ~target ?(controls = []) entries =
   let entries, kind_id = Context.gate_kind ctx entries in
   let table = ctx.Context.gate in
   let k1 = kind_id and k2 = site.Context.layout_id and k3 = n in
-  match Compute_table.find table ~k1 ~k2 ~k3 with
-  | Some e -> e
-  | None ->
+  if Compute_table.find table ~k1 ~k2 ~k3 then Compute_table.found table
+  else begin
     let e = build_gate ctx ~n site entries in
     Compute_table.store table ~k1 ~k2 ~k3 e;
     e
+  end
 
 (* |row><col| on [n] qubits: a single path of nodes. *)
 let outer_product ctx ~n ~row ~col =
@@ -125,36 +128,52 @@ let outer_product ctx ~n ~row ~col =
   in
   build 0 (terminal Ctable.one_tag)
 
+(* Vdd.add's scheme: below the top, operands are (weight, node) pairs
+   read from the operands' fields, and an edge is built only for a
+   result. *)
 let rec add ctx a b =
   if m_is_zero a then b
   else if m_is_zero b then a
-  else if m_is_terminal a.mt && m_is_terminal b.mt then
-    terminal (Ctable.add ctx.Context.ctable a.mw b.mw)
+  else add_nonzero ctx a.mw a.mt b.mw b.mt
+
+and add_pair ctx aw at bw bt =
+  if aw = zero_tag then if bw = zero_tag then m_zero else { mw = bw; mt = bt }
+  else if bw = zero_tag then { mw = aw; mt = at }
+  else add_nonzero ctx aw at bw bt
+
+and add_nonzero ctx aw (a : mnode) bw (b : mnode) =
+  if m_is_terminal a && m_is_terminal b then
+    terminal (Ctable.add ctx.Context.ctable aw bw)
   else begin
-    assert (a.mt.level = b.mt.level);
-    let a, b =
-      if a.mt.mid < b.mt.mid || (a.mt.mid = b.mt.mid && a.mw <= b.mw) then
-        (a, b)
-      else (b, a)
-    in
-    let ratio = Ctable.div ctx.Context.ctable b.mw a.mw in
-    let table = ctx.Context.add_m in
-    let k1 = a.mt.mid and k2 = b.mt.mid and k3 = ratio in
-    let unit_result =
-      match Compute_table.find table ~k1 ~k2 ~k3 with
-      | Some r -> r
-      | None ->
-        let na = a.mt and nb = b.mt in
-        let part qa qb = add ctx qa (scale_tag ctx ratio qb) in
-        let r =
-          make ctx na.level (part na.m00 nb.m00) (part na.m01 nb.m01)
-            (part na.m10 nb.m10) (part na.m11 nb.m11)
-        in
-        Compute_table.store table ~k1 ~k2 ~k3 r;
-        r
-    in
-    scale_tag ctx a.mw unit_result
+    assert (a.level = b.level);
+    if a.mid < b.mid || (a.mid = b.mid && aw <= bw) then
+      add_sorted ctx aw a bw b
+    else add_sorted ctx bw b aw a
   end
+
+and add_sorted ctx aw (a : mnode) bw (b : mnode) =
+  let ct = ctx.Context.ctable in
+  let ratio = Ctable.div ct bw aw in
+  let table = ctx.Context.add_m in
+  let k1 = a.mid and k2 = b.mid and k3 = ratio in
+  let unit_result =
+    if Compute_table.find table ~k1 ~k2 ~k3 then Compute_table.found table
+    else begin
+      let part qaw qat qbw qbt =
+        add_pair ctx qaw qat (Vdd.mul_weight ct ratio qbw) qbt
+      in
+      let r =
+        make ctx a.level
+          (part a.w00 a.t00 b.w00 b.t00)
+          (part a.w01 a.t01 b.w01 b.t01)
+          (part a.w10 a.t10 b.w10 b.t10)
+          (part a.w11 a.t11 b.w11 b.t11)
+      in
+      Compute_table.store table ~k1 ~k2 ~k3 r;
+      r
+    end
+  in
+  scale_tag ctx aw unit_result
 
 let of_permutation ctx ~n f =
   if n > 30 then invalid_arg "Mdd.of_permutation: too many qubits";
@@ -199,132 +218,138 @@ let control_top ctx ~n ?(positive = true) u =
 
 (* Matrix-vector multiplication, Fig. 3 of the paper: the result for a
    (matrix node, vector node) pair — with unit top weights — is memoised, so
-   re-occurring sub-products are computed once. *)
-let rec apply ctx me ve =
-  if m_is_zero me || v_is_zero ve then v_zero
-  else if m_is_terminal me.mt then begin
-    assert (v_is_terminal ve.vt);
-    Vdd.terminal (Ctable.mul ctx.Context.ctable me.mw ve.vw)
+   re-occurring sub-products are computed once.  The recursion takes
+   (weight, node) pairs, reading children from the nodes' fields. *)
+let rec apply ctx me ve = apply_pair ctx me.mw me.mt ve.vw ve.vt
+
+and apply_pair ctx mw (m : mnode) vw (v : vnode) =
+  if mw = zero_tag || vw = zero_tag then v_zero
+  else if m_is_terminal m then begin
+    assert (v_is_terminal v);
+    Vdd.terminal (Ctable.mul ctx.Context.ctable mw vw)
   end
   else begin
-    assert (me.mt.level = ve.vt.level);
+    assert (m.level = v.level);
     let table = ctx.Context.mul_mv in
-    let k1 = me.mt.mid and k2 = ve.vt.vid in
+    let k1 = m.mid and k2 = v.vid in
     let unit_result =
-      match Compute_table.find table ~k1 ~k2 ~k3:0 with
-      | Some r -> r
-      | None ->
-        let m = me.mt and v = ve.vt in
+      if Compute_table.find table ~k1 ~k2 ~k3:0 then Compute_table.found table
+      else begin
         let low =
-          Vdd.add ctx (apply ctx m.m00 v.v_low) (apply ctx m.m01 v.v_high)
+          Vdd.add ctx
+            (apply_pair ctx m.w00 m.t00 v.lw v.lt)
+            (apply_pair ctx m.w01 m.t01 v.hw v.ht)
         in
         let high =
-          Vdd.add ctx (apply ctx m.m10 v.v_low) (apply ctx m.m11 v.v_high)
+          Vdd.add ctx
+            (apply_pair ctx m.w10 m.t10 v.lw v.lt)
+            (apply_pair ctx m.w11 m.t11 v.hw v.ht)
         in
         let r = Vdd.make ctx m.level low high in
         Compute_table.store table ~k1 ~k2 ~k3:0 r;
         r
+      end
     in
-    Vdd.scale_product ctx me.mw ve.vw unit_result
+    Vdd.scale_product ctx mw vw unit_result
   end
 
-let rec mul ctx ae be =
-  if m_is_zero ae || m_is_zero be then m_zero
-  else if m_is_terminal ae.mt then begin
-    assert (m_is_terminal be.mt);
-    terminal (Ctable.mul ctx.Context.ctable ae.mw be.mw)
+let rec mul ctx ae be = mul_pair ctx ae.mw ae.mt be.mw be.mt
+
+and mul_pair ctx aw (a : mnode) bw (b : mnode) =
+  if aw = zero_tag || bw = zero_tag then m_zero
+  else if m_is_terminal a then begin
+    assert (m_is_terminal b);
+    terminal (Ctable.mul ctx.Context.ctable aw bw)
   end
   else begin
-    assert (ae.mt.level = be.mt.level);
+    assert (a.level = b.level);
     let table = ctx.Context.mul_mm in
-    let k1 = ae.mt.mid and k2 = be.mt.mid in
+    let k1 = a.mid and k2 = b.mid in
     let unit_result =
-      match Compute_table.find table ~k1 ~k2 ~k3:0 with
-      | Some r -> r
-      | None ->
-        let a = ae.mt and b = be.mt in
-        let entry ai0 ai1 b0j b1j =
-          add ctx (mul ctx ai0 b0j) (mul ctx ai1 b1j)
-        in
+      if Compute_table.find table ~k1 ~k2 ~k3:0 then Compute_table.found table
+      else begin
         let r =
           make ctx a.level
-            (entry a.m00 a.m01 b.m00 b.m10)
-            (entry a.m00 a.m01 b.m01 b.m11)
-            (entry a.m10 a.m11 b.m00 b.m10)
-            (entry a.m10 a.m11 b.m01 b.m11)
+            (mul_entry ctx a.w00 a.t00 a.w01 a.t01 b.w00 b.t00 b.w10 b.t10)
+            (mul_entry ctx a.w00 a.t00 a.w01 a.t01 b.w01 b.t01 b.w11 b.t11)
+            (mul_entry ctx a.w10 a.t10 a.w11 a.t11 b.w00 b.t00 b.w10 b.t10)
+            (mul_entry ctx a.w10 a.t10 a.w11 a.t11 b.w01 b.t01 b.w11 b.t11)
         in
         Compute_table.store table ~k1 ~k2 ~k3:0 r;
         r
+      end
     in
-    scale_product ctx ae.mw be.mw unit_result
+    scale_product ctx aw bw unit_result
   end
 
-let rec adjoint ctx e =
-  if m_is_zero e then m_zero
-  else if m_is_terminal e.mt then terminal (Ctable.conj ctx.Context.ctable e.mw)
+(* entry (i, j) of a product: a_i0 b_0j + a_i1 b_1j *)
+and mul_entry ctx wi0 ti0 wi1 ti1 w0j t0j w1j t1j =
+  add ctx (mul_pair ctx wi0 ti0 w0j t0j) (mul_pair ctx wi1 ti1 w1j t1j)
+
+let rec adjoint ctx e = adjoint_pair ctx e.mw e.mt
+
+and adjoint_pair ctx w (n : mnode) =
+  if w = zero_tag then m_zero
+  else if m_is_terminal n then terminal (Ctable.conj ctx.Context.ctable w)
   else
+    let table = ctx.Context.adjoint in
     let unit_result =
-      match
-        Compute_table.find ctx.Context.adjoint ~k1:e.mt.mid ~k2:0 ~k3:0
-      with
-      | Some r -> r
-      | None ->
-        let n = e.mt in
+      if Compute_table.find table ~k1:n.mid ~k2:0 ~k3:0 then
+        Compute_table.found table
+      else begin
         let r =
-          make ctx n.level (adjoint ctx n.m00) (adjoint ctx n.m10)
-            (adjoint ctx n.m01) (adjoint ctx n.m11)
+          make ctx n.level (adjoint_pair ctx n.w00 n.t00)
+            (adjoint_pair ctx n.w10 n.t10) (adjoint_pair ctx n.w01 n.t01)
+            (adjoint_pair ctx n.w11 n.t11)
         in
-        Compute_table.store ctx.Context.adjoint ~k1:n.mid ~k2:0 ~k3:0 r;
+        Compute_table.store table ~k1:n.mid ~k2:0 ~k3:0 r;
         r
+      end
     in
-    scale_conj ctx e.mw unit_result
+    scale_conj ctx w unit_result
 
 let kron ctx a b =
   if m_is_zero a || m_is_zero b then m_zero
   else begin
     let height_b = m_height b in
     let memo = Hashtbl.create 64 in
-    let rec lift e =
-      if m_is_zero e then m_zero
-      else if m_is_terminal e.mt then scale_tag ctx e.mw b
+    let rec lift w (n : mnode) =
+      if w = zero_tag then m_zero
+      else if m_is_terminal n then scale_tag ctx w b
       else
         let node =
-          match Hashtbl.find_opt memo e.mt.mid with
+          match Hashtbl.find_opt memo n.mid with
           | Some r -> r
           | None ->
-            let n = e.mt in
             let r =
-              make ctx (n.level + height_b) (lift n.m00) (lift n.m01)
-                (lift n.m10) (lift n.m11)
+              make ctx (n.level + height_b) (lift n.w00 n.t00)
+                (lift n.w01 n.t01) (lift n.w10 n.t10) (lift n.w11 n.t11)
             in
             Hashtbl.add memo n.mid r;
             r
         in
-        scale_tag ctx e.mw node
+        scale_tag ctx w node
     in
-    lift a
+    lift a.mw a.mt
   end
 
 let entry ?(order = Order.identity) ctx edge ~n ~row ~col =
   let ct = ctx.Context.ctable in
-  let rec walk edge level acc =
-    if m_is_zero edge then Cnum.zero
+  let rec walk w (node : mnode) level acc =
+    if w = zero_tag then Cnum.zero
     else
-      let acc = Cnum.mul acc (Ctable.get ct edge.mw) in
+      let acc = Cnum.mul acc (Ctable.get ct w) in
       if level < 0 then acc
       else
         let q = Order.qubit_of_level order level in
         let rbit = (row lsr q) land 1 and cbit = (col lsr q) land 1 in
-        let child =
-          match (rbit, cbit) with
-          | 0, 0 -> edge.mt.m00
-          | 0, 1 -> edge.mt.m01
-          | 1, 0 -> edge.mt.m10
-          | _, _ -> edge.mt.m11
-        in
-        walk child (level - 1) acc
+        match (rbit, cbit) with
+        | 0, 0 -> walk node.w00 node.t00 (level - 1) acc
+        | 0, 1 -> walk node.w01 node.t01 (level - 1) acc
+        | 1, 0 -> walk node.w10 node.t10 (level - 1) acc
+        | _, _ -> walk node.w11 node.t11 (level - 1) acc
   in
-  walk edge (n - 1) Cnum.one
+  walk edge.mw edge.mt (n - 1) Cnum.one
 
 let to_dense ?(order = Order.identity) ctx edge ~n =
   if n > 12 then invalid_arg "Mdd.to_dense: too many qubits";
@@ -338,9 +363,11 @@ let iter_nodes f edge =
     if (not (m_is_terminal node)) && not (Hashtbl.mem seen node.mid) then begin
       Hashtbl.add seen node.mid ();
       f node;
-      List.iter
-        (fun e -> if not (m_is_zero e) then walk e.mt)
-        [ node.m00; node.m01; node.m10; node.m11 ]
+      let child w t = if w <> zero_tag then walk t in
+      child node.w00 node.t00;
+      child node.w01 node.t01;
+      child node.w10 node.t10;
+      child node.w11 node.t11
     end
   in
   if not (m_is_zero edge) then walk edge.mt

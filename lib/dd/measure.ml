@@ -7,17 +7,19 @@ let mag2 ctx w = Ctable.mag2 ctx.Context.ctable w
    path weight product; the top edge weight is excluded so the value can be
    cached per node. *)
 let rec node_norm ctx node =
+  let table = ctx.Context.norm in
   if v_is_terminal node then 1.
-  else
-    match Compute_table.find ctx.Context.norm ~k1:node.vid ~k2:0 ~k3:0 with
-    | Some x -> x
-    | None ->
-      let part e =
-        if v_is_zero e then 0. else mag2 ctx e.vw *. node_norm ctx e.vt
-      in
-      let x = part node.v_low +. part node.v_high in
-      Compute_table.store ctx.Context.norm ~k1:node.vid ~k2:0 ~k3:0 x;
-      x
+  else if Compute_table.find table ~k1:node.vid ~k2:0 ~k3:0 then
+    Compute_table.found table
+  else begin
+    let x = child_mass ctx node.lw node.lt +. child_mass ctx node.hw node.ht in
+    Compute_table.store table ~k1:node.vid ~k2:0 ~k3:0 x;
+    x
+  end
+
+(* squared norm of a child given by its weight tag and target *)
+and child_mass ctx w t =
+  if w = Ctable.zero_tag then 0. else mag2 ctx w *. node_norm ctx t
 
 let norm2 ctx edge =
   if v_is_zero edge then 0.
@@ -38,14 +40,12 @@ let probability_one ctx edge ~qubit =
     | Some x -> x
     | None ->
       let x =
-        if node.level = level then
-          if v_is_zero node.v_high then 0.
-          else mag2 ctx node.v_high.vw *. node_norm ctx node.v_high.vt
+        if node.level = level then child_mass ctx node.hw node.ht
         else
-          let part e =
-            if v_is_zero e then 0. else mag2 ctx e.vw *. mass e.vt
+          let part w t =
+            if w = Ctable.zero_tag then 0. else mag2 ctx w *. mass t
           in
-          part node.v_low +. part node.v_high
+          part node.lw node.lt +. part node.hw node.ht
       in
       Hashtbl.add memo node.vid x;
       x
@@ -65,16 +65,17 @@ let collapse ctx edge ~qubit ~outcome =
     match Hashtbl.find_opt memo node.vid with
     | Some e -> e
     | None ->
-      let descend child =
-        if v_is_zero child then v_zero
-        else Vdd.scale_tag ctx child.vw (project child.vt)
+      let descend w t =
+        if w = Ctable.zero_tag then v_zero
+        else Vdd.scale_tag ctx w (project t)
       in
       let e =
         if node.level = level then
-          if outcome then Vdd.make ctx node.level v_zero node.v_high
-          else Vdd.make ctx node.level node.v_low v_zero
+          if outcome then Vdd.make ctx node.level v_zero (v_high node)
+          else Vdd.make ctx node.level (v_low node) v_zero
         else
-          Vdd.make ctx node.level (descend node.v_low) (descend node.v_high)
+          Vdd.make ctx node.level (descend node.lw node.lt)
+            (descend node.hw node.ht)
       in
       Hashtbl.add memo node.vid e;
       e
@@ -97,15 +98,12 @@ let sample ctx rng edge =
   let rec walk node acc =
     if v_is_terminal node then acc
     else
-      let mass e =
-        if v_is_zero e then 0. else mag2 ctx e.vw *. node_norm ctx e.vt
-      in
-      let p0 = mass node.v_low and p1 = mass node.v_high in
+      let p0 = child_mass ctx node.lw node.lt
+      and p1 = child_mass ctx node.hw node.ht in
       let pick_high = Random.State.float rng (p0 +. p1) >= p0 in
       if pick_high then
-        walk node.v_high.vt
-          (acc lor (1 lsl Context.qubit_of_level ctx node.level))
-      else walk node.v_low.vt acc
+        walk node.ht (acc lor (1 lsl Context.qubit_of_level ctx node.level))
+      else walk node.lt acc
   in
   walk edge.vt 0
 

@@ -85,9 +85,10 @@ let vector ?(gate = -1) ?(t = 0.) ?(order = Order.identity) ctx edge =
       incr nodes;
       let acc = acc_for table node.level in
       acc.a_nodes <- acc.a_nodes + 1;
-      note_edge acc node.v_low;
-      note_edge acc node.v_high;
-      if v_edge_equal node.v_low node.v_high then incr identity_nodes)
+      let low = v_low node and high = v_high node in
+      note_edge acc low;
+      note_edge acc high;
+      if v_edge_equal low high then incr identity_nodes)
     edge;
   (* the root edge is an edge too: it contributes to the edge total and
      to the in-degree of the root node *)
@@ -119,14 +120,14 @@ let matrix ?(gate = -1) ?(t = 0.) ?(order = Order.identity) ctx edge =
       incr nodes;
       let acc = acc_for table node.level in
       acc.a_nodes <- acc.a_nodes + 1;
-      note_edge acc node.m00;
-      note_edge acc node.m01;
-      note_edge acc node.m10;
-      note_edge acc node.m11;
-      if
-        m_edge_equal node.m00 node.m11
-        && m_is_zero node.m01 && m_is_zero node.m10
-      then incr identity_nodes)
+      let q00 = m_child node 0 and q01 = m_child node 1 in
+      let q10 = m_child node 2 and q11 = m_child node 3 in
+      note_edge acc q00;
+      note_edge acc q01;
+      note_edge acc q10;
+      note_edge acc q11;
+      if m_edge_equal q00 q11 && m_is_zero q01 && m_is_zero q10 then
+        incr identity_nodes)
     edge;
   if not (m_is_zero edge) then begin
     incr edges;

@@ -33,10 +33,10 @@ let swap_vector ctx (edge : Vdd.edge) ~level =
       (* children of a level-hi node sit exactly at level lo (dense-level
          invariant), so the grandchild picture above always applies *)
       let g b c =
-        let child = if b = 0 then v.v_low else v.v_high in
+        let child = if b = 0 then v_low v else v_high v in
         if v_is_zero child then v_zero
         else
-          let gc = if c = 0 then child.vt.v_low else child.vt.v_high in
+          let gc = if c = 0 then v_low child.vt else v_high child.vt in
           Vdd.scale_tag ctx child.vw gc
       in
       let new_low = Vdd.make ctx lo (g 0 0) (g 1 0) in
@@ -50,11 +50,11 @@ let swap_vector ctx (edge : Vdd.edge) ~level =
         let e =
           if v.level = hi then swap_node v
           else
-            let descend (child : vedge) =
-              if v_is_zero child then v_zero
-              else Vdd.scale_tag ctx child.vw (walk child.vt)
+            let descend w (t : vnode) =
+              if w = Dd_complex.Ctable.zero_tag then v_zero
+              else Vdd.scale_tag ctx w (walk t)
             in
-            Vdd.make ctx v.level (descend v.v_low) (descend v.v_high)
+            Vdd.make ctx v.level (descend v.lw v.lt) (descend v.hw v.ht)
         in
         Hashtbl.add memo v.vid e;
         e
@@ -73,14 +73,11 @@ let swap_matrix ctx (edge : Mdd.edge) ~level =
     invalid_arg "Reorder.swap_matrix: level out of range"
   else begin
     let memo = Hashtbl.create 256 in
-    let quadrant (v : mnode) i =
-      match i with 0 -> v.m00 | 1 -> v.m01 | 2 -> v.m10 | _ -> v.m11
-    in
     let swap_node (v : mnode) =
       let g i j =
-        let child = quadrant v i in
+        let child = m_child v i in
         if m_is_zero child then m_zero
-        else Mdd.scale_tag ctx child.mw (quadrant child.mt j)
+        else Mdd.scale_tag ctx child.mw (m_child child.mt j)
       in
       let sub j = Mdd.make ctx lo (g 0 j) (g 1 j) (g 2 j) (g 3 j) in
       Mdd.make ctx hi (sub 0) (sub 1) (sub 2) (sub 3)
@@ -92,12 +89,12 @@ let swap_matrix ctx (edge : Mdd.edge) ~level =
         let e =
           if v.level = hi then swap_node v
           else
-            let descend (child : medge) =
-              if m_is_zero child then m_zero
-              else Mdd.scale_tag ctx child.mw (walk child.mt)
+            let descend w (t : mnode) =
+              if w = Dd_complex.Ctable.zero_tag then m_zero
+              else Mdd.scale_tag ctx w (walk t)
             in
-            Mdd.make ctx v.level (descend v.m00) (descend v.m01)
-              (descend v.m10) (descend v.m11)
+            Mdd.make ctx v.level (descend v.w00 v.t00) (descend v.w01 v.t01)
+              (descend v.w10 v.t10) (descend v.w11 v.t11)
         in
         Hashtbl.add memo v.mid e;
         e

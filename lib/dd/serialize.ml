@@ -14,16 +14,15 @@ let vector_to_string ctx edge =
     List.sort (fun (a : vnode) (b : vnode) -> compare a.level b.level) !nodes
   in
   Buffer.add_string buf (Printf.sprintf "ddvec %d\n" (List.length ordered));
-  let emit_child (child : vedge) =
-    let w = value child.vw in
-    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im)
-      child.vt.vid
+  let emit_child w (t : vnode) =
+    let w = value w in
+    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im) t.vid
   in
   List.iter
     (fun node ->
       Buffer.add_string buf
         (Printf.sprintf "node %d %d %s %s\n" node.vid node.level
-           (emit_child node.v_low) (emit_child node.v_high)))
+           (emit_child node.lw node.lt) (emit_child node.hw node.ht)))
     ordered;
   let w = value edge.vw in
   Buffer.add_string buf
@@ -88,17 +87,16 @@ let matrix_to_string ctx edge =
     List.sort (fun (a : mnode) (b : mnode) -> compare a.level b.level) !nodes
   in
   Buffer.add_string buf (Printf.sprintf "ddmat %d\n" (List.length ordered));
-  let emit_child (child : medge) =
-    let w = value child.mw in
-    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im)
-      child.mt.mid
+  let emit_child w (t : mnode) =
+    let w = value w in
+    Printf.sprintf "%s %s %d" (float_repr w.re) (float_repr w.im) t.mid
   in
   List.iter
     (fun node ->
       Buffer.add_string buf
         (Printf.sprintf "node %d %d %s %s %s %s\n" node.mid node.level
-           (emit_child node.m00) (emit_child node.m01) (emit_child node.m10)
-           (emit_child node.m11)))
+           (emit_child node.w00 node.t00) (emit_child node.w01 node.t01)
+           (emit_child node.w10 node.t10) (emit_child node.w11 node.t11)))
     ordered;
   let w = value edge.mw in
   Buffer.add_string buf

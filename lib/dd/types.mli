@@ -12,21 +12,41 @@
     An edge weight is the tag of a canonical value in its context's
     {!Dd_complex.Ctable} ([Context.t.ctable]), so two edges are equal iff
     their targets' ids and their weight tags agree, and reading a
-    weight's value takes the table ({!Dd_complex.Ctable.get}).  A vector
-    node is 5 words and each of its two edges 3 (11 in all); a matrix
-    node is 7 words plus four edges (19). *)
+    weight's value takes the table ({!Dd_complex.Ctable.get}).
 
-type vnode = { vid : int; level : int; v_low : vedge; v_high : vedge }
+    A node holds its child edges inline, as (weight tag, target) field
+    pairs: a vector node is one 7-word block (header, id, level, two
+    pairs) and a matrix node one 11-word block (four pairs).  No node
+    points at an edge block.  {!vedge} / {!medge} are the values the
+    kernels pass and return and the compute tables store; kernels read a
+    node's children from its fields without building edges, and the
+    allocating accessors {!v_low}, {!v_high} and {!m_child} are for
+    code off the hot paths. *)
+
+type vnode = {
+  vid : int;
+  level : int;
+  lw : int;  (** low (|0>) child's weight tag *)
+  lt : vnode;  (** low child's target *)
+  hw : int;  (** high (|1>) child's weight tag *)
+  ht : vnode;  (** high child's target *)
+}
+
 and vedge = { vw : int; vt : vnode }
 
 type mnode = {
   mid : int;
   level : int;
-  m00 : medge;  (** upper-left quadrant *)
-  m01 : medge;  (** upper-right quadrant *)
-  m10 : medge;  (** lower-left quadrant *)
-  m11 : medge;  (** lower-right quadrant *)
+  w00 : int;  (** upper-left quadrant: weight tag ... *)
+  t00 : mnode;  (** ... and target *)
+  w01 : int;  (** upper-right quadrant *)
+  t01 : mnode;
+  w10 : int;  (** lower-left quadrant *)
+  t10 : mnode;
+  w11 : int;  (** lower-right quadrant *)
+  t11 : mnode;
 }
+
 and medge = { mw : int; mt : mnode }
 
 val v_terminal : vnode
@@ -40,6 +60,15 @@ val v_zero : vedge
 
 val m_zero : medge
 (** Canonical zero matrix edge. *)
+
+val v_low : vnode -> vedge
+(** A node's low child as an edge (allocates). *)
+
+val v_high : vnode -> vedge
+
+val m_child : mnode -> int -> medge
+(** [m_child n i] is quadrant [i] (0 = 00, 1 = 01, 2 = 10, 3 = 11) as
+    an edge (allocates). *)
 
 val v_is_terminal : vnode -> bool
 val m_is_terminal : mnode -> bool

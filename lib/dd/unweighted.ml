@@ -47,11 +47,13 @@ let of_vdd ctx edge =
       match Hashtbl.find_opt memo key with
       | Some node -> node
       | None ->
-        let child (e : vedge) =
-          if v_is_zero e then zero_subtree (vnode.level - 1)
-          else convert e.vt (Ctable.mul ct weight e.vw)
+        let child w t =
+          if w = Ctable.zero_tag then zero_subtree (vnode.level - 1)
+          else convert t (Ctable.mul ct weight w)
         in
-        let node = branch vnode.level (child vnode.v_low) (child vnode.v_high) in
+        let node =
+          branch vnode.level (child vnode.lw vnode.lt) (child vnode.hw vnode.ht)
+        in
         Hashtbl.replace memo key node;
         node
   and zero_subtree level =

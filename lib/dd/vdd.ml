@@ -9,7 +9,8 @@ let zero = v_zero
    both children are divided by the maximal-magnitude child weight (low
    wins ties), which becomes the weight of the returned edge. *)
 let make ctx level low high =
-  Hashcons.V.make ctx.Context.v_unique ~level [| low; high |]
+  Hashcons.V.make ctx.Context.v_unique ~level low.vw low.vt high.vw high.vt
+    Ctable.zero_tag v_terminal Ctable.zero_tag v_terminal
 
 (* The three scalings below share one rule: a zero factor or a zero edge
    gives the zero edge, a factor of exactly one gives the edge itself,
@@ -32,6 +33,13 @@ let scale_tag ctx w edge =
 let scale_product ctx a b edge =
   if v_is_zero edge then v_zero
   else with_weight edge (Ctable.scale_product ctx.Context.ctable a b edge.vw)
+
+(* [scale_tag]'s weight rule on a bare weight tag: the kernels scale a
+   child they read from its node's fields without building its edge *)
+let mul_weight ct r w =
+  if r = Ctable.zero_tag || w = Ctable.zero_tag then Ctable.zero_tag
+  else if r = Ctable.one_tag then w
+  else Ctable.mul ct r w
 
 let terminal w =
   if w = Ctable.zero_tag then v_zero else { vw = w; vt = v_terminal }
@@ -78,88 +86,97 @@ let to_array ?(order = Order.identity) ctx edge ~n =
   if n > 24 then invalid_arg "Vdd.to_array: too many qubits";
   let ct = ctx.Context.ctable in
   let out = Array.make (1 lsl n) Cnum.zero in
-  let rec fill edge weight index =
-    if not (v_is_zero edge) then begin
-      let weight = Cnum.mul weight (Ctable.get ct edge.vw) in
-      if v_is_terminal edge.vt then out.(index) <- weight
+  let rec fill w (node : vnode) weight index =
+    if w <> Ctable.zero_tag then begin
+      let weight = Cnum.mul weight (Ctable.get ct w) in
+      if v_is_terminal node then out.(index) <- weight
       else begin
-        let high = 1 lsl Order.qubit_of_level order edge.vt.level in
-        fill edge.vt.v_low weight index;
-        fill edge.vt.v_high weight (index lor high)
+        let high = 1 lsl Order.qubit_of_level order node.level in
+        fill node.lw node.lt weight index;
+        fill node.hw node.ht weight (index lor high)
       end
     end
   in
-  fill edge Cnum.one 0;
+  fill edge.vw edge.vt Cnum.one 0;
   out
 
 let amplitude ?(order = Order.identity) ctx edge ~n index =
   let ct = ctx.Context.ctable in
-  let rec walk edge level acc =
-    if v_is_zero edge then Cnum.zero
+  let rec walk w (node : vnode) level acc =
+    if w = Ctable.zero_tag then Cnum.zero
     else
-      let acc = Cnum.mul acc (Ctable.get ct edge.vw) in
+      let acc = Cnum.mul acc (Ctable.get ct w) in
       if level < 0 then acc
-      else
-        let bit = (index lsr Order.qubit_of_level order level) land 1 in
-        let child = if bit = 0 then edge.vt.v_low else edge.vt.v_high in
-        walk child (level - 1) acc
+      else if (index lsr Order.qubit_of_level order level) land 1 = 0 then
+        walk node.lw node.lt (level - 1) acc
+      else walk node.hw node.ht (level - 1) acc
   in
-  walk edge (n - 1) Cnum.one
+  walk edge.vw edge.vt (n - 1) Cnum.one
 
 (* Memoised addition with the first operand's weight factored out:
    wa*A + wb*B = wa * (A + (wb/wa) * B); the cache key is
-   (A.id, B.id, tag (wb/wa)) after a commutativity-normalising swap. *)
+   (A.id, B.id, tag (wb/wa)) after a commutativity-normalising swap.
+   Below the top, operands are (weight, node) pairs read from the
+   operands' fields: an edge is built only for a result. *)
 let rec add ctx a b =
   if v_is_zero a then b
   else if v_is_zero b then a
-  else if v_is_terminal a.vt && v_is_terminal b.vt then
-    terminal (Ctable.add ctx.Context.ctable a.vw b.vw)
+  else add_nonzero ctx a.vw a.vt b.vw b.vt
+
+and add_pair ctx aw at bw bt =
+  if aw = Ctable.zero_tag then
+    if bw = Ctable.zero_tag then v_zero else { vw = bw; vt = bt }
+  else if bw = Ctable.zero_tag then { vw = aw; vt = at }
+  else add_nonzero ctx aw at bw bt
+
+and add_nonzero ctx aw (a : vnode) bw (b : vnode) =
+  if v_is_terminal a && v_is_terminal b then
+    terminal (Ctable.add ctx.Context.ctable aw bw)
   else begin
-    assert (a.vt.level = b.vt.level);
-    let a, b =
-      if a.vt.vid < b.vt.vid || (a.vt.vid = b.vt.vid && a.vw <= b.vw) then
-        (a, b)
-      else (b, a)
-    in
-    let ratio = Ctable.div ctx.Context.ctable b.vw a.vw in
-    let table = ctx.Context.add_v in
-    let k1 = a.vt.vid and k2 = b.vt.vid and k3 = ratio in
-    let unit_result =
-      match Compute_table.find table ~k1 ~k2 ~k3 with
-      | Some r -> r
-      | None ->
-        let na = a.vt and nb = b.vt in
-        let low = add ctx na.v_low (scale_tag ctx ratio nb.v_low) in
-        let high = add ctx na.v_high (scale_tag ctx ratio nb.v_high) in
-        let r = make ctx na.level low high in
-        Compute_table.store table ~k1 ~k2 ~k3 r;
-        r
-    in
-    scale_tag ctx a.vw unit_result
+    assert (a.level = b.level);
+    if a.vid < b.vid || (a.vid = b.vid && aw <= bw) then
+      add_sorted ctx aw a bw b
+    else add_sorted ctx bw b aw a
   end
+
+and add_sorted ctx aw (a : vnode) bw (b : vnode) =
+  let ct = ctx.Context.ctable in
+  let ratio = Ctable.div ct bw aw in
+  let table = ctx.Context.add_v in
+  let k1 = a.vid and k2 = b.vid and k3 = ratio in
+  let unit_result =
+    if Compute_table.find table ~k1 ~k2 ~k3 then Compute_table.found table
+    else begin
+      let low = add_pair ctx a.lw a.lt (mul_weight ct ratio b.lw) b.lt in
+      let high = add_pair ctx a.hw a.ht (mul_weight ct ratio b.hw) b.ht in
+      let r = make ctx a.level low high in
+      Compute_table.store table ~k1 ~k2 ~k3 r;
+      r
+    end
+  in
+  scale_tag ctx aw unit_result
 
 let dot ctx a b =
   let value w = Ctable.get ctx.Context.ctable w in
+  let table = ctx.Context.dot in
   let rec unit_dot na nb =
     if v_is_terminal na then Cnum.one
-    else
-      match
-        Compute_table.find ctx.Context.dot ~k1:na.vid ~k2:nb.vid ~k3:0
-      with
-      | Some r -> r
-      | None ->
-        let part ea eb =
-          if v_is_zero ea || v_is_zero eb then Cnum.zero
-          else
-            Cnum.mul
-              (Cnum.mul (Cnum.conj (value ea.vw)) (value eb.vw))
-              (unit_dot ea.vt eb.vt)
-        in
-        let r =
-          Cnum.add (part na.v_low nb.v_low) (part na.v_high nb.v_high)
-        in
-        Compute_table.store ctx.Context.dot ~k1:na.vid ~k2:nb.vid ~k3:0 r;
-        r
+    else if Compute_table.find table ~k1:na.vid ~k2:nb.vid ~k3:0 then
+      Compute_table.found table
+    else begin
+      let part wa ta wb tb =
+        if wa = Ctable.zero_tag || wb = Ctable.zero_tag then Cnum.zero
+        else
+          Cnum.mul
+            (Cnum.mul (Cnum.conj (value wa)) (value wb))
+            (unit_dot ta tb)
+      in
+      let r =
+        Cnum.add (part na.lw na.lt nb.lw nb.lt) (part na.hw na.ht nb.hw nb.ht)
+      in
+      Compute_table.store table ~k1:na.vid ~k2:nb.vid ~k3:0 r;
+      r
+    end
   in
   if v_is_zero a || v_is_zero b then Cnum.zero
   else begin
@@ -175,8 +192,8 @@ let iter_nodes f edge =
     if (not (v_is_terminal node)) && not (Hashtbl.mem seen node.vid) then begin
       Hashtbl.add seen node.vid ();
       f node;
-      if not (v_is_zero node.v_low) then walk node.v_low.vt;
-      if not (v_is_zero node.v_high) then walk node.v_high.vt
+      if node.lw <> Ctable.zero_tag then walk node.lt;
+      if node.hw <> Ctable.zero_tag then walk node.ht
     end
   in
   if not (v_is_zero edge) then walk edge.vt
@@ -203,20 +220,19 @@ let magnitude ctx w = sqrt (Ctable.mag2 ctx.Context.ctable w)
 (* largest |amplitude| of any path below a node (top weight excluded),
    cached per context *)
 let rec node_max_magnitude ctx node =
+  let table = ctx.Context.max_mag in
   if v_is_terminal node then 1.
-  else
-    match
-      Compute_table.find ctx.Context.max_mag ~k1:node.vid ~k2:0 ~k3:0
-    with
-    | Some x -> x
-    | None ->
-      let part e =
-        if v_is_zero e then 0.
-        else magnitude ctx e.vw *. node_max_magnitude ctx e.vt
-      in
-      let x = Float.max (part node.v_low) (part node.v_high) in
-      Compute_table.store ctx.Context.max_mag ~k1:node.vid ~k2:0 ~k3:0 x;
-      x
+  else if Compute_table.find table ~k1:node.vid ~k2:0 ~k3:0 then
+    Compute_table.found table
+  else begin
+    let part w t =
+      if w = Ctable.zero_tag then 0.
+      else magnitude ctx w *. node_max_magnitude ctx t
+    in
+    let x = Float.max (part node.lw node.lt) (part node.hw node.ht) in
+    Compute_table.store table ~k1:node.vid ~k2:0 ~k3:0 x;
+    x
+  end
 
 let top_amplitudes ctx ~n k edge =
   let order = ctx.Context.order in
@@ -253,19 +269,19 @@ let top_amplitudes ctx ~n k edge =
         incr found
       end
       else begin
-        let push bit child =
-          if not (v_is_zero child) then begin
-            let amp = Cnum.mul amp (value child.vw) in
-            let bound = Cnum.mag amp *. node_max_magnitude ctx child.vt in
+        let push bit w t =
+          if w <> Ctable.zero_tag then begin
+            let amp = Cnum.mul amp (value w) in
+            let bound = Cnum.mag amp *. node_max_magnitude ctx t in
             let index =
               if bit = 0 then index
               else index lor (1 lsl Order.qubit_of_level order node.level)
             in
-            frontier := Frontier.add (bound, index, amp, child.vt) !frontier
+            frontier := Frontier.add (bound, index, amp, t) !frontier
           end
         in
-        push 0 node.v_low;
-        push 1 node.v_high
+        push 0 node.lw node.lt;
+        push 1 node.hw node.ht
       end
     done;
     ignore n;
@@ -279,17 +295,17 @@ let truncate ctx ~threshold edge =
     match Hashtbl.find_opt memo node.vid with
     | Some e -> e
     | None ->
-      let descend child =
-        if v_is_zero child then v_zero
-        else if
-          magnitude ctx child.vw *. node_max_magnitude ctx child.vt
-          < threshold
-        then v_zero
-        else scale_tag ctx child.vw (prune child.vt)
+      let descend w t =
+        if w = Ctable.zero_tag then v_zero
+        else if magnitude ctx w *. node_max_magnitude ctx t < threshold then
+          v_zero
+        else scale_tag ctx w (prune t)
       in
       let e =
         if v_is_terminal node then terminal Ctable.one_tag
-        else make ctx node.level (descend node.v_low) (descend node.v_high)
+        else
+          make ctx node.level (descend node.lw node.lt)
+            (descend node.hw node.ht)
       in
       Hashtbl.replace memo node.vid e;
       e
@@ -302,10 +318,10 @@ let truncate ctx ~threshold edge =
   let rec norm2 node =
     if v_is_terminal node then 1.
     else
-      let part e =
-        if v_is_zero e then 0. else Ctable.mag2 ct e.vw *. norm2 e.vt
+      let part w t =
+        if w = Ctable.zero_tag then 0. else Ctable.mag2 ct w *. norm2 t
       in
-      part node.v_low +. part node.v_high
+      part node.lw node.lt +. part node.hw node.ht
   in
   let total = Ctable.mag2 ct pruned.vw *. norm2 pruned.vt in
   scale ctx (Cnum.of_float (1. /. sqrt total)) pruned

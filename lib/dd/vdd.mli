@@ -13,8 +13,8 @@ val make : Context.t -> int -> edge -> edge -> edge
     and high children are [low] and [high] (both of height [level], with
     canonical weights).  Normalisation divides both child weights by the one
     with the largest magnitude (low on ties), which is propagated to the
-    returned edge.  On a node that already exists it allocates only its
-    children array and at most three edges. *)
+    returned edge.  On a node that already exists it allocates only the
+    returned edge (3 words). *)
 
 val scale : Context.t -> Cnum.t -> edge -> edge
 (** Multiply an edge weight by a scalar (result weight interned).  A
@@ -26,6 +26,12 @@ val scale_tag : Context.t -> int -> edge -> edge
 val scale_product : Context.t -> int -> int -> edge -> edge
 (** [scale_product ctx a b e] is {!scale} by the product of the weights
     [a] and [b], which is not interned ({!Dd_complex.Ctable.scale_product}). *)
+
+val mul_weight : Ctable.t -> int -> int -> int
+(** [mul_weight table r w] is the weight tag {!scale_tag} by [r] gives an
+    edge of weight [w]: zero if either is zero, [w] if [r] is one, their
+    interned product otherwise.  For kernels that scale a child read
+    from its node's fields without building the child's edge. *)
 
 val terminal : int -> edge
 (** The edge of weight tag [w] into the terminal ({!zero} for

@@ -7,13 +7,18 @@ open Util
 let make ?(bits = 4) () =
   Dd.Compute_table.create ~name:"test" ~bits ~dummy:(-1)
 
+(* find, then read the hit's value *)
+let lookup t ~k1 ~k2 ~k3 =
+  if Dd.Compute_table.find t ~k1 ~k2 ~k3 then Some (Dd.Compute_table.found t)
+  else None
+
 let test_find_after_store () =
   let t = make () in
   Dd.Compute_table.store t ~k1:1 ~k2:2 ~k3:3 42;
   check_bool "stored key found" true
-    (Dd.Compute_table.find t ~k1:1 ~k2:2 ~k3:3 = Some 42);
+    (lookup t ~k1:1 ~k2:2 ~k3:3 = Some 42);
   check_bool "other key absent" true
-    (Dd.Compute_table.find t ~k1:9 ~k2:2 ~k3:3 = None)
+    (lookup t ~k1:9 ~k2:2 ~k3:3 = None)
 
 (* A 2^1-slot table forces every pair of distinct keys to collide at
    some point; a lookup must never return a value stored under a
@@ -31,7 +36,7 @@ let test_collisions_never_lie () =
       Hashtbl.replace stored (k1, k2, k3) i
     end
     else
-      match Dd.Compute_table.find t ~k1 ~k2 ~k3 with
+      match lookup t ~k1 ~k2 ~k3 with
       | None -> ()
       | Some v ->
         (* an occupied slot answers only for the full key it holds, so a
@@ -50,7 +55,7 @@ let test_hits_plus_misses () =
   for i = 0 to 299 do
     let k1 = Random.State.int rng 6 and k2 = Random.State.int rng 6 in
     if i mod 3 = 0 then Dd.Compute_table.store t ~k1 ~k2 ~k3:0 i
-    else ignore (Dd.Compute_table.find t ~k1 ~k2 ~k3:0)
+    else ignore (lookup t ~k1 ~k2 ~k3:0)
   done;
   let s = Dd.Compute_table.stats t in
   check_int "hits + misses = lookups" s.Dd.Compute_table.lookups
@@ -60,7 +65,7 @@ let test_hits_plus_misses () =
   let fresh = make ~bits:6 () in
   for k = 0 to 99 do
     check_bool "find on a never-stored table misses" true
-      (Dd.Compute_table.find fresh ~k1:k ~k2:(k * 7) ~k3:(-k) = None)
+      (lookup fresh ~k1:k ~k2:(k * 7) ~k3:(-k) = None)
   done;
   let s = Dd.Compute_table.stats fresh in
   check_int "every lookup counted" 100 s.Dd.Compute_table.lookups;
@@ -84,7 +89,7 @@ let test_eviction_counting () =
     let rec search k =
       Dd.Compute_table.store t ~k1:1 ~k2:0 ~k3:0 11;
       Dd.Compute_table.store t ~k1:k ~k2:0 ~k3:0 99;
-      if Dd.Compute_table.find t ~k1:1 ~k2:0 ~k3:0 = None then k
+      if lookup t ~k1:1 ~k2:0 ~k3:0 = None then k
       else search (k + 1)
     in
     search 2
@@ -98,11 +103,11 @@ let test_eviction_counting () =
 let test_clear_drops_entries_keeps_counters () =
   let t = make () in
   Dd.Compute_table.store t ~k1:1 ~k2:1 ~k3:1 5;
-  ignore (Dd.Compute_table.find t ~k1:1 ~k2:1 ~k3:1);
+  ignore (lookup t ~k1:1 ~k2:1 ~k3:1);
   Dd.Compute_table.clear t;
   check_int "no entries after clear" 0 (Dd.Compute_table.length t);
   check_bool "entry gone" true
-    (Dd.Compute_table.find t ~k1:1 ~k2:1 ~k3:1 = None);
+    (lookup t ~k1:1 ~k2:1 ~k3:1 = None);
   let s = Dd.Compute_table.stats t in
   check_bool "lookup counter survives clear" true
     (s.Dd.Compute_table.lookups >= 1);
@@ -115,7 +120,7 @@ let test_clear_drops_entries_keeps_counters () =
   check_int "iter visits nothing on a never-stored table" 0 !visited;
   Dd.Compute_table.store fresh ~k1:1 ~k2:1 ~k3:1 5;
   check_bool "the first store after a clear is found" true
-    (Dd.Compute_table.find fresh ~k1:1 ~k2:1 ~k3:1 = Some 5)
+    (lookup fresh ~k1:1 ~k2:1 ~k3:1 = Some 5)
 
 let test_sweep_keeps_and_drops () =
   let t = make ~bits:8 () in
@@ -126,7 +131,7 @@ let test_sweep_keeps_and_drops () =
      actually resident before sweeping *)
   let resident parity =
     List.filter
-      (fun k -> Dd.Compute_table.find t ~k1:k ~k2:0 ~k3:0 <> None)
+      (fun k -> lookup t ~k1:k ~k2:0 ~k3:0 <> None)
       (List.filter (fun k -> k mod 2 = parity) [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ])
   in
   let even_in = resident 0 and odd_in = resident 1 in
@@ -143,14 +148,14 @@ let test_sweep_keeps_and_drops () =
       check_bool
         (Printf.sprintf "even key %d survives" k)
         true
-        (Dd.Compute_table.find t ~k1:k ~k2:0 ~k3:0 = Some (k * k)))
+        (lookup t ~k1:k ~k2:0 ~k3:0 = Some (k * k)))
     even_in;
   List.iter
     (fun k ->
       check_bool
         (Printf.sprintf "odd key %d dropped" k)
         true
-        (Dd.Compute_table.find t ~k1:k ~k2:0 ~k3:0 = None))
+        (lookup t ~k1:k ~k2:0 ~k3:0 = None))
     odd_in;
   check_int "invalidated counter" (List.length odd_in)
     (Dd.Compute_table.stats t).Dd.Compute_table.invalidated;
@@ -174,7 +179,8 @@ let test_create_rejects_bad_bits () =
 
 let test_find_store_allocate_nothing () =
   (* after the first store has allocated the slots, the hot find/store
-     paths allocate nothing *)
+     paths allocate nothing: neither a miss, nor a hit and the read of
+     its value *)
   let table = Dd.Compute_table.create ~name:"zeroalloc" ~bits:8 ~dummy:0 in
   Dd.Compute_table.store table ~k1:1 ~k2:2 ~k3:3 42;
   ignore (Sys.opaque_identity (Dd.Compute_table.find table ~k1:9 ~k2:9 ~k3:9));
@@ -187,9 +193,19 @@ let test_find_store_allocate_nothing () =
   let allocated = Gc.minor_words () -. before in
   check_bool
     (Printf.sprintf "100k find/store allocated %.0f words" allocated)
+    true (allocated < 256.);
+  let before = Gc.minor_words () and sum = ref 0 in
+  for _ = 1 to 100_000 do
+    if Dd.Compute_table.find table ~k1:1 ~k2:2 ~k3:3 then
+      sum := !sum + Sys.opaque_identity (Dd.Compute_table.found table)
+  done;
+  let allocated = Gc.minor_words () -. before in
+  check_int "every lookup hit" (100_000 * 42) !sum;
+  check_bool
+    (Printf.sprintf "100k hits allocated %.0f words" allocated)
     true (allocated < 256.)
 
-(* A fresh context pays for its two 2^10-slot unique tables and a
+(* A fresh context pays for its two 2^6-slot unique tables and a
    complex table of 2^8 entries; its ten compute tables allocate their
    slots on first store. *)
 let test_context_create_is_small () =
@@ -198,10 +214,10 @@ let test_context_create_is_small () =
   let allocated = Gc.allocated_bytes () -. before in
   ignore ctx;
   check_bool
-    (Printf.sprintf "Context.create allocated %.1f KiB (< 48 KiB)"
+    (Printf.sprintf "Context.create allocated %.1f KiB (< 8 KiB)"
        (allocated /. 1024.))
     true
-    (allocated < 48. *. 1024.)
+    (allocated < 8. *. 1024.)
 
 (* The ledger reads the residency gauge at every window commit: it must
    cost nothing but arithmetic on sizes the tables already keep. *)

@@ -61,6 +61,42 @@ let test_set_state_validation () =
           { what = "Engine.set_state"; expected = 3; actual = 2 }))
     (fun () -> Dd_sim.Engine.set_state engine (Dd.Vdd.basis ctx ~n:2 0))
 
+(* A state's weight tags and nodes mean something only in the context
+   that made them: engine B refuses engine A's state and keeps its own,
+   and still takes states of its own context, directly or through a
+   checkpoint. *)
+let test_set_state_refuses_foreign_state () =
+  let circuit = Standard.random_circuit ~seed:3 ~qubits:5 ~gates:24 () in
+  let a = Dd_sim.Engine.create 5 and b = Dd_sim.Engine.create 5 in
+  Dd_sim.Engine.run a circuit;
+  let own = Dd_sim.Engine.state b in
+  check_bool "foreign state refused" true
+    (match Dd_sim.Engine.set_state b (Dd_sim.Engine.state a) with
+    | () -> false
+    | exception
+        Dd_sim.Error.Error
+          (Dd_sim.Error.Invalid_parameter { what = "Engine.set_state"; _ }) ->
+      true);
+  check_bool "B keeps its state" true
+    (Dd.Vdd.equal own (Dd_sim.Engine.state b));
+  let ctx_b = Dd_sim.Engine.context b in
+  let basis = Dd.Vdd.basis ctx_b ~n:5 19 in
+  Dd_sim.Engine.set_state b basis;
+  check_cnum "B takes its own basis state" Cnum.one
+    (Dd_sim.Engine.amplitude b 19);
+  let text =
+    Dd_sim.Checkpoint.to_string
+      (Dd_sim.Checkpoint.snapshot a ~strategy:Dd_sim.Strategy.Sequential
+         ~gate_index:24)
+  in
+  let gate_index =
+    Dd_sim.Checkpoint.restore b (Dd_sim.Checkpoint.of_string ctx_b text)
+  in
+  check_int "restored at the end of the circuit" 24 gate_index;
+  check_cnum_array "restore installs A's amplitudes"
+    (Dd.Vdd.to_array (Dd_sim.Engine.context a) (Dd_sim.Engine.state a) ~n:5)
+    (Dd.Vdd.to_array ctx_b (Dd_sim.Engine.state b) ~n:5)
+
 let test_measure_ghz_correlated () =
   (* GHZ measurement must give all zeros or all ones *)
   List.iter
@@ -167,6 +203,8 @@ let suite =
     Alcotest.test_case "run_width_mismatch" `Quick test_run_width_mismatch;
     Alcotest.test_case "set_state_validation" `Quick
       test_set_state_validation;
+    Alcotest.test_case "set_state_refuses_foreign_state" `Quick
+      test_set_state_refuses_foreign_state;
     Alcotest.test_case "measure_ghz_correlated" `Quick
       test_measure_ghz_correlated;
     Alcotest.test_case "measure_qubit_collapses" `Quick

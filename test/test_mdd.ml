@@ -384,9 +384,38 @@ let test_of_diagonal_shares () =
     (Dd.Mdd.equal dd
        (Dd.Mdd.scale ctx (Cnum.make 0. 1.) (Dd.Mdd.identity ctx 10)))
 
+(* Mdd.make on an existing node allocates only the returned edge, as
+   Vdd.make does. *)
+let test_make_existing_node_allocation () =
+  let ctx = fresh_ctx () in
+  let e00 = Dd.Mdd.terminal (Dd.Context.cnum ctx (r 0.6)) in
+  let e11 = Dd.Mdd.terminal (Dd.Context.cnum ctx (c 0. 0.8)) in
+  let e01 = Dd.Mdd.terminal (Dd.Context.cnum ctx (r 0.3)) in
+  ignore (Dd.Mdd.make ctx 0 e00 e01 Dd.Mdd.zero e11);
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (Dd.Mdd.make ctx 0 e00 e01 Dd.Mdd.zero e11))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "Mdd.make on an existing node allocated %.1f words" words)
+    true (words <= 3.)
+
+(* A matrix node is one block: id, level and four inline (weight tag,
+   target) quadrant pairs — 10 fields, 11 words with the header. *)
+let test_node_layout () =
+  let ctx = fresh_ctx () in
+  let e = Dd.Mdd.identity ctx 3 in
+  check_int "matrix node fields" 10 (Obj.size (Obj.repr e.Dd.Types.mt));
+  check_int "matrix edge fields" 2 (Obj.size (Obj.repr e))
+
 let suite =
   suite
   @ [
       Alcotest.test_case "of_diagonal" `Quick test_of_diagonal;
       Alcotest.test_case "of_diagonal_shares" `Quick test_of_diagonal_shares;
+      Alcotest.test_case "make_existing_node_allocation" `Quick
+        test_make_existing_node_allocation;
+      Alcotest.test_case "node_layout" `Quick test_node_layout;
     ]

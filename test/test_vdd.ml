@@ -137,15 +137,15 @@ let test_normalized_child_weight () =
   let ctx = fresh_ctx () in
   let e = Dd.Vdd.of_array ctx [| r 0.25; r 0.75 |] in
   let node = e.Dd.Types.vt in
-  let larger = node.Dd.Types.v_high.Dd.Types.vw in
+  let larger = node.Dd.Types.hw in
   check_bool "pivot child weight is exactly one" true
     (larger = Ctable.one_tag);
   check_cnum "edge weight carries the factor" (r 0.75)
     (Ctable.get ctx.Dd.Context.ctable e.Dd.Types.vw)
 
-(* Hash-consing a node that exists allocates its children array and at
-   most three edges — the two normalised children and the result, 3 + 3 x 3
-   words — and nothing for the weight arithmetic. *)
+(* Hash-consing a node that exists allocates only the returned edge, 3
+   words: no children array, no child edges, and nothing for the weight
+   arithmetic. *)
 let test_make_existing_node_allocation () =
   let ctx = fresh_ctx () in
   let low = Dd.Vdd.terminal (Dd.Context.cnum ctx (r 0.6)) in
@@ -159,7 +159,15 @@ let test_make_existing_node_allocation () =
   let words = (Gc.minor_words () -. before) /. float_of_int calls in
   check_bool
     (Printf.sprintf "Vdd.make on an existing node allocated %.1f words" words)
-    true (words <= 12.)
+    true (words <= 3.)
+
+(* A vector node is one block: id, level and two inline (weight tag,
+   target) child pairs — 6 fields, 7 words with the header. *)
+let test_node_layout () =
+  let ctx = fresh_ctx () in
+  let e = Dd.Vdd.basis ctx ~n:3 5 in
+  check_int "vector node fields" 6 (Obj.size (Obj.repr e.Dd.Types.vt));
+  check_int "vector edge fields" 2 (Obj.size (Obj.repr e))
 
 let test_unique_table_hit () =
   let ctx = fresh_ctx () in
@@ -197,4 +205,5 @@ let suite =
     Alcotest.test_case "unique_table_hit" `Quick test_unique_table_hit;
     Alcotest.test_case "make_existing_node_allocation" `Quick
       test_make_existing_node_allocation;
+    Alcotest.test_case "node_layout" `Quick test_node_layout;
   ]
