@@ -136,8 +136,6 @@ let adjoint gate = { gate with kind = adjoint_kind gate.kind }
 
 let qubits gate = gate.target :: List.map (fun ctl -> ctl.qubit) gate.controls
 
-let max_qubit gate = List.fold_left max gate.target (List.tl (qubits gate))
-
 let kind_name = function
   | X -> "x"
   | Y -> "y"
@@ -191,7 +189,6 @@ let ccx control1 control2 target =
   make ~controls:[ ctrl control1; ctrl control2 ] X target
 
 let mcz controls target = make ~controls:(List.map ctrl controls) Z target
-let mcx controls target = make ~controls:(List.map ctrl controls) X target
 
 let pp fmt gate =
   Format.fprintf fmt "%s %s" (name gate)

@@ -41,8 +41,6 @@ val adjoint : t -> t
 val qubits : t -> int list
 (** Target and control qubits, target first. *)
 
-val max_qubit : t -> int
-
 val name : t -> string
 (** Human-readable name, e.g. ["h"], ["rz(0.7854)"], ["ccx"]. *)
 
@@ -80,7 +78,5 @@ val ccx : int -> int -> int -> t
 
 val mcz : int list -> int -> t
 (** [mcz controls target] — multi-controlled Z. *)
-
-val mcx : int list -> int -> t
 
 val pp : Format.formatter -> t -> unit

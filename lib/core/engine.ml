@@ -96,14 +96,6 @@ let set_state engine edge =
       "the state's root node is not resident in this engine's context";
   engine.state_edge <- edge
 
-let reset engine =
-  Dd.Context.set_order engine.context Dd.Order.identity;
-  engine.state_edge <- Dd.Vdd.basis engine.context ~n:engine.n 0;
-  engine.last_audit <- 0;
-  engine.last_reorder <- 0;
-  engine.reorder_done <- false;
-  Sim_stats.reset engine.stats
-
 let set_track_peaks engine flag = engine.track_peaks <- flag
 let set_fused_apply engine flag = engine.fused_apply <- flag
 let fused_apply engine = engine.fused_apply

@@ -41,9 +41,6 @@ val set_state : t -> Dd.Vdd.edge -> unit
     ([Invalid_parameter]) is raised; either way the engine keeps its
     state.  The residency check is one unique-table probe. *)
 
-val reset : t -> unit
-(** Back to [|0...0>]; statistics are reset too. *)
-
 val set_fused_apply : t -> bool -> unit
 (** Enable/disable the structured-apply fast path (default: enabled).
     When disabled, every gate goes through the explicit gate DD and the

@@ -53,7 +53,7 @@ let create () =
     ledger_entries = 0;
   }
 
-(* The one list of counters: reset, assign, the checkpoint's stats object
+(* The one list of counters: assign, the checkpoint's stats object
    and the telemetry snapshot all walk it, so a new counter is a record
    field, its [create] value and one line here. *)
 type field =
@@ -119,7 +119,6 @@ let assign dst src =
       | Float (_, get, set) -> set dst (get src))
     fields
 
-let reset stats = assign stats (create ())
 let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
 
 let pp fmt stats =

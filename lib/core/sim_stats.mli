@@ -79,9 +79,6 @@ type field =
 val fields : field list
 (** Every counter of {!t}, once, in record order. *)
 
-val reset : t -> unit
-(** Zero every counter. *)
-
 val copy : t -> t
 
 val assign : t -> t -> unit

@@ -308,31 +308,6 @@ and adjoint_pair ctx w (n : mnode) =
     in
     scale_conj ctx w unit_result
 
-let kron ctx a b =
-  if m_is_zero a || m_is_zero b then m_zero
-  else begin
-    let height_b = m_height b in
-    let memo = Hashtbl.create 64 in
-    let rec lift w (n : mnode) =
-      if w = zero_tag then m_zero
-      else if m_is_terminal n then scale_tag ctx w b
-      else
-        let node =
-          match Hashtbl.find_opt memo n.mid with
-          | Some r -> r
-          | None ->
-            let r =
-              make ctx (n.level + height_b) (lift n.w00 n.t00)
-                (lift n.w01 n.t01) (lift n.w10 n.t10) (lift n.w11 n.t11)
-            in
-            Hashtbl.add memo n.mid r;
-            r
-        in
-        scale_tag ctx w node
-    in
-    lift a.mw a.mt
-  end
-
 let entry ?(order = Order.identity) ctx edge ~n ~row ~col =
   let ct = ctx.Context.ctable in
   let rec walk w (node : mnode) level acc =

@@ -66,9 +66,6 @@ val add : Context.t -> edge -> edge -> edge
 val adjoint : Context.t -> edge -> edge
 (** Conjugate transpose. *)
 
-val kron : Context.t -> edge -> edge -> edge
-(** [kron ctx a b] is [A (x) B] with [A] on the more significant qubits. *)
-
 val to_dense :
   ?order:Order.t -> Context.t -> edge -> n:int -> Cnum.t array array
 (** Expand to a dense matrix indexed by qubit bits; [order] (default

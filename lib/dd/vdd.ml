@@ -205,16 +205,6 @@ let node_count edge =
 
 let equal = v_edge_equal
 
-let approx_equal_array ?(tol = 1e-9) xs ys =
-  Array.length xs = Array.length ys
-  && begin
-       let ok = ref true in
-       Array.iteri
-         (fun i x -> if not (Cnum.approx_equal ~tol x ys.(i)) then ok := false)
-         xs;
-       !ok
-     end
-
 let magnitude ctx w = sqrt (Ctable.mag2 ctx.Context.ctable w)
 
 (* largest |amplitude| of any path below a node (top weight excluded),
@@ -232,60 +222,6 @@ let rec node_max_magnitude ctx node =
     let x = Float.max (part node.lw node.lt) (part node.hw node.ht) in
     Compute_table.store table ~k1:node.vid ~k2:0 ~k3:0 x;
     x
-  end
-
-let top_amplitudes ctx ~n k edge =
-  let order = ctx.Context.order in
-  if v_is_zero edge then []
-  else begin
-    (* best-first search: a frontier of (bound, index-prefix, edge) sorted
-       by decreasing bound; a completed path's bound is its exact
-       magnitude, so when a terminal pops first it is globally maximal *)
-    let module Frontier = Set.Make (struct
-      type t = float * int * Cnum.t * vnode
-
-      let compare (ba, ia, _, na) (bb, ib, _, nb) =
-        (* decreasing bound; disambiguate by index and node id *)
-        let c = compare bb ba in
-        if c <> 0 then c
-        else
-          let c = compare ia ib in
-          if c <> 0 then c else compare na.vid nb.vid
-    end) in
-    let value w = Ctable.get ctx.Context.ctable w in
-    let initial_bound =
-      magnitude ctx edge.vw *. node_max_magnitude ctx edge.vt
-    in
-    let frontier =
-      ref (Frontier.singleton (initial_bound, 0, value edge.vw, edge.vt))
-    in
-    let results = ref [] in
-    let found = ref 0 in
-    while !found < k && not (Frontier.is_empty !frontier) do
-      let ((_, index, amp, node) as entry) = Frontier.min_elt !frontier in
-      frontier := Frontier.remove entry !frontier;
-      if v_is_terminal node then begin
-        results := (index, amp) :: !results;
-        incr found
-      end
-      else begin
-        let push bit w t =
-          if w <> Ctable.zero_tag then begin
-            let amp = Cnum.mul amp (value w) in
-            let bound = Cnum.mag amp *. node_max_magnitude ctx t in
-            let index =
-              if bit = 0 then index
-              else index lor (1 lsl Order.qubit_of_level order node.level)
-            in
-            frontier := Frontier.add (bound, index, amp, t) !frontier
-          end
-        in
-        push 0 node.lw node.lt;
-        push 1 node.hw node.ht
-      end
-    done;
-    ignore n;
-    List.rev !results
   end
 
 let truncate ctx ~threshold edge =

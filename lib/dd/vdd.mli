@@ -75,16 +75,6 @@ val iter_nodes : (Types.vnode -> unit) -> edge -> unit
 val equal : edge -> edge -> bool
 (** Canonical equality (same node, same weight tag). *)
 
-val approx_equal_array : ?tol:float -> Cnum.t array -> Cnum.t array -> bool
-(** Component-wise comparison helper for tests. *)
-
-val top_amplitudes : Context.t -> n:int -> int -> edge -> (int * Dd_complex.Cnum.t) list
-(** [top_amplitudes ctx ~n k e] — basis indices are reported in qubit
-    space (mapped through the context's live order); the [k] basis states with the largest
-    amplitude magnitudes, best first, found by best-first search over the
-    DD with per-node magnitude bounds (no dense expansion, so it works on
-    registers far too wide for {!to_array}). *)
-
 val truncate : Context.t -> threshold:float -> edge -> edge
 (** Approximate simulation support: rebuild the DD with every sub-vector
     whose total contribution (edge-weight magnitude times the sub-vector's

@@ -1,68 +1,9 @@
-(* top_amplitudes, truncation, and the unweighted-DD size comparison. *)
+(* Truncation and the unweighted-DD size comparison. *)
 
 open Dd_complex
 open Util
 
 let r = Cnum.of_float
-
-(* --- top_amplitudes --------------------------------------------------- *)
-
-let test_top_amplitudes_order () =
-  let ctx = fresh_ctx () in
-  let v = [| r 0.1; r 0.7; r 0.2; r 0.3; r 0.5; r 0.05; r 0.25; r 0.15 |] in
-  let e = Dd.Vdd.of_array ctx v in
-  let top = Dd.Vdd.top_amplitudes ctx ~n:3 3 e in
-  match top with
-  | [ (i1, a1); (i2, a2); (i3, a3) ] ->
-    check_int "largest" 1 i1;
-    check_cnum "largest amplitude" (r 0.7) a1;
-    check_int "second" 4 i2;
-    check_cnum "second amplitude" (r 0.5) a2;
-    check_int "third" 3 i3;
-    check_cnum "third amplitude" (r 0.3) a3
-  | _ -> Alcotest.fail "expected three results"
-
-let test_top_amplitudes_matches_dense () =
-  let ctx = fresh_ctx () in
-  let circuit = Standard.random_circuit ~seed:17 ~qubits:6 ~gates:50 () in
-  let engine = Dd_sim.Engine.create ~context:ctx 6 in
-  Dd_sim.Engine.run engine circuit;
-  let state = Dd_sim.Engine.state engine in
-  let top = Dd.Vdd.top_amplitudes ctx ~n:6 5 state in
-  let dense = Dd.Vdd.to_array ctx state ~n:6 in
-  let sorted =
-    Array.mapi (fun i a -> (Cnum.mag2 a, i)) dense
-    |> Array.to_list
-    |> List.sort (fun (a, _) (b, _) -> compare b a)
-  in
-  List.iteri
-    (fun rank (index, amp) ->
-      let expected_mag2, _ = List.nth sorted rank in
-      check_float
-        (Printf.sprintf "rank %d magnitude" rank)
-        expected_mag2 (Cnum.mag2 amp);
-      check_float
-        (Printf.sprintf "rank %d amplitude consistent" rank)
-        (Cnum.mag2 dense.(index))
-        (Cnum.mag2 amp))
-    top
-
-let test_top_amplitudes_wide_register () =
-  (* 30 qubits: dense expansion impossible, DD search instant *)
-  let ctx = fresh_ctx () in
-  let n = 30 in
-  let e = Dd.Vdd.basis ctx ~n 123456789 in
-  match Dd.Vdd.top_amplitudes ctx ~n 1 e with
-  | [ (index, amp) ] ->
-    check_int "finds the basis state" 123456789 index;
-    check_cnum "with amplitude one" Cnum.one amp
-  | _ -> Alcotest.fail "expected one result"
-
-let test_top_amplitudes_k_larger_than_support () =
-  let ctx = fresh_ctx () in
-  let e = Dd.Vdd.basis ctx ~n:3 2 in
-  check_int "only one non-zero amplitude exists" 1
-    (List.length (Dd.Vdd.top_amplitudes ctx ~n:3 10 e))
 
 (* --- truncate ---------------------------------------------------------- *)
 
@@ -152,13 +93,6 @@ let test_unweighted_phase_states_blow_up () =
 
 let suite =
   [
-    Alcotest.test_case "top_order" `Quick test_top_amplitudes_order;
-    Alcotest.test_case "top_matches_dense" `Quick
-      test_top_amplitudes_matches_dense;
-    Alcotest.test_case "top_wide_register" `Quick
-      test_top_amplitudes_wide_register;
-    Alcotest.test_case "top_k_overflow" `Quick
-      test_top_amplitudes_k_larger_than_support;
     Alcotest.test_case "truncate_small" `Quick
       test_truncate_removes_small_branches;
     Alcotest.test_case "truncate_identity" `Quick

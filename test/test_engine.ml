@@ -36,14 +36,6 @@ let test_sequential_stats () =
     stats.Dd_sim.Sim_stats.mat_mat_mults;
   check_int "gates seen" 25 stats.Dd_sim.Sim_stats.gates_seen
 
-let test_reset () =
-  let engine = Dd_sim.Engine.create 3 in
-  Dd_sim.Engine.run engine (Standard.ghz 3);
-  Dd_sim.Engine.reset engine;
-  check_cnum "back to |000>" Cnum.one (Dd_sim.Engine.amplitude engine 0);
-  check_int "stats cleared" 0
-    (Dd_sim.Engine.stats engine).Dd_sim.Sim_stats.mat_vec_mults
-
 let test_run_width_mismatch () =
   let engine = Dd_sim.Engine.create 2 in
   Alcotest.check_raises "width mismatch"
@@ -116,6 +108,57 @@ let test_measure_qubit_collapses () =
   let first = Dd_sim.Engine.measure_qubit engine ~qubit:0 in
   let second = Dd_sim.Engine.measure_qubit engine ~qubit:1 in
   check_bool "bell bits agree" true (first = second)
+
+(* Mid-circuit measurement with classical feedback: measure qubit 2, flip
+   qubit 4 on outcome 1, keep simulating.  The dense mirror projects onto
+   the engine's outcome and renormalises, so the two must agree whatever
+   the outcome, under either strategy for the second segment. *)
+let test_measure_then_run_matches_dense () =
+  let n = 6 and qubit = 2 and feedback = Gate.x 4 in
+  let outcomes = ref [] in
+  List.iter
+    (fun seed ->
+      let first = Standard.random_circuit ~seed ~qubits:n ~gates:30 () in
+      let second =
+        Standard.random_circuit ~seed:(seed + 100) ~qubits:n ~gates:30 ()
+      in
+      List.iter
+        (fun (label, strategy) ->
+          let engine = Dd_sim.Engine.create ~seed n in
+          Dd_sim.Engine.run engine first;
+          let outcome = Dd_sim.Engine.measure_qubit engine ~qubit in
+          if outcome then Dd_sim.Engine.apply_gate engine feedback;
+          Dd_sim.Engine.run ~strategy engine second;
+          outcomes := outcome :: !outcomes;
+          let dense = Dense_state.create n in
+          Dense_state.run dense first;
+          let p1 = Dense_state.probability_one dense ~qubit in
+          let p = if outcome then p1 else 1. -. p1 in
+          let keep i = (i lsr qubit) land 1 = Bool.to_int outcome in
+          let dense =
+            Dense_state.of_amplitudes
+              (Array.mapi
+                 (fun i a ->
+                   if keep i then Cnum.scale (1. /. sqrt p) a else Cnum.zero)
+                 (Dense_state.to_array dense))
+          in
+          if outcome then Dense_state.apply_gate dense feedback;
+          Dense_state.run dense second;
+          let fidelity =
+            Dd_sim.Engine.fidelity_dense engine (Dense_state.to_array dense)
+          in
+          check_bool
+            (Printf.sprintf "seed %d, %s, outcome %b: fidelity %.12f" seed
+               label outcome fidelity)
+            true
+            (fidelity >= 1. -. 1e-9))
+        [
+          ("seq", Dd_sim.Strategy.Sequential);
+          ("k:4", Dd_sim.Strategy.K_operations 4);
+        ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  check_bool "outcome 0 occurs" true (List.mem false !outcomes);
+  check_bool "outcome 1 occurs" true (List.mem true !outcomes)
 
 let test_probability_one () =
   let engine = Dd_sim.Engine.create 2 in
@@ -199,7 +242,6 @@ let suite =
     Alcotest.test_case "apply_gate" `Quick test_apply_gate;
     Alcotest.test_case "run_matches_dense" `Quick test_run_matches_dense;
     Alcotest.test_case "sequential_stats" `Quick test_sequential_stats;
-    Alcotest.test_case "reset" `Quick test_reset;
     Alcotest.test_case "run_width_mismatch" `Quick test_run_width_mismatch;
     Alcotest.test_case "set_state_validation" `Quick
       test_set_state_validation;
@@ -209,6 +251,8 @@ let suite =
       test_measure_ghz_correlated;
     Alcotest.test_case "measure_qubit_collapses" `Quick
       test_measure_qubit_collapses;
+    Alcotest.test_case "measure_then_run_matches_dense" `Quick
+      test_measure_then_run_matches_dense;
     Alcotest.test_case "probability_one" `Quick test_probability_one;
     Alcotest.test_case "sample_deterministic" `Quick
       test_sample_deterministic_state;

@@ -209,24 +209,6 @@ let test_adjoint_matches_dense () =
   check_dense_matrix "adjoint" expected
     (Dd.Mdd.to_dense ctx (Dd.Mdd.adjoint ctx u) ~n:2)
 
-let test_kron_matches_dense () =
-  let ctx = fresh_ctx () in
-  let h = Dd.Mdd.gate ctx ~n:1 ~target:0 (Gate.matrix Gate.H) in
-  let x = Dd.Mdd.gate ctx ~n:1 ~target:0 (Gate.matrix Gate.X) in
-  let expected =
-    dense_kron (dense_gate ~n:1 (Gate.h 0)) (dense_gate ~n:1 (Gate.x 0))
-  in
-  check_dense_matrix "H (x) X" expected
-    (Dd.Mdd.to_dense ctx (Dd.Mdd.kron ctx h x) ~n:2)
-
-let test_kron_with_identity_is_gate () =
-  let ctx = fresh_ctx () in
-  let h1 = Dd.Mdd.gate ctx ~n:1 ~target:0 (Gate.matrix Gate.H) in
-  let lifted = Dd.Mdd.kron ctx (Dd.Mdd.identity ctx 2) h1 in
-  let direct = Dd.Mdd.gate ctx ~n:3 ~target:0 (Gate.matrix Gate.H) in
-  check_bool "I (x) H == H-on-qubit-0 canonically" true
-    (Dd.Mdd.equal lifted direct)
-
 let test_control_top () =
   let ctx = fresh_ctx () in
   let x1 = Dd.Mdd.gate ctx ~n:1 ~target:0 (Gate.matrix Gate.X) in
@@ -348,9 +330,6 @@ let suite =
     Alcotest.test_case "apply_zero" `Quick test_apply_zero;
     Alcotest.test_case "adjoint_matches_dense" `Quick
       test_adjoint_matches_dense;
-    Alcotest.test_case "kron_matches_dense" `Quick test_kron_matches_dense;
-    Alcotest.test_case "kron_identity_is_gate" `Quick
-      test_kron_with_identity_is_gate;
     Alcotest.test_case "control_top" `Quick test_control_top;
     Alcotest.test_case "add_matrices" `Quick test_add_matrices;
     Alcotest.test_case "entry" `Quick test_entry;

@@ -331,7 +331,7 @@ let test_telemetry_snapshot () =
   check_bool "sorted by name" true
     (List.map fst snap = List.sort compare (List.map fst snap))
 
-(* Every counter is named once, in Sim_stats.fields; assign, reset, the
+(* Every counter is named once, in Sim_stats.fields; assign, the
    checkpoint's stats object and the telemetry snapshot all walk that
    table.  The literal below is complete, so a new field this test does
    not name is a compile error; a field the table misses fails the
@@ -396,9 +396,6 @@ let test_counters_declared_once () =
   let assigned = Dd_sim.Sim_stats.create () in
   Dd_sim.Sim_stats.assign assigned expected;
   check_bool "assign copies every counter" true (assigned = expected);
-  Dd_sim.Sim_stats.reset assigned;
-  check_bool "reset zeroes every counter" true
-    (assigned = Dd_sim.Sim_stats.create ());
   let engine = Dd_sim.Engine.create 2 in
   Dd_sim.Engine.run engine (Standard.bell ());
   Dd_sim.Sim_stats.assign (Dd_sim.Engine.stats engine) expected;

@@ -43,12 +43,6 @@ let dense_matvec m v =
       done;
       !acc)
 
-let dense_kron a b =
-  let da = Array.length a and db = Array.length b in
-  Array.init (da * db) (fun r ->
-      Array.init (da * db) (fun c ->
-          Cnum.mul a.(r / db).(c / db) b.(r mod db).(c mod db)))
-
 (* Dense matrix of one gate on [n] qubits, built by Kronecker products and
    control masking — an independent construction path from Mdd.gate. *)
 let dense_gate ~n (gate : Gate.t) =
