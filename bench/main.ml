@@ -458,17 +458,17 @@ let ablation () =
     [ 1e-6; 1e-3; 1e-2; 3e-2; 1e-1 ]
 
 (* ------------------------------------------------------------------ *)
-(* Backend comparison: DD vs dense array                                *)
+(* Backend comparison: DD vs dense array vs sparse hash map             *)
 (* ------------------------------------------------------------------ *)
 
 (* The paper's Section III motivation in miniature: representation size
    drives cost, and which representation is small depends on the state's
    structure, not its width. *)
 let backends () =
-  Printf.printf "\n=== Backend comparison (DD vs dense array) ===\n";
-  Printf.printf "%-18s %10s %8s %10s\n" "benchmark" "dd[s]" "dd-nodes"
-    "dense[s]";
-  let row name circuit =
+  Printf.printf "\n=== Backend comparison (DD vs dense array vs sparse) ===\n";
+  Printf.printf "%-18s %10s %8s %10s %10s %10s\n" "benchmark" "dd[s]"
+    "dd-nodes" "dense[s]" "sparse[s]" "support";
+  let row ?(sparse = true) name circuit =
     let n = Circuit.(circuit.qubits) in
     let (dd_nodes, dd_time) =
       wall (fun () ->
@@ -487,7 +487,20 @@ let backends () =
         Printf.sprintf "%10.3f" dense_time
       end
     in
-    Printf.printf "%-18s %10.3f %8d %s\n" name dd_time dd_nodes dense_cell;
+    let sparse_cells =
+      if not sparse then "         -          -"
+      else begin
+        let (support, sparse_time) =
+          wall (fun () ->
+              let state = Sparse_state.create n in
+              Sparse_state.run state circuit;
+              Sparse_state.support_size state)
+        in
+        Printf.sprintf "%10.3f %10d" sparse_time support
+      end
+    in
+    Printf.printf "%-18s %10.3f %8d %s %s\n" name dd_time dd_nodes
+      dense_cell sparse_cells;
     flush stdout
   in
   row "ghz_20" (Standard.ghz 20);
@@ -496,17 +509,20 @@ let backends () =
     (Circuit.of_gates ~qubits:14
        (Gate.x 0 :: Circuit.flatten (Qft.circuit 14)));
   row "grover_12" (Grover.circuit ~n:12 ~marked:1234 ());
-  (* should stay linear like ghz_48, but its state DD fragments from the
+  (* sparse would need the full 2^28 support here: skipped.  The DD
+     should stay linear like ghz_48, but its state fragments from the
      fourth Grover iteration on, even gate by gate, and the row does not
      finish: the canonicity defect ROADMAP.md's first item tracks *)
-  row "grover_28" (Grover.circuit ~iterations:50 ~n:28 ~marked:12345 ());
+  row ~sparse:false "grover_28"
+    (Grover.circuit ~iterations:50 ~n:28 ~marked:12345 ());
   row "supremacy_4x4_8" (Supremacy.circuit ~rows:4 ~cols:4 ~cycles:8 ());
   Printf.printf
     "  -> representation sizes track structure, not width: the dense \
      array always pays 2^n and cannot go past ~30 qubits at all, while \
-     ghz_48 keeps a linear-size DD; unstructured supremacy states are \
-     where both representations degrade and the paper's combination \
-     strategies matter.\n"
+     ghz_48 keeps a linear-size DD; sparsity helps only while the \
+     support stays small; unstructured supremacy states are where all \
+     representations degrade and the paper's combination strategies \
+     matter.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Guard overhead: the resilience layer must be zero-cost when off      *)
