@@ -42,7 +42,12 @@ let samples_arg =
     & info [ "samples" ] ~docv:"N" ~doc:"Print N measurement samples.")
 
 let stats_arg =
-  Arg.(value & flag & info [ "stats" ] ~doc:"Print simulation statistics.")
+  let doc =
+    "Print simulation statistics.  Turns on peak tracking \
+     (peak-state-nodes, peak-matrix-nodes), which walks the state after \
+     every update."
+  in
+  Arg.(value & flag & info [ "stats" ] ~doc)
 
 (* tracing and metrics, shared by run / simulate *)
 
@@ -97,7 +102,9 @@ let print_metrics engine =
 let stats_json_arg =
   let doc =
     "Write the unified metrics snapshot (counters and gauges) to $(docv) \
-     as one JSON object after the run."
+     as one JSON object after the run.  Turns on peak tracking \
+     (sim.peak_state_nodes, sim.peak_matrix_nodes), which walks the state \
+     after every update."
   in
   Arg.(
     value & opt (some string) None
@@ -525,6 +532,8 @@ let simulate_session s ~meta ~use_repeating circuit =
   Format.printf "%a@." Circuit.pp circuit;
   let engine = Dd_sim.Engine.create ~seed:s.seed Circuit.(circuit.qubits) in
   if s.no_fused then Dd_sim.Engine.set_fused_apply engine false;
+  if s.stats || s.stats_json <> None then
+    Dd_sim.Engine.set_track_peaks engine true;
   arm_audit engine ~tolerance:s.audit_tol s.audit_every;
   arm_reorder engine ~policy:s.reorder ~order:s.order
     ~bulge_factor:s.bulge_factor ~every:s.reorder_every;

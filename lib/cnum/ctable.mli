@@ -7,16 +7,20 @@
     machine-accuracy merging of the paper's reference [21] (Zulehner et
     al., DATE 2019), whose DD package keeps weights the same way.
 
-    Values are stored unboxed: the real part of tag [t] at index [2t] of
-    one float array, the imaginary part at [2t + 1].  Weight arithmetic
-    is done here, tag in and tag out, with {!Cnum}'s formulas — bit for
-    bit the same results — so a product, quotient or sum whose result is
-    already in the table allocates nothing.  A float that crossed into
-    another module would be boxed.
+    Values are stored unboxed in append-only chunks of 256 tags: one
+    float array per chunk holds each tag's real part, imaginary part and
+    bucket-chain link, so growing the table appends a chunk and copies
+    no entry, and the OCaml GC never scans one.  The bucket heads are
+    one [Bytes] of int32, doubling with the number of tags.  Weight
+    arithmetic is done here, tag in and tag out, with {!Cnum}'s formulas
+    — bit for bit the same results — so a product, quotient or sum whose
+    result is already in the table allocates nothing.  A float that
+    crossed into another module would be boxed.
 
-    Tags are handed out densely from [2]; they are never reused.  Every
-    function taking a tag raises [Invalid_argument] for an int outside
-    [[0, size)]. *)
+    Tags are handed out densely from [2]; they are never reused, and
+    the table holds at most 2^31 tags (the largest is [2^31 - 1]; one
+    more raises [Invalid_argument]).  Every function taking a tag raises
+    [Invalid_argument] for an int outside [[0, size)]. *)
 
 type t
 
@@ -49,16 +53,19 @@ val intern : t -> Cnum.t -> int
     constant only when no earlier-scanned entry matches first (an earlier
     [1.2e-12] captures a later [0.99e-12]).
 
-    The cells are grouped in blocks of 8 x 8, and each block hashes to a
-    bucket whose entries are chained newest first, so a lookup walks the
-    one to four buckets the 3 x 3 cell neighbourhood overlaps. *)
+    The cells are grouped in blocks of 16 x 16, and each block hashes to
+    a bucket whose entries are chained newest first, so a lookup walks
+    the one to four buckets the 3 x 3 cell neighbourhood overlaps.
+    Neither the block size nor the bucket count can change a tag. *)
 
 val size : t -> int
 (** Number of distinct canonical values; valid tags are [[0, size)]. *)
 
 val bytes : t -> int
-(** Bytes held by the table's arrays, from their capacities (8-byte
-    words).  O(1), allocation-free. *)
+(** Bytes held by the table: every heap block reachable from it (the
+    chunks in use, the chunk-pointer and head arrays at their
+    capacities, the record), with headers, in 8-byte words.  O(1),
+    allocation-free. *)
 
 val get : t -> int -> Cnum.t
 (** The value of a tag, as a fresh {!Cnum.t}. *)
@@ -72,11 +79,17 @@ val mag2 : t -> int -> float
     formula of the {!Cnum} function it names, and interns the result. *)
 
 val mul : t -> int -> int -> int
-(** [mul table a b] interns [Cnum.mul a b]. *)
+(** [mul table a b] interns [Cnum.mul a b].  A product by {!one_tag}
+    returns the other operand's tag without a lookup when its value is
+    finite: the formula reproduces that value up to the sign of a zero,
+    which interns to the same tag. *)
 
 val div : t -> int -> int -> int
 (** [div table a b] interns [Cnum.div a b]; raises [Division_by_zero]
-    when [b]'s value is exactly zero. *)
+    when [b]'s squared magnitude is exactly zero.  [div a a] is
+    {!one_tag} and [div a one_tag] is [a] without a lookup whenever the
+    formula yields exactly [1 + 0i], respectively [a]'s value up to the
+    sign of a zero. *)
 
 val add : t -> int -> int -> int
 (** [add table a b] interns [Cnum.add a b]. *)

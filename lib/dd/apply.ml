@@ -85,15 +85,20 @@ let role_ident = 5
 let rec rebuild_stable ctx (v : vnode) =
   v_is_terminal v
   ||
-  match Hashtbl.find_opt ctx.Context.apply_stable v.vid with
-  | Some s -> s
-  | None ->
+  let flags = ctx.Context.apply_stable in
+  let known =
+    if v.vid < Bytes.length flags then Bytes.get flags v.vid else '\000'
+  in
+  match known with
+  | '\001' -> true
+  | '\002' -> false
+  | _ ->
     let stable_child w t = w = zero || rebuild_stable ctx t in
     let s =
       Ctable.pivot4 ctx.Context.ctable v.lw v.hw zero zero = one
       && stable_child v.lw v.lt && stable_child v.hw v.ht
     in
-    Hashtbl.add ctx.Context.apply_stable v.vid s;
+    Context.set_apply_stable ctx v.vid s;
     s
 
 let apply ctx ~n ~target ?(controls = []) entries state =

@@ -33,10 +33,11 @@ type t = {
      never answer for a different gate.  Ids are dense and never reused. *)
   gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
   gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
-  (* node id -> "a hash-cons rebuild of this subtree is bitwise the
-     identity"; intrinsic to the immutable node, computed lazily by the
-     structured-apply kernel (see apply.ml) *)
-  apply_stable : (int, bool) Hashtbl.t;
+  (* one byte per vector node id: 0 unknown, 1 "a hash-cons rebuild of
+     this subtree is bitwise the identity", 2 not; intrinsic to the
+     immutable node, computed lazily by the structured-apply kernel (see
+     apply.ml) *)
+  mutable apply_stable : Bytes.t;
   gc : gc_stats;
   (* structured-apply rebuild-stable short-circuits: cache-equivalent wins
      that never probe apply_v, counted separately so bench rows can show
@@ -78,7 +79,7 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     identity_cache = Hashtbl.create 64;
     gate_kind_ids = Hashtbl.create 64;
     gate_layout_ids = Hashtbl.create 64;
-    apply_stable = Hashtbl.create 16;
+    apply_stable = Bytes.empty;
     gc =
       {
         collections = 0;
@@ -178,6 +179,25 @@ let fold_tables ctx { visit } acc =
 let clear_compute_caches ctx =
   fold_tables ctx { visit = (fun t () -> Compute_table.clear t) } ()
 
+(* Ids are never reused and the flag is intrinsic to its node, so the
+   bytes only ever grow: a dead id's flag is never read again. *)
+let set_apply_stable ctx vid stable =
+  let flags = ctx.apply_stable in
+  let flags =
+    if vid < Bytes.length flags then flags
+    else begin
+      let n = ref (max 64 (2 * Bytes.length flags)) in
+      while vid >= !n do
+        n := 2 * !n
+      done;
+      let grown = Bytes.make !n '\000' in
+      Bytes.blit flags 0 grown 0 (Bytes.length flags);
+      ctx.apply_stable <- grown;
+      grown
+    end
+  in
+  Bytes.set flags vid (if stable then '\001' else '\002')
+
 let v_unique_size ctx = Hashcons.V.created ctx.v_unique
 let m_unique_size ctx = Hashcons.M.created ctx.m_unique
 let live_v_nodes ctx = Hashcons.V.length ctx.v_unique
@@ -266,20 +286,25 @@ let pp_stats fmt ctx =
    warm. *)
 let collect ctx ~v_roots ~m_roots =
   let t0 = Obs.Clock.now () in
-  let v_marked = Hashtbl.create 4096 in
-  let m_marked = Hashtbl.create 4096 in
+  (* one byte per node id ever handed out, 1 when live; the terminals'
+     id 0 is always live *)
+  let v_marked = Bytes.make (v_unique_size ctx + 1) '\000' in
+  let m_marked = Bytes.make (m_unique_size ctx + 1) '\000' in
+  Bytes.set v_marked 0 '\001';
+  Bytes.set m_marked 0 '\001';
+  let marked flags id = Bytes.get flags id = '\001' in
   let rec mark_v (node : Types.vnode) =
-    if node.Types.level >= 0 && not (Hashtbl.mem v_marked node.Types.vid)
-    then begin
-      Hashtbl.add v_marked node.Types.vid ();
+    let id = node.Types.vid in
+    if node.Types.level >= 0 && not (marked v_marked id) then begin
+      Bytes.set v_marked id '\001';
       mark_v node.Types.lt;
       mark_v node.Types.ht
     end
   in
   let rec mark_m (node : Types.mnode) =
-    if node.Types.level >= 0 && not (Hashtbl.mem m_marked node.Types.mid)
-    then begin
-      Hashtbl.add m_marked node.Types.mid ();
+    let id = node.Types.mid in
+    if node.Types.level >= 0 && not (marked m_marked id) then begin
+      Bytes.set m_marked id '\001';
       mark_m node.Types.t00;
       mark_m node.Types.t01;
       mark_m node.Types.t10;
@@ -296,7 +321,7 @@ let collect ctx ~v_roots ~m_roots =
   let drop_budget = ref (if Fault.fire Fault.Unique_drop then 1 else 0) in
   let v_removed =
     Hashcons.V.prune ctx.v_unique ~keep:(fun n ->
-        if Hashtbl.mem v_marked n.Types.vid then
+        if marked v_marked n.Types.vid then
           if !drop_budget > 0 then begin
             decr drop_budget;
             false
@@ -305,14 +330,13 @@ let collect ctx ~v_roots ~m_roots =
         else false)
   in
   let m_removed =
-    Hashcons.M.prune ctx.m_unique ~keep:(fun n ->
-        Hashtbl.mem m_marked n.Types.mid)
+    Hashcons.M.prune ctx.m_unique ~keep:(fun n -> marked m_marked n.Types.mid)
   in
   (* node ids are never reused, so a key naming a dead id can only ever be
      a harmless miss — but the *values* must not resurrect dead nodes, so
      any entry touching a dead id goes *)
-  let v_live id = id = 0 || Hashtbl.mem v_marked id in
-  let m_live id = id = 0 || Hashtbl.mem m_marked id in
+  let v_live id = marked v_marked id in
+  let m_live id = marked m_marked id in
   let v_edge_live (e : Types.vedge) = v_live e.Types.vt.Types.vid in
   let m_edge_live (e : Types.medge) = m_live e.Types.mt.Types.mid in
   let dropped = ref 0 in
@@ -349,12 +373,6 @@ let collect ctx ~v_roots ~m_roots =
      lives exactly as long as the gate DD it returns *)
   dropped += Compute_table.sweep ctx.gate ~keep:(fun _ _ _ g -> m_edge_live g)
   end;
-  (* rebuild-stability flags are intrinsic to their (immutable) nodes and
-     ids are never reused, so stale entries are harmless — dropping the
-     dead ones just returns the memory with the nodes *)
-  Hashtbl.filter_map_inplace
-    (fun id s -> if v_live id then Some s else None)
-    ctx.apply_stable;
   let pause = Obs.Clock.now () -. t0 in
   let gc = ctx.gc in
   gc.collections <- gc.collections + 1;

@@ -37,10 +37,12 @@ type t = {
   identity_cache : (int, Types.medge) Hashtbl.t;
   gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
   gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
-  apply_stable : (int, bool) Hashtbl.t;
-      (** node id -> "a hash-cons rebuild of this subtree is bitwise the
-          identity"; lazily filled by the structured-apply kernel, swept
-          with the unique table on {!collect} *)
+  mutable apply_stable : Bytes.t;
+      (** one byte per vector node id: [0] unknown, [1] "a hash-cons
+          rebuild of this subtree is bitwise the identity", [2] not;
+          lazily filled by the structured-apply kernel through
+          {!set_apply_stable}.  Ids are never reused, so it is never
+          swept *)
   gc : gc_stats;
   mutable apply_skips : int;
       (** structured-apply rebuild-stable short-circuits — cache-equivalent
@@ -61,9 +63,9 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
     [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
     its slots on its first store, the two unique tables start at 2^6
-    slots and the complex table at 2^8 entries, so a fresh context
-    allocates about 5 KiB.  Raises [Invalid_argument] outside
-    [4, 24]. *)
+    slots and the complex table at one 256-entry chunk with 2^8 bucket
+    heads, so a fresh context allocates about 7 KiB.  Raises
+    [Invalid_argument] outside [4, 24]. *)
 
 val cnum : t -> Cnum.t -> int
 (** Intern a complex number in this context's table; returns its tag. *)
@@ -117,6 +119,10 @@ val gate_kind : t -> Cnum.t array -> int array * int
 val clear_compute_caches : t -> unit
 (** Drop all memoisation tables (unique tables are kept, so canonicity is
     unaffected).  Useful between timed runs. *)
+
+val set_apply_stable : t -> int -> bool -> unit
+(** [set_apply_stable ctx vid stable] records node [vid]'s flag in
+    [apply_stable], doubling the bytes until they reach [vid]. *)
 
 val v_unique_size : t -> int
 (** Number of distinct vector nodes ever created (monotone). *)

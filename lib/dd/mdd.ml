@@ -20,11 +20,6 @@ let with_weight edge w =
   else if w = edge.mw then edge
   else { mw = w; mt = edge.mt }
 
-let scale ctx s edge =
-  if Cnum.is_exact_zero s || m_is_zero edge then m_zero
-  else if Cnum.is_exact_one s then edge
-  else with_weight edge (Ctable.mul_value ctx.Context.ctable s edge.mw)
-
 let scale_tag ctx w edge =
   if w = Ctable.zero_tag || m_is_zero edge then m_zero
   else if w = Ctable.one_tag then edge

@@ -15,9 +15,6 @@ val make : Context.t -> int -> edge -> edge -> edge -> edge -> edge
     with the given quadrants (paper order: upper-left, upper-right,
     lower-left, lower-right). *)
 
-val scale : Context.t -> Cnum.t -> edge -> edge
-(** As {!Vdd.scale}. *)
-
 val scale_tag : Context.t -> int -> edge -> edge
 (** As {!Vdd.scale_tag}. *)
 

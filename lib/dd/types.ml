@@ -72,4 +72,3 @@ let v_edge_equal a b = a.vt.vid = b.vt.vid && a.vw = b.vw
 let m_edge_equal a b = a.mt.mid = b.mt.mid && a.mw = b.mw
 
 let v_height edge = edge.vt.level + 1
-let m_height edge = edge.mt.level + 1

@@ -86,5 +86,3 @@ val m_edge_equal : medge -> medge -> bool
 val v_height : vedge -> int
 (** Number of qubits spanned by a non-zero edge; [0] for scalars. Zero edges
     span any height and report [0]. *)
-
-val m_height : medge -> int

@@ -357,6 +357,208 @@ let prop_matches_reference ~name tolerance =
       Reference.distinct_cells model > 4096
       && Ctable.size table = model.Reference.next_tag)
 
+(* -- QCheck: the chunked table against a list-based reference ---------- *)
+
+(* The rule ctable.mli documents, read literally: of the entries within
+   tolerance, the first in the scan order of cell offsets (own cell,
+   edge neighbours, corners) wins, newest first within a cell; with no
+   such entry the value gets the next tag.  Entries are one list, newest
+   first. *)
+module List_reference = struct
+  type entry = { re : float; im : float; cre : int; cim : int; tag : int }
+  type t = { tol : float; mutable entries : entry list; mutable size : int }
+
+  let cell tol x = int_of_float (floor ((x /. tol) +. 0.5))
+
+  let add t re im =
+    let tag = t.size in
+    t.entries <-
+      { re; im; cre = cell t.tol re; cim = cell t.tol im; tag } :: t.entries;
+    t.size <- tag + 1;
+    tag
+
+  let create tol =
+    let t = { tol; entries = []; size = 0 } in
+    ignore (add t 0. 0.);
+    ignore (add t 1. 0.);
+    t
+
+  let order =
+    [ (0, 0); (-1, 0); (1, 0); (0, -1); (0, 1);
+      (-1, -1); (-1, 1); (1, -1); (1, 1) ]
+
+  let intern t re im =
+    let within e =
+      abs_float (e.re -. re) <= t.tol && abs_float (e.im -. im) <= t.tol
+    in
+    let matches = List.filter within t.entries in
+    let cre = cell t.tol re and cim = cell t.tol im in
+    let in_cell (di, dj) =
+      List.find_opt (fun e -> e.cre = cre + di && e.cim = cim + dj) matches
+    in
+    match List.find_map in_cell order with
+    | Some e -> e.tag
+    | None -> add t re im
+end
+
+(* A stream of values to intern, each drawn as one of: a fresh value,
+   an exact repeat of an earlier one, a near-duplicate of an earlier one
+   at 0.5-1.5 tolerances per component, a value on a cell edge that is
+   also a block edge (cells 16m + 7 and 16m + 8 border two blocks), and
+   the constants +-0 and 1. *)
+type draw =
+  | Fresh of float * float
+  | Repeat of int
+  | Near of int * float * float
+  | Edge of int * float * float
+  | Constant of float * float
+
+let draw_gen =
+  let open QCheck.Gen in
+  let offset =
+    map2 (fun s u -> if s then u else -.u) bool (float_range 0.5 1.5)
+  in
+  frequency
+    [
+      (14, map2 (fun re im -> Fresh (re, im)) (float_range (-1.) 1.)
+             (float_range (-1.) 1.));
+      (2, map (fun i -> Repeat i) nat);
+      ( 3,
+        map3 (fun i dre dim -> Near (i, dre, dim)) nat offset
+          (oneof [ offset; return 0. ]) );
+      ( 3,
+        map3 (fun m e im -> Edge (m, e, im)) (-40 -- 40)
+          (oneofl [ -0.5; 0.5; -0.49; 0.49; -0.51; 0.51 ])
+          (oneof [ float_range (-1.) 1.; return 0. ]) );
+      ( 1,
+        oneofl
+          [ Constant (0., 0.); Constant (-0., 0.); Constant (0., -0.);
+            Constant (-0., -0.); Constant (1., 0.); Constant (1., -0.) ] );
+    ]
+
+(* The values a draw list stands for, in order, at tolerance [tol]. *)
+let values_of tol draws =
+  let values = Array.make (List.length draws) (0., 0.) in
+  List.iteri
+    (fun n draw ->
+      let earlier i = values.(i mod max 1 n) in
+      values.(n) <-
+        (match draw with
+        | Fresh (re, im) | Constant (re, im) -> (re, im)
+        | Repeat i -> earlier i
+        | Near (i, dre, dim) ->
+          let re, im = earlier i in
+          (re +. (dre *. tol), im +. (dim *. tol))
+        | Edge (m, e, im) ->
+          ((float_of_int ((16 * m) + 8) +. e) *. tol, im)))
+    draws;
+  Array.to_list values
+
+let prop_matches_list_reference =
+  let tol = 1e-12 in
+  let chunk = 256 in
+  QCheck.Test.make ~name:"ctable matches list reference (default tol)"
+    ~count:4
+    (QCheck.make
+       ~print:(fun draws -> Printf.sprintf "%d draws" (List.length draws))
+       QCheck.Gen.(int_range 4_000 4_500 >>= fun n -> list_repeat n draw_gen))
+    (fun draws ->
+      let table = Ctable.create () in
+      let model = List_reference.create tol in
+      List.iter
+        (fun (re, im) ->
+          let got = Ctable.intern table (Cnum.make re im) in
+          let want = List_reference.intern model re im in
+          if got <> want then
+            QCheck.Test.fail_reportf "intern %h%+hi: table tag %d, rule tag %d"
+              re im got want)
+        (values_of tol draws);
+      (* the stream crossed at least ten chunk boundaries *)
+      Ctable.size table = model.List_reference.size
+      && Ctable.size table > 10 * chunk)
+
+(* The shortcut operands: a finite value, or one the shortcuts must leave
+   to the lookup (infinite, NaN, or so large that |a|^2 overflows). *)
+let shortcut_operand_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (6, operand_gen);
+      ( 1,
+        oneofl
+          [ Cnum.make 1e155 0.; Cnum.make 0. (-1e160); Cnum.make infinity 0.;
+            Cnum.make 0.5 neg_infinity; Cnum.make nan 1.; Cnum.make 1e-170 0. ]
+      );
+    ]
+
+let prop_shortcuts_match_intern =
+  QCheck.Test.make ~name:"ctable div/mul shortcuts match intern" ~count:500
+    (QCheck.make
+       ~print:(fun (x : Cnum.t) -> Printf.sprintf "%h%+hi" x.re x.im)
+       shortcut_operand_gen)
+    (fun x ->
+      let table = Ctable.create () in
+      ignore (Ctable.intern table (Cnum.make 0.6 0.8));
+      let a = Ctable.intern table x in
+      let va = Ctable.get table a and one = Ctable.one_tag in
+      let check name op want =
+        let size = Ctable.size table in
+        match op () with
+        | got ->
+          agrees table ~size got want
+          || QCheck.Test.fail_reportf "%s gave tag %d, intern of Cnum gives %d"
+               name got (Ctable.intern table want)
+        | exception Division_by_zero ->
+          QCheck.Test.fail_reportf "%s raised Division_by_zero" name
+      in
+      let div_self () =
+        match Cnum.div va va with
+        | want -> check "div a a" (fun () -> Ctable.div table a a) want
+        | exception Division_by_zero -> (
+          match Ctable.div table a a with
+          | _ -> false
+          | exception Division_by_zero -> true)
+      in
+      div_self ()
+      && check "div a one" (fun () -> Ctable.div table a one)
+           (Cnum.div va Cnum.one)
+      && check "mul one a" (fun () -> Ctable.mul table one a)
+           (Cnum.mul Cnum.one va)
+      && check "mul a one" (fun () -> Ctable.mul table a one)
+           (Cnum.mul va Cnum.one))
+
+let test_div_zero_zero_raises () =
+  let table = Ctable.create () in
+  let z = Ctable.zero_tag in
+  Alcotest.check_raises "div zero zero" Division_by_zero (fun () ->
+      ignore (Ctable.div table z z));
+  Alcotest.check_raises "div one zero" Division_by_zero (fun () ->
+      ignore (Ctable.div table Ctable.one_tag z));
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let unused = Ctable.size table in
+  check_bool "div of a non-tag by itself" true
+    (rejects (fun () -> Ctable.div table unused unused));
+  check_bool "mul of a non-tag by one" true
+    (rejects (fun () -> Ctable.mul table unused Ctable.one_tag))
+
+(* [bytes] counts every block reachable from the table, so it must equal
+   what the runtime finds there, fresh and after the chunks and the
+   heads have grown. *)
+let test_bytes_are_reachable_words () =
+  let table = Ctable.create () in
+  let reachable () = 8 * Obj.reachable_words (Obj.repr table) in
+  check_int "fresh table" (reachable ()) (Ctable.bytes table);
+  for i = 1 to 5_000 do
+    ignore (Ctable.intern table (Cnum.make (float_of_int i /. 7.) 0.5));
+    if i = 300 || i = 1_000 then
+      check_int (Printf.sprintf "after %d values" i) (reachable ())
+        (Ctable.bytes table)
+  done;
+  check_int "5000 values" 5_002 (Ctable.size table);
+  check_int "after 5000 values" (reachable ()) (Ctable.bytes table)
+
 let suite =
   [
     Alcotest.test_case "add" `Quick test_add;
@@ -385,6 +587,9 @@ let suite =
       test_foreign_tag_rejected;
     Alcotest.test_case "arithmetic_allocates_nothing" `Quick
       test_arithmetic_allocates_nothing;
+    Alcotest.test_case "div_zero_zero_raises" `Quick test_div_zero_zero_raises;
+    Alcotest.test_case "bytes_are_reachable_words" `Quick
+      test_bytes_are_reachable_words;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
@@ -392,4 +597,6 @@ let suite =
         prop_matches_reference ~name:"ctable matches reference (tol 1e-12)"
           1e-12;
         prop_matches_reference ~name:"ctable matches reference (tol 1e-6)" 1e-6;
+        prop_matches_list_reference;
+        prop_shortcuts_match_intern;
       ]

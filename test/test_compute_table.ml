@@ -206,8 +206,8 @@ let test_find_store_allocate_nothing () =
     true (allocated < 256.)
 
 (* A fresh context pays for its two 2^6-slot unique tables and a
-   complex table of 2^8 entries; its ten compute tables allocate their
-   slots on first store. *)
+   complex table of one 256-entry chunk with 2^8 bucket heads; its ten
+   compute tables allocate their slots on first store. *)
 let test_context_create_is_small () =
   let before = Gc.allocated_bytes () in
   let ctx = Sys.opaque_identity (Dd.Context.create ()) in

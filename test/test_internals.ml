@@ -8,7 +8,7 @@ let test_heights () =
   check_int "basis height" 5 (Dd.Types.v_height (Dd.Vdd.basis ctx ~n:5 3));
   check_int "zero edge height" 0 (Dd.Types.v_height Dd.Vdd.zero);
   check_int "identity height" 4
-    (Dd.Types.m_height (Dd.Mdd.identity ctx 4))
+    ((Dd.Mdd.identity ctx 4).Dd.Types.mt.Dd.Types.level + 1)
 
 let mul_mv_stats ctx = Dd.Compute_table.stats ctx.Dd.Context.mul_mv
 

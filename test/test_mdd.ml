@@ -361,7 +361,9 @@ let test_of_diagonal_shares () =
   check_int "constant diagonal is a chain" 10 (Dd.Mdd.node_count dd);
   check_bool "equals i * identity" true
     (Dd.Mdd.equal dd
-       (Dd.Mdd.scale ctx (Cnum.make 0. 1.) (Dd.Mdd.identity ctx 10)))
+       (Dd.Mdd.scale_tag ctx
+          (Dd.Context.cnum ctx (Cnum.make 0. 1.))
+          (Dd.Mdd.identity ctx 10)))
 
 (* Mdd.make on an existing node allocates only the returned edge, as
    Vdd.make does. *)
