@@ -3,11 +3,12 @@
    materialising the n-qubit gate matrix DD.
 
    [Mdd.gate] pads the 2x2 target matrix with explicit identity levels and
-   control branching, and [Mdd.apply] then recurses over that identity
-   structure — paying node construction, compute-table traffic and
-   multiplications that all multiply by exactly 1.  "Stripping Quantum
-   Decision Diagrams of their Identity" (Sander et al.) observes that most
-   of a gate DD *is* identity; the kernel below skips it:
+   control branching.  [Mdd.apply] answers an identity node in O(1) (for a
+   rebuild-stable state node), but it still walks every level above the
+   target and every control block through the gate DD's nodes, paying
+   compute-table traffic and multiplications by exactly 1.  "Stripping
+   Quantum Decision Diagrams of their Identity" (Sander et al.) observes
+   that most of a gate DD *is* identity; the kernel below skips it:
 
    * levels above the target whose qubit is not a control are traversed
      with plain recursion — children rebuilt, weights untouched;
@@ -71,35 +72,6 @@ let role_block ij = 1 + ij
    Sharing the slot across gates mirrors the generic kernel, whose
    identity chains are hash-consed and hence share mul_mv entries. *)
 let role_ident = 5
-
-(* A canonical subtree passes through [Hashcons.make] unchanged iff every
-   node's normalisation pivot — the first child weight of strictly maximal
-   magnitude — is exactly one.  That is usually true by construction, but
-   not always: tolerance interning can merge a normalised child weight
-   with a representative of magnitude exactly 1, leaving stored children
-   such as [-1; 1] whose rebuild picks a different pivot and yields a
-   different node.  The generic kernel re-normalises those nodes when it
-   drags the state through a gate's identity structure, so the fast path
-   may only skip a subtree that is provably rebuild-stable.  The flag is
-   intrinsic to the (immutable) node and memoised per node id. *)
-let rec rebuild_stable ctx (v : vnode) =
-  v_is_terminal v
-  ||
-  let flags = ctx.Context.apply_stable in
-  let known =
-    if v.vid < Bytes.length flags then Bytes.get flags v.vid else '\000'
-  in
-  match known with
-  | '\001' -> true
-  | '\002' -> false
-  | _ ->
-    let stable_child w t = w = zero || rebuild_stable ctx t in
-    let s =
-      Ctable.pivot4 ctx.Context.ctable v.lw v.hw zero zero = one
-      && stable_child v.lw v.lt && stable_child v.hw v.ht
-    in
-    Context.set_apply_stable ctx v.vid s;
-    s
 
 let apply ctx ~n ~target ?(controls = []) entries state =
   (* validation and qubit -> level translation are Mdd.gate's own
@@ -176,7 +148,7 @@ let apply ctx ~n ~target ?(controls = []) entries state =
        below it every step is an uninvolved identity level, so a subtree
        living entirely under it is acted on by the identity only — for a
        rebuild-stable subtree a single weight product instead of a
-       traversal (see [rebuild_stable]).  For an uncontrolled gate this
+       traversal (see [Vdd.rebuild_stable]).  For an uncontrolled gate this
        collapses the whole below-target region: the 2x2 matrix acts in
        closed form on the target's two children. *)
     let lowest_ctrl = Array.make 4 target in
@@ -231,9 +203,9 @@ let apply ctx ~n ~target ?(controls = []) entries state =
       let table = ctx.Context.apply_v in
       let k3_of role = (layout_id lsl 3) lor role in
       (* Identity acting on a subtree.  Rebuild-stable subtrees collapse
-         to a single weight product — the one place the kernel beats the
-         generic path asymptotically.  Unstable subtrees (rare; see
-         [rebuild_stable]) replay the generic kernel's identity descent
+         to a single weight product, as an identity node does in
+         Mdd.apply.  Unstable subtrees (rare; see
+         [Vdd.rebuild_stable]) replay the generic kernel's identity descent
          node for node, so the re-normalisation it performs happens here
          too and both paths stay bitwise in lockstep. *)
       let rec ident_unit (v : vnode) =
@@ -249,7 +221,7 @@ let apply ctx ~n ~target ?(controls = []) entries state =
       and ident_sub w (t : vnode) =
         if w = zero then v_zero
         else if v_is_terminal t then { vw = w; vt = t }
-        else if rebuild_stable ctx t then begin
+        else if Vdd.rebuild_stable ctx t then begin
           (* cache-equivalent win without a table probe — counted so the
              bench can see the reuse the apply_v hit rate misses *)
           Context.note_apply_skip ctx;
@@ -260,7 +232,7 @@ let apply ctx ~n ~target ?(controls = []) entries state =
       let ident_edge w ew (t : vnode) =
         if ew = zero then v_zero
         else if v_is_terminal t then Vdd.terminal (Ctable.mul ct w ew)
-        else if rebuild_stable ctx t then begin
+        else if Vdd.rebuild_stable ctx t then begin
           (* the generic rebuild returns the same node under its raw
              normalisation pivot (bitwise one, but a tagged representative
              — tags feed Vdd.add's operand swap, so the exact value

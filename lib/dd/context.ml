@@ -35,9 +35,13 @@ type t = {
   gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
   (* one byte per vector node id: 0 unknown, 1 "a hash-cons rebuild of
      this subtree is bitwise the identity", 2 not; intrinsic to the
-     immutable node, computed lazily by the structured-apply kernel (see
-     apply.ml) *)
+     immutable node, computed lazily by Vdd.rebuild_stable for both
+     mat-vec kernels *)
   mutable apply_stable : Bytes.t;
+  (* per level, the id of the identity node Mdd.apply met there, 0 while
+     unknown; allocated on first use and emptied by [collect] (see
+     mdd.ml) *)
+  mutable identity_ids : int array;
   gc : gc_stats;
   (* structured-apply rebuild-stable short-circuits: cache-equivalent wins
      that never probe apply_v, counted separately so bench rows can show
@@ -80,6 +84,7 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
     gate_kind_ids = Hashtbl.create 64;
     gate_layout_ids = Hashtbl.create 64;
     apply_stable = Bytes.empty;
+    identity_ids = [||];
     gc =
       {
         collections = 0;
@@ -197,6 +202,19 @@ let set_apply_stable ctx vid stable =
     end
   in
   Bytes.set flags vid (if stable then '\001' else '\002')
+
+let set_identity_id ctx level id =
+  let ids = ctx.identity_ids in
+  let ids =
+    if level < Array.length ids then ids
+    else begin
+      let grown = Array.make (max 32 (2 * level)) 0 in
+      Array.blit ids 0 grown 0 (Array.length ids);
+      ctx.identity_ids <- grown;
+      grown
+    end
+  in
+  ids.(level) <- id
 
 let v_unique_size ctx = Hashcons.V.created ctx.v_unique
 let m_unique_size ctx = Hashcons.M.created ctx.m_unique
@@ -332,6 +350,8 @@ let collect ctx ~v_roots ~m_roots =
   let m_removed =
     Hashcons.M.prune ctx.m_unique ~keep:(fun n -> marked m_marked n.Types.mid)
   in
+  (* a pruned identity may come back under a new id *)
+  Array.fill ctx.identity_ids 0 (Array.length ctx.identity_ids) 0;
   (* node ids are never reused, so a key naming a dead id can only ever be
      a harmless miss — but the *values* must not resurrect dead nodes, so
      any entry touching a dead id goes *)

@@ -40,9 +40,16 @@ type t = {
   mutable apply_stable : Bytes.t;
       (** one byte per vector node id: [0] unknown, [1] "a hash-cons
           rebuild of this subtree is bitwise the identity", [2] not;
-          lazily filled by the structured-apply kernel through
-          {!set_apply_stable}.  Ids are never reused, so it is never
+          lazily filled through {!set_apply_stable} by
+          {!Vdd.rebuild_stable}, which both mat-vec kernels call before
+          they skip an identity.  Ids are never reused, so it is never
           swept *)
+  mutable identity_ids : int array;
+      (** per level, the id of that level's identity node once
+          {!Mdd.apply}'s identity test has met it, [0] while unknown;
+          empty until the first test, grown by {!set_identity_id} and
+          zeroed by {!collect}, after which an identity may come back
+          under a new id *)
   gc : gc_stats;
   mutable apply_skips : int;
       (** structured-apply rebuild-stable short-circuits — cache-equivalent
@@ -62,9 +69,10 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     [cache_bits] (default 16) sizes the hot compute tables at
     [2^cache_bits] slots each; the cold tables (dot, adjoint) get
     [2^(cache_bits - 4)], as does the gate-DD memo.  Each table allocates
-    its slots on its first store, the two unique tables start at 2^6
-    slots and the complex table at one 256-entry chunk with 2^8 bucket
-    heads, so a fresh context allocates about 7 KiB.  Raises
+    its slots on its first store, the identity memo on its first use,
+    the two unique tables start at 2^6 slots and the complex table at
+    one 256-entry chunk with 2^8 bucket heads, so a fresh context holds
+    about 13 KiB (1,664 words reachable from it).  Raises
     [Invalid_argument] outside [4, 24]. *)
 
 val cnum : t -> Cnum.t -> int
@@ -123,6 +131,11 @@ val clear_compute_caches : t -> unit
 val set_apply_stable : t -> int -> bool -> unit
 (** [set_apply_stable ctx vid stable] records node [vid]'s flag in
     [apply_stable], doubling the bytes until they reach [vid]. *)
+
+val set_identity_id : t -> int -> int -> unit
+(** [set_identity_id ctx level id] records node [id] as the identity
+    node of [level] in [identity_ids], growing the array to reach
+    [level]. *)
 
 val v_unique_size : t -> int
 (** Number of distinct vector nodes ever created (monotone). *)

@@ -13,7 +13,12 @@
    two.  A candidate is matched on its own fields, and targets by
    physical equality — a node id is handed out once, so a target is the
    same node exactly when its id is — so a hit allocates nothing but the
-   returned edge. *)
+   returned edge.
+
+   The node modules at the bottom hash and match over their own record
+   fields: without flambda a functor body cannot inline its argument's
+   functions, so the probe makes one call into the node module per
+   candidate rather than one per field read. *)
 
 open Dd_complex
 
@@ -21,14 +26,26 @@ module type NODE = sig
   type node
   type edge
 
-  val arity : int
   val terminal : node
   val zero_edge : edge
   val edge : int -> node -> edge
-  val id : node -> int
   val level : node -> int
-  val weight : node -> int -> int
-  val target : node -> int -> node
+
+  (* the hash of a node with these fields; [hash_node] of the node
+     [build] makes from them must give the same int *)
+  val hash :
+    level:int -> int -> node -> int -> node -> int -> node -> int -> node ->
+    int
+
+  val hash_node : node -> int
+
+  val matches :
+    node -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> bool
+
+  val below :
+    level:int -> int -> node -> int -> node -> int -> node -> int -> node ->
+    bool
 
   val build :
     id:int -> level:int -> int -> node -> int -> node -> int -> node -> int ->
@@ -70,7 +87,7 @@ module Make (N : NODE) :
 
   type t = {
     ctable : Ctable.t;
-    mutable slots : N.node array; (* N.terminal (id 0) marks empty *)
+    mutable slots : N.node array; (* N.terminal marks empty *)
     mutable mask : int;
     mutable entries : int;
     mutable created : int; (* ids handed out so far; monotone *)
@@ -96,40 +113,11 @@ module Make (N : NODE) :
 
   let length t = t.entries
   let created t = t.created
-  let iter f t = Array.iter (fun n -> if N.id n <> 0 then f n) t.slots
-
-  let mix1 = 0x2545F4914F6CDD1D
-  let mix2 = 0x27D4EB2F165667C5
-  let mix3 = 0x165667B19E3779F9
-
-  (* fold one child's weight tag and target id into the hash *)
-  let mix h w t = (((h lxor w) * mix2) lxor N.id t) * mix3
-
-  let hash ~level w0 t0 w1 t1 w2 t2 w3 t3 =
-    let h = mix (mix (level * mix1) w0 t0) w1 t1 in
-    let h = if N.arity = 2 then h else mix (mix h w2 t2) w3 t3 in
-    h lxor (h lsr 29)
-
-  let hash_node n =
-    hash ~level:(N.level n) (N.weight n 0) (N.target n 0) (N.weight n 1)
-      (N.target n 1) (N.weight n 2) (N.target n 2) (N.weight n 3)
-      (N.target n 3)
-
-  let node_matches n ~level w0 t0 w1 t1 w2 t2 w3 t3 =
-    N.level n = level
-    && N.weight n 0 = w0
-    && N.target n 0 == t0
-    && N.weight n 1 = w1
-    && N.target n 1 == t1
-    && (N.arity = 2
-       || N.weight n 2 = w2
-          && N.target n 2 == t2
-          && N.weight n 3 = w3
-          && N.target n 3 == t3)
+  let iter f t = Array.iter (fun n -> if n != N.terminal then f n) t.slots
 
   let insert_rehashed t n =
-    let i = ref (hash_node n land t.mask) in
-    while N.id t.slots.(!i) <> 0 do
+    let i = ref (N.hash_node n land t.mask) in
+    while t.slots.(!i) != N.terminal do
       i := (!i + 1) land t.mask
     done;
     t.slots.(!i) <- n
@@ -139,7 +127,7 @@ module Make (N : NODE) :
     let capacity = 2 * Array.length old in
     t.slots <- Array.make capacity N.terminal;
     t.mask <- capacity - 1;
-    Array.iter (fun n -> if N.id n <> 0 then insert_rehashed t n) old
+    Array.iter (fun n -> if n != N.terminal then insert_rehashed t n) old
 
   (* keep the load factor at or below 1/2 so linear probes stay short *)
   let ensure_room t =
@@ -161,15 +149,15 @@ module Make (N : NODE) :
 
   let find_or_insert t ~level w0 t0 w1 t1 w2 t2 w3 t3 =
     ensure_room t;
-    let i = ref (hash ~level w0 t0 w1 t1 w2 t2 w3 t3 land t.mask) in
+    let i = ref (N.hash ~level w0 t0 w1 t1 w2 t2 w3 t3 land t.mask) in
     while
       let n = t.slots.(!i) in
-      N.id n <> 0 && not (node_matches n ~level w0 t0 w1 t1 w2 t2 w3 t3)
+      n != N.terminal && not (N.matches n ~level w0 t0 w1 t1 w2 t2 w3 t3)
     do
       i := (!i + 1) land t.mask
     done;
     let n = t.slots.(!i) in
-    if N.id n <> 0 then n
+    if n != N.terminal then n
     else begin
       if Fault.fire Fault.Alloc_fail then raise Out_of_memory;
       t.created <- t.created + 1;
@@ -191,15 +179,11 @@ module Make (N : NODE) :
     end
     else Ctable.div ct w pivot
 
-  let below ~level w t = w = zero || N.level t = level - 1
-
   let make t ~level w0 t0 w1 t1 w2 t2 w3 t3 =
     if w0 = zero && w1 = zero && w2 = zero && w3 = zero then N.zero_edge
     else begin
       assert (level >= 0);
-      assert (
-        below ~level w0 t0 && below ~level w1 t1 && below ~level w2 t2
-        && below ~level w3 t3);
+      assert (N.below ~level w0 t0 w1 t1 w2 t2 w3 t3);
       (* Normalisation: divide every child weight by the first
          maximal-magnitude child weight, which becomes the weight of the
          returned edge.  Canonical because weights are canonical
@@ -221,12 +205,12 @@ module Make (N : NODE) :
     end
 
   let mem t node =
-    let i = ref (hash_node node land t.mask) in
+    let i = ref (N.hash_node node land t.mask) in
     let result = ref false in
     let probing = ref true in
     while !probing do
       let n = t.slots.(!i) in
-      if N.id n = 0 then probing := false
+      if n == N.terminal then probing := false
       else if n == node then begin
         result := true;
         probing := false
@@ -239,7 +223,7 @@ module Make (N : NODE) :
     let survivors = ref [] and removed = ref 0 in
     Array.iter
       (fun n ->
-        if N.id n <> 0 then
+        if n != N.terminal then
           if keep n then survivors := n :: !survivors else incr removed)
       t.slots;
     Array.fill t.slots 0 (Array.length t.slots) N.terminal;
@@ -253,22 +237,39 @@ module Make (N : NODE) :
     !removed
 end
 
+(* The hash both node modules use: the level, then each (weight tag,
+   target id) pair folded in child order, then a final xor-shift.  A
+   vector node folds its two pairs, a matrix node its four. *)
+let mix1 = 0x2545F4914F6CDD1D
+let mix2 = 0x27D4EB2F165667C5
+let mix3 = 0x165667B19E3779F9
+let[@inline] mix h w id = (((h lxor w) * mix2) lxor id) * mix3
+let[@inline] finish h = h lxor (h lsr 29)
+
 module V = Make (struct
   type node = Types.vnode
   type edge = Types.vedge
 
-  let arity = 2
   let terminal = Types.v_terminal
   let zero_edge = Types.v_zero
   let edge w t = { Types.vw = w; vt = t }
-  let id (n : node) = n.Types.vid
   let level (n : node) = n.Types.level
 
-  let weight (n : node) i =
-    if i = 0 then n.Types.lw else if i = 1 then n.Types.hw else Ctable.zero_tag
+  let[@inline] hash2 ~level lw (lt : node) hw (ht : node) =
+    finish (mix (mix (level * mix1) lw lt.Types.vid) hw ht.Types.vid)
 
-  let target (n : node) i =
-    if i = 0 then n.Types.lt else if i = 1 then n.Types.ht else terminal
+  let hash ~level lw lt hw ht _ _ _ _ = hash2 ~level lw lt hw ht
+
+  let hash_node (n : node) =
+    hash2 ~level:n.Types.level n.Types.lw n.Types.lt n.Types.hw n.Types.ht
+
+  let matches (n : node) ~level lw lt hw ht _ _ _ _ =
+    n.Types.level = level && n.Types.lw = lw && n.Types.lt == lt
+    && n.Types.hw = hw && n.Types.ht == ht
+
+  let below ~level lw (lt : node) hw (ht : node) _ _ _ _ =
+    let zero = Ctable.zero_tag and l = level - 1 in
+    (lw = zero || lt.Types.level = l) && (hw = zero || ht.Types.level = l)
 
   let build ~id ~level lw lt hw ht _ _ _ _ =
     { Types.vid = id; level; lw; lt; hw; ht }
@@ -278,26 +279,32 @@ module M = Make (struct
   type node = Types.mnode
   type edge = Types.medge
 
-  let arity = 4
   let terminal = Types.m_terminal
   let zero_edge = Types.m_zero
   let edge w t = { Types.mw = w; mt = t }
-  let id (n : node) = n.Types.mid
   let level (n : node) = n.Types.level
 
-  let weight (n : node) i =
-    match i with
-    | 0 -> n.Types.w00
-    | 1 -> n.Types.w01
-    | 2 -> n.Types.w10
-    | _ -> n.Types.w11
+  let[@inline] hash ~level w00 (t00 : node) w01 (t01 : node) w10
+      (t10 : node) w11 (t11 : node) =
+    let h = mix (mix (level * mix1) w00 t00.Types.mid) w01 t01.Types.mid in
+    finish (mix (mix h w10 t10.Types.mid) w11 t11.Types.mid)
 
-  let target (n : node) i =
-    match i with
-    | 0 -> n.Types.t00
-    | 1 -> n.Types.t01
-    | 2 -> n.Types.t10
-    | _ -> n.Types.t11
+  let hash_node (n : node) =
+    hash ~level:n.Types.level n.Types.w00 n.Types.t00 n.Types.w01 n.Types.t01
+      n.Types.w10 n.Types.t10 n.Types.w11 n.Types.t11
+
+  let matches (n : node) ~level w00 t00 w01 t01 w10 t10 w11 t11 =
+    n.Types.level = level && n.Types.w00 = w00 && n.Types.t00 == t00
+    && n.Types.w01 = w01 && n.Types.t01 == t01 && n.Types.w10 = w10
+    && n.Types.t10 == t10 && n.Types.w11 = w11 && n.Types.t11 == t11
+
+  let below ~level w00 (t00 : node) w01 (t01 : node) w10 (t10 : node) w11
+      (t11 : node) =
+    let zero = Ctable.zero_tag and l = level - 1 in
+    (w00 = zero || t00.Types.level = l)
+    && (w01 = zero || t01.Types.level = l)
+    && (w10 = zero || t10.Types.level = l)
+    && (w11 = zero || t11.Types.level = l)
 
   let build ~id ~level w00 t00 w01 t01 w10 t10 w11 t11 =
     { Types.mid = id; level; w00; t00; w01; t01; w10; t10; w11; t11 }

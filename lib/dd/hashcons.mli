@@ -2,32 +2,50 @@
     normalisation + unique-table code path, instantiated per node arity.
     Each unique table is one open-addressed array of nodes (2^6 slots
     to start, doubled to keep the load factor at or below 1/2).  A node
-    keeps its children inline ({!Types}), so the core hashes and matches
-    a candidate on the candidate's own fields: its level, its child
-    weight tags and its child targets, compared physically (a node id is
-    handed out once, so a target is the same node exactly when its id
-    is).  See {!Vdd.make} / {!Mdd.make} for the public entry points. *)
+    keeps its children inline ({!Types}), so a candidate is hashed and
+    matched on its own fields: its level, its child weight tags and its
+    child targets, compared physically (a node id is handed out once, so
+    a target is the same node exactly when its id is).  The node module
+    reads those fields itself ({!NODE}), so the probe makes one call
+    into it per candidate, not one per field.  See {!Vdd.make} /
+    {!Mdd.make} for the public entry points. *)
 
 open Dd_complex
 
+(** A node type as the core sees it.  Children travel as four (weight
+    tag, target) argument pairs; a binary node ignores the last two. *)
 module type NODE = sig
   type node
   type edge
 
-  val arity : int
   val terminal : node
+  (** The terminal node; it also marks an empty slot. *)
+
   val zero_edge : edge
   val edge : int -> node -> edge
-  val id : node -> int
   val level : node -> int
 
-  val weight : node -> int -> int
-  (** [weight n i] is child [i]'s weight tag; the zero tag for
-      [i >= arity]. *)
+  val hash :
+    level:int -> int -> node -> int -> node -> int -> node -> int -> node ->
+    int
+  (** The hash of a node with this level and these children.  It must
+      equal {!hash_node} of the node {!build} makes from the same
+      arguments, bit for bit: a node filed under another hash is lost
+      to the probe once the table resizes. *)
 
-  val target : node -> int -> node
-  (** [target n i] is child [i]'s target; the terminal for
-      [i >= arity]. *)
+  val hash_node : node -> int
+  (** {!hash} of a node's own fields. *)
+
+  val matches :
+    node -> level:int -> int -> node -> int -> node -> int -> node -> int ->
+    node -> bool
+  (** Does the node have this level and these children?  Weight tags
+      are compared as ints, targets physically. *)
+
+  val below :
+    level:int -> int -> node -> int -> node -> int -> node -> int -> node ->
+    bool
+  (** Does every child of non-zero weight sit at [level - 1]? *)
 
   val build :
     id:int -> level:int -> int -> node -> int -> node -> int -> node -> int ->

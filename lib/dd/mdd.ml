@@ -211,10 +211,38 @@ let control_top ctx ~n ?(positive = true) u =
   if positive then make ctx n (identity ctx n) m_zero m_zero u
   else make ctx n u m_zero m_zero (identity ctx n)
 
+(* Is [m] the identity node of its level?  Structurally: weights one,
+   zero, zero, one, and both diagonal children the identity one level
+   down (the terminal at level 0).  Hash-consing keeps one identity node
+   per level, and a node leaves the unique table only in
+   [Context.collect], which empties the memo; so once a level's identity
+   is known, any other node there is not it, and the test is one array
+   read.  It allocates nothing (bar the memo's growth) and builds no
+   node. *)
+let rec is_identity ctx (m : mnode) =
+  m_is_terminal m
+  ||
+  let ids = ctx.Context.identity_ids in
+  let known = if m.level < Array.length ids then ids.(m.level) else 0 in
+  if known <> 0 then known = m.mid
+  else
+    m.w00 = Ctable.one_tag && m.w11 = Ctable.one_tag && m.w01 = zero_tag
+    && m.w10 = zero_tag && m.t00 == m.t11 && is_identity ctx m.t00
+    && begin
+         Context.set_identity_id ctx m.level m.mid;
+         true
+       end
+
 (* Matrix-vector multiplication, Fig. 3 of the paper: the result for a
    (matrix node, vector node) pair — with unit top weights — is memoised, so
    re-occurring sub-products are computed once.  The recursion takes
-   (weight, node) pairs, reading children from the nodes' fields. *)
+   (weight, node) pairs, reading children from the nodes' fields.
+
+   An identity node applied to a rebuild-stable vector node skips both the
+   probe and the descent.  The recursion would rebuild [v] as itself: each
+   child [{w; t}] comes back as [scale_product one w {one; t}], which is
+   [w]'s own tag (interning an existing tag's value returns that tag), and
+   [make]'s pivot is exactly one.  So the unit result is [{one; v}]. *)
 let rec apply ctx me ve = apply_pair ctx me.mw me.mt ve.vw ve.vt
 
 and apply_pair ctx mw (m : mnode) vw (v : vnode) =
@@ -228,7 +256,10 @@ and apply_pair ctx mw (m : mnode) vw (v : vnode) =
     let table = ctx.Context.mul_mv in
     let k1 = m.mid and k2 = v.vid in
     let unit_result =
-      if Compute_table.find table ~k1 ~k2 ~k3:0 then Compute_table.found table
+      if is_identity ctx m && Vdd.rebuild_stable ctx v then
+        { vw = Ctable.one_tag; vt = v }
+      else if Compute_table.find table ~k1 ~k2 ~k3:0 then
+        Compute_table.found table
       else begin
         let low =
           Vdd.add ctx

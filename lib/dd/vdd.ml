@@ -44,6 +44,37 @@ let mul_weight ct r w =
 let terminal w =
   if w = Ctable.zero_tag then v_zero else { vw = w; vt = v_terminal }
 
+(* A canonical subtree passes through [Hashcons.make] unchanged iff every
+   node's normalisation pivot — the first child weight of strictly maximal
+   magnitude — is exactly one.  That is usually true by construction, but
+   not always: tolerance interning can merge a normalised child weight
+   with a representative of magnitude exactly 1, leaving stored children
+   such as [-1; 1] whose rebuild picks a different pivot and yields a
+   different node.  A kernel that drags the state through an identity
+   re-normalises those nodes, so both mat-vec kernels may only skip an
+   identity acting on a subtree that is provably rebuild-stable.  The flag
+   is intrinsic to the (immutable) node and memoised per node id. *)
+let rec rebuild_stable ctx (v : vnode) =
+  v_is_terminal v
+  ||
+  let flags = ctx.Context.apply_stable in
+  let known =
+    if v.vid < Bytes.length flags then Bytes.get flags v.vid else '\000'
+  in
+  match known with
+  | '\001' -> true
+  | '\002' -> false
+  | _ ->
+    let stable_child w t = w = Ctable.zero_tag || rebuild_stable ctx t in
+    let s =
+      Ctable.pivot4 ctx.Context.ctable v.lw v.hw Ctable.zero_tag
+        Ctable.zero_tag
+      = Ctable.one_tag
+      && stable_child v.lw v.lt && stable_child v.hw v.ht
+    in
+    Context.set_apply_stable ctx v.vid s;
+    s
+
 let terminal_edge ctx z = terminal (Context.cnum ctx z)
 
 (* Qubit-facing constructors and readers translate index bits through the

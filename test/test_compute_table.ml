@@ -207,17 +207,21 @@ let test_find_store_allocate_nothing () =
 
 (* A fresh context pays for its two 2^6-slot unique tables and a
    complex table of one 256-entry chunk with 2^8 bucket heads; its ten
-   compute tables allocate their slots on first store. *)
+   compute tables allocate their slots on first store, and the
+   identity-node memo on Mdd.apply's first identity test.  Counted with
+   [Obj.reachable_words]: [Gc.allocated_bytes] misses blocks allocated
+   straight in the major heap.  The bound is 1,662 words, the reading
+   before the identity memo, plus 5 %. *)
 let test_context_create_is_small () =
-  let before = Gc.allocated_bytes () in
-  let ctx = Sys.opaque_identity (Dd.Context.create ()) in
-  let allocated = Gc.allocated_bytes () -. before in
-  ignore ctx;
+  let ctx = Dd.Context.create () in
+  let words = Obj.reachable_words (Obj.repr ctx) in
   check_bool
-    (Printf.sprintf "Context.create allocated %.1f KiB (< 8 KiB)"
-       (allocated /. 1024.))
-    true
-    (allocated < 8. *. 1024.)
+    (Printf.sprintf "a fresh context holds %d words (%.1f KiB; <= 1745)"
+       words
+       (float_of_int (8 * words) /. 1024.))
+    true (words <= 1745);
+  check_int "no identity memo yet" 0
+    (Array.length ctx.Dd.Context.identity_ids)
 
 (* The ledger reads the residency gauge at every window commit: it must
    cost nothing but arithmetic on sizes the tables already keep. *)

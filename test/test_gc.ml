@@ -78,13 +78,16 @@ let test_gc_mid_simulation_equivalence () =
 
 let test_collect_keeps_caches_warm () =
   (* generation-aware sweeping: a compute-table entry whose operands and
-     result survive the collection must still hit afterwards *)
+     result survive the collection must still hit afterwards.  The
+     identity levels below the target take no entry (Mdd.apply skips
+     them), so the entries that stay warm are the ones whose results
+     the collection keeps: the product is a root too. *)
   let ctx = fresh_ctx () in
   let engine = Dd_sim.Engine.create ~context:ctx 4 in
   let gate = Dd_sim.Engine.gate_dd engine (Gate.h 2) in
   let v = Dd_sim.Engine.state engine in
-  ignore (Dd.Mdd.apply ctx gate v);
-  ignore (Dd.Context.collect ctx ~v_roots:[ v ] ~m_roots:[ gate ]);
+  let r = Dd.Mdd.apply ctx gate v in
+  ignore (Dd.Context.collect ctx ~v_roots:[ v; r ] ~m_roots:[ gate ]);
   let stats () = Dd.Compute_table.stats ctx.Dd.Context.mul_mv in
   check_bool "entries survive the collection" true
     ((stats ()).Dd.Compute_table.entries > 0);

@@ -302,6 +302,80 @@ let test_gate_memo_follows_collect () =
   check_int "and hits" (before.hits + 1) (gate_table ctx).hits;
   check_bool "with the rooted edge" true (Dd.Mdd.equal rebuilt again)
 
+(* -- the identity skip in Mdd.apply ----------------------------------- *)
+
+let mul_mv_lookups ctx = Dd.Compute_table.lookups ctx.Dd.Context.mul_mv
+
+(* H on the top qubit: below the target the gate DD is the identity, and
+   every node of |0...0> is rebuild-stable, so only the top pair probes
+   the table.  Without the skip the identity chain costs n - 1 more
+   lookups, plus a hit for the second quadrant. *)
+let test_apply_skips_identity_below_target () =
+  List.iter
+    (fun n ->
+      let ctx = fresh_ctx () in
+      let gate = gate_dd ctx ~n (Gate.h (n - 1)) in
+      let state = Dd.Vdd.basis ctx ~n 0 in
+      let before = mul_mv_lookups ctx in
+      let result = Dd.Mdd.apply ctx gate state in
+      check_int
+        (Printf.sprintf "n = %d: one mul_mv lookup" n)
+        1
+        (mul_mv_lookups ctx - before);
+      check_float
+        (Printf.sprintf "n = %d: |0...0> keeps half" n)
+        0.5
+        (Cnum.mag2 (Dd.Vdd.amplitude ctx result ~n 0)))
+    [ 6; 16 ]
+
+(* A node whose stored children are [-1; 1] is not rebuild-stable: its
+   rebuild picks the first child as pivot.  The identity must then take
+   the recursion, which re-normalises the node exactly as the fused
+   kernel's identity descent does. *)
+let test_apply_identity_unstable_state () =
+  let ctx = fresh_ctx () in
+  let minus_one = Dd.Context.cnum ctx (r (-1.)) in
+  let state =
+    Dd.Vdd.of_array ctx [| r (-0.49999999999975); r 0.5; r 0.; r 0. |]
+  in
+  let low = state.Dd.Types.vt.Dd.Types.lt in
+  check_int "the level-0 node" 0 low.Dd.Types.level;
+  check_int "stored low child -1" minus_one low.Dd.Types.lw;
+  check_int "stored high child 1" Ctable.one_tag low.Dd.Types.hw;
+  check_bool "not rebuild-stable" false (Dd.Vdd.rebuild_stable ctx low);
+  let n = 2 and h = Gate.h 1 in
+  let gate = gate_dd ctx ~n h in
+  let before = mul_mv_lookups ctx in
+  let generic = Dd.Mdd.apply ctx gate state in
+  (* the top pair, then the identity on the level-0 node: a miss for the
+     first quadrant and a hit for the third *)
+  check_int "the skip does not fire" 3 (mul_mv_lookups ctx - before);
+  let fused =
+    Dd.Apply.apply ctx ~n ~target:1 (Gate.matrix h.Gate.kind) state
+  in
+  check_bool "Mdd.apply's edge is Apply.apply's" true
+    (Dd.Vdd.equal generic fused)
+
+(* A collection may prune an identity node that no cache roots; the one
+   built afterwards has a new id and must still be recognised. *)
+let test_apply_skips_rebuilt_identity () =
+  let ctx = fresh_ctx () in
+  let one = Dd.Mdd.terminal Ctable.one_tag in
+  let identity () = Dd.Mdd.make ctx 0 one Dd.Mdd.zero Dd.Mdd.zero one in
+  let state = Dd.Vdd.basis ctx ~n:1 1 in
+  let lookups_of m =
+    let before = mul_mv_lookups ctx in
+    check_bool "the state comes back" true
+      (Dd.Vdd.equal state (Dd.Mdd.apply ctx m state));
+    mul_mv_lookups ctx - before
+  in
+  let first = identity () in
+  check_int "first identity: no lookup" 0 (lookups_of first);
+  ignore (Dd.Context.collect ctx ~v_roots:[ state ] ~m_roots:[]);
+  let again = identity () in
+  check_bool "a new node" false (first.Dd.Types.mt == again.Dd.Types.mt);
+  check_int "rebuilt identity: no lookup" 0 (lookups_of again)
+
 let suite =
   [
     Alcotest.test_case "identity" `Quick test_identity;
@@ -338,6 +412,12 @@ let suite =
       test_gate_memo_key_is_exact;
     Alcotest.test_case "gate_memo_follows_collect" `Quick
       test_gate_memo_follows_collect;
+    Alcotest.test_case "apply_skips_identity_below_target" `Quick
+      test_apply_skips_identity_below_target;
+    Alcotest.test_case "apply_identity_unstable_state" `Quick
+      test_apply_identity_unstable_state;
+    Alcotest.test_case "apply_skips_rebuilt_identity" `Quick
+      test_apply_skips_rebuilt_identity;
   ]
 
 let test_of_diagonal () =
