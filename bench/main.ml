@@ -16,10 +16,10 @@
    variant (written to BENCH_kernel_smoke.json so the committed full
    matrix is never clobbered).
 
-   [apply] A/B-measures the structured-apply fast path against the
-   explicit-gate-DD path (BENCH_apply.json); [apply-smoke] is the small
-   CI variant (BENCH_apply_smoke.json), whose fast and generic sequential
-   runs must agree on the final state DD node-for-node.
+   [apply] records the mat-vec traffic of sequential and k = 4 window
+   runs with the strategy ledger's columns (BENCH_apply.json);
+   [apply-smoke] is the small CI variant (BENCH_apply_smoke.json), whose
+   two runs must end at the same final state DD size.
 
    With no arguments every experiment runs on default (laptop-scale)
    instances.  [--paper] switches to the paper's instance sizes — expect
@@ -689,15 +689,14 @@ let kernel ~smoke () =
   write_runs ~out ~schema:"ddsim-kernel-bench-1" runs
 
 (* ------------------------------------------------------------------ *)
-(* Structured-apply fast path: BENCH_apply.json                         *)
+(* Sequential and window mat-vec traffic: BENCH_apply.json              *)
 (* ------------------------------------------------------------------ *)
 
-(* Each circuit runs three ways: sequential with the structured-apply
-   kernel (the default), sequential through explicit gate DDs
-   (--no-fused-apply), and a k-operations window run (where only the
-   sequential tails of breached windows can use the fast path).  The
-   fast and generic sequential runs must agree on the final state DD
-   exactly; CI checks that invariant on the smoke variant. *)
+(* Each circuit runs gate by gate (the Eq. 1 step: one mat-vec per gate)
+   and under k = 4 windows (Eq. 2: mat-mat products, one mat-vec per
+   window).  Both reach the state through the same mat-vec kernel, so a
+   row pair compares the two strategies like for like; both must end at
+   the same final state DD size, which CI checks on the smoke variant. *)
 
 (* The strategy-ledger columns of the apply rows: windows and fallbacks
    committed, attributed seconds per strategy, and the share of the wall
@@ -723,7 +722,7 @@ let ledger_fields ledger (stats : Dd_sim.Sim_stats.t) =
     (lt.Obs.Ledger.mv_build +. lt.Obs.Ledger.mv_apply)
     lt.Obs.Ledger.mm_build lt.Obs.Ledger.mm_apply coverage
 
-let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
+let apply_run_json ~circuit_name ~mode ~strategy circuit =
   (* best of three, each in a fresh package instance (same policy as
      [timed_run]); counters are identical across repetitions, so they are
      reported from the last one *)
@@ -732,7 +731,6 @@ let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
     let engine =
       Dd_sim.Engine.create ~context:ctx Circuit.(circuit.qubits)
     in
-    Dd_sim.Engine.set_fused_apply engine fused;
     (match ledger with
     | None -> ()
     | Some sink -> Dd_sim.Engine.set_ledger engine sink);
@@ -750,51 +748,28 @@ let apply_run_json ~circuit_name ~mode ~strategy ~fused circuit =
   let ctx, engine, t3 = one ~ledger () in
   let seconds = min t1 (min t2 t3) in
   let stats = Dd_sim.Engine.stats engine in
-  let table name =
-    List.find
-      (fun (s : Dd.Compute_table.stats) -> s.Dd.Compute_table.table = name)
-      (Dd.Context.table_stats ctx)
-  in
-  let mul_mv = table "mul_mv" and apply = table "apply" in
-  let apply_hit_rate =
-    if apply.Dd.Compute_table.lookups = 0 then 0.
-    else
-      float_of_int apply.Dd.Compute_table.hits
-      /. float_of_int apply.Dd.Compute_table.lookups
-  in
   Printf.sprintf
     "    {\n\
      \      \"circuit\": %S,\n\
      \      \"mode\": %S,\n\
      \      \"strategy\": %S,\n\
-     \      \"fused\": %b,\n\
      \      \"wall_seconds\": %.6f,\n\
      \      \"final_state_nodes\": %d,\n\
      \      \"mat_vec_mults\": %d,\n\
-     \      \"fast_path_applies\": %d,\n\
-     \      \"generic_applies\": %d,\n\
-     \      \"apply_ident_skips\": %d,\n\
      \      \"mul_mv_lookups\": %d,\n\
-     \      \"apply_lookups\": %d,\n\
-     \      \"apply_hits\": %d,\n\
-     \      \"apply_hit_rate\": %.6f,\n\
-     \      \"apply_evictions\": %d,\n\
      %s\n\
      \    }"
     circuit_name mode
     (Dd_sim.Strategy.to_string strategy)
-    fused seconds
+    seconds
     (Dd_sim.Engine.state_node_count engine)
     stats.Dd_sim.Sim_stats.mat_vec_mults
-    stats.Dd_sim.Sim_stats.fast_path_applies
-    stats.Dd_sim.Sim_stats.generic_applies
-    (Dd.Context.apply_skips ctx) mul_mv.Dd.Compute_table.lookups
-    apply.Dd.Compute_table.lookups apply.Dd.Compute_table.hits apply_hit_rate
-    apply.Dd.Compute_table.evictions (ledger_fields ledger stats)
+    (Dd.Compute_table.lookups ctx.Dd.Context.mul_mv)
+    (ledger_fields ledger stats)
 
 let apply_bench ~smoke () =
   let out = if smoke then "BENCH_apply_smoke.json" else "BENCH_apply.json" in
-  Printf.printf "\n=== Structured-apply fast path (%s) ===\n" out;
+  Printf.printf "\n=== Sequential and window mat-vec traffic (%s) ===\n" out;
   let circuits =
     if smoke then
       [
@@ -812,19 +787,18 @@ let apply_bench ~smoke () =
   in
   let modes =
     [
-      ("seq_fast", Dd_sim.Strategy.Sequential, true);
-      ("seq_generic", Dd_sim.Strategy.Sequential, false);
-      ("k4_fast", Dd_sim.Strategy.K_operations 4, true);
+      ("seq", Dd_sim.Strategy.Sequential);
+      ("k4", Dd_sim.Strategy.K_operations 4);
     ]
   in
   let runs =
     List.concat_map
       (fun (circuit_name, circuit) ->
         List.map
-          (fun (mode, strategy, fused) ->
+          (fun (mode, strategy) ->
             Printf.printf "  %s / %s\n" circuit_name mode;
             flush stdout;
-            apply_run_json ~circuit_name ~mode ~strategy ~fused circuit)
+            apply_run_json ~circuit_name ~mode ~strategy circuit)
           modes)
       circuits
   in

@@ -187,14 +187,6 @@ let export_ledger engine ~meta = function
     Printf.printf "wrote ledger %s (%d entries, %d dropped)\n" path
       (Obs.Ledger.length sink) (Obs.Ledger.dropped sink)
 
-let no_fused_apply_arg =
-  let doc =
-    "Disable the structured-apply fast path: every gate is materialised \
-     as an explicit n-qubit gate DD and applied with the generic \
-     matrix-vector kernel (A/B measurement and debugging)."
-  in
-  Arg.(value & flag & info [ "no-fused-apply" ] ~doc)
-
 (* resource budgets and checkpointing, shared by run / simulate *)
 
 let max_nodes_arg =
@@ -482,7 +474,6 @@ type session = {
   seed : int;
   samples : int;
   stats : bool;
-  no_fused : bool;
   (* built inside [with_structured_errors]: a degenerate budget is an
      input error, reported after the circuit is printed *)
   guard : unit -> Dd_sim.Guard.t;
@@ -505,22 +496,22 @@ type session = {
 }
 
 let session_term =
-  let make strategy seed samples stats no_fused max_nodes max_matrix
-      deadline norm_tol auto_gc checkpoint checkpoint_every resume trace
-      trace_format metrics profile profile_every stats_json ledger
-      audit_every audit_tol reorder order bulge_factor reorder_every =
+  let make strategy seed samples stats max_nodes max_matrix deadline
+      norm_tol auto_gc checkpoint checkpoint_every resume trace trace_format
+      metrics profile profile_every stats_json ledger audit_every audit_tol
+      reorder order bulge_factor reorder_every =
     let guard () =
       guard_of_options max_nodes max_matrix deadline norm_tol auto_gc
     in
-    { strategy; seed; samples; stats; no_fused; guard; checkpoint;
-      checkpoint_every; resume; trace; trace_format; metrics; profile;
-      profile_every; stats_json; ledger; audit_every; audit_tol; reorder;
-      order; bulge_factor; reorder_every }
+    { strategy; seed; samples; stats; guard; checkpoint; checkpoint_every;
+      resume; trace; trace_format; metrics; profile; profile_every;
+      stats_json; ledger; audit_every; audit_tol; reorder; order;
+      bulge_factor; reorder_every }
   in
   Term.(
     const make $ strategy_arg $ seed_arg $ samples_arg $ stats_arg
-    $ no_fused_apply_arg $ max_nodes_arg $ max_matrix_arg $ deadline_arg
-    $ norm_tol_arg $ auto_gc_arg $ checkpoint_arg $ checkpoint_every_arg
+    $ max_nodes_arg $ max_matrix_arg $ deadline_arg $ norm_tol_arg
+    $ auto_gc_arg $ checkpoint_arg $ checkpoint_every_arg
     $ resume_arg $ trace_arg $ trace_format_arg $ metrics_arg $ profile_arg
     $ profile_every_arg $ stats_json_arg $ ledger_arg $ audit_every_arg
     $ audit_tol_arg $ reorder_arg $ order_arg $ bulge_factor_arg
@@ -531,7 +522,6 @@ let session_term =
 let simulate_session s ~meta ~use_repeating circuit =
   Format.printf "%a@." Circuit.pp circuit;
   let engine = Dd_sim.Engine.create ~seed:s.seed Circuit.(circuit.qubits) in
-  if s.no_fused then Dd_sim.Engine.set_fused_apply engine false;
   if s.stats || s.stats_json <> None then
     Dd_sim.Engine.set_track_peaks engine true;
   arm_audit engine ~tolerance:s.audit_tol s.audit_every;

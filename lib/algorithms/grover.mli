@@ -31,11 +31,8 @@ val success_probability : Dd_sim.Engine.t -> marked:int -> float
 val oracle_dd : Dd.Context.t -> n:int -> marked:int -> Dd.Mdd.edge
 (** The oracle [diag(1, ..., -1 at marked, ..., 1)] built directly. *)
 
-val iteration_dd : Dd_sim.Engine.t -> marked:int -> Dd.Mdd.edge
-(** One full Grover iteration (oracle then diffusion) as a single matrix:
-    the combined operator DD-repeating re-applies. *)
-
 val run_construct :
   ?iterations:int -> n:int -> marked:int -> unit -> Dd_sim.Engine.t
 (** Grover with the directly-constructed iteration operator: H layer, then
-    [iterations] applications of {!iteration_dd}. *)
+    [iterations] applications of one full Grover iteration (oracle then
+    diffusion) combined into a single matrix. *)

@@ -43,11 +43,8 @@ val mag2 : t -> float
 
 val mag : t -> float
 
-val default_tolerance : float
-(** Tolerance used for approximate comparisons, [1e-12]. *)
-
 val approx_zero : ?tol:float -> t -> bool
-(** Component-wise comparison against zero. *)
+(** Component-wise comparison against zero; [tol] defaults to [1e-12]. *)
 
 val approx_equal : ?tol:float -> t -> t -> bool
 (** Component-wise comparison. *)

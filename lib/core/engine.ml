@@ -9,11 +9,6 @@ type t = {
   mutable rng_state : Random.State.t Lazy.t;
   stats : Sim_stats.t;
   mutable track_peaks : bool;
-  (* when set (the default), single-target gates applied outside a
-     combination window take the structured fast path (Dd.Apply) instead
-     of building the n-qubit gate DD; [--no-fused-apply] clears it for
-     A/B measurement and debugging *)
-  mutable fused_apply : bool;
   (* event sink; Obs.Trace.null (disabled, zero-cost) unless set_trace
      attached a live one — every instrumentation site below checks
      [Obs.Trace.is_on] before computing any event argument *)
@@ -58,7 +53,6 @@ let create ?(seed = 0xDD) ?context n =
     rng_state = lazy (Random.State.make [| seed |]);
     stats = Sim_stats.create ();
     track_peaks = false;
-    fused_apply = true;
     trace = Obs.Trace.null;
     profile = Obs.Dd_profile.null;
     ledger = Obs.Ledger.null;
@@ -97,8 +91,7 @@ let set_state engine edge =
   engine.state_edge <- edge
 
 let set_track_peaks engine flag = engine.track_peaks <- flag
-let set_fused_apply engine flag = engine.fused_apply <- flag
-let fused_apply engine = engine.fused_apply
+let set_fused_apply _engine _flag = ()
 
 let set_domains _engine d =
   if d <> 1 then
@@ -222,8 +215,6 @@ let set_reorder engine ?(bulge_factor = 4.0) ?(every = 64) policy =
   engine.last_reorder <- 0;
   engine.reorder_done <- false
 
-let reorder_policy engine = engine.reorder_policy
-
 (* trace time now, when tracing; the start of a span *)
 let trace_now engine =
   if Obs.Trace.is_on engine.trace then Obs.Trace.now engine.trace else 0.
@@ -249,15 +240,12 @@ let note_reorder engine ~t0 edge ~swaps ~nodes_before ~nodes_after ~detail =
 (* One sifting pass over the live state: the state edge and the context's
    order move together (every adjacent swap updates both), so callers see
    a semantically identical state under a cheaper order. *)
-let reorder_now ?max_growth ?max_passes engine =
+let reorder_now engine =
   let t0 = trace_now engine in
-  let edge, rstats =
-    Dd.Reorder.sift ?max_growth ?max_passes engine.context engine.state_edge
-  in
+  let edge, rstats = Dd.Reorder.sift engine.context engine.state_edge in
   note_reorder engine ~t0 edge ~swaps:rstats.Dd.Reorder.swaps
     ~nodes_before:rstats.Dd.Reorder.nodes_before
-    ~nodes_after:rstats.Dd.Reorder.nodes_after ~detail:"sift";
-  rstats
+    ~nodes_after:rstats.Dd.Reorder.nodes_after ~detail:"sift"
 
 (* Permute the live state to an explicit target order (the --order flag).
    Counts as a reordering pass and satisfies the Once policy — a
@@ -299,35 +287,22 @@ let maybe_reorder engine ~gate =
       with
       | Some _ ->
         engine.reorder_done <- true;
-        ignore (reorder_now engine)
+        reorder_now engine
       | None -> ()
     end
 
-(* A traced run keeps the peaks too: the report cross-checks the
-   trajectory maximum against [peak_state_nodes], and a trace without its
-   aggregate counterpart would leave that unverifiable. *)
-let note_state_peak engine =
-  if engine.track_peaks || Obs.Trace.is_on engine.trace then
-    engine.stats.peak_state_nodes <-
-      max engine.stats.peak_state_nodes
-        (Dd.Vdd.node_count engine.state_edge)
-
-let note_matrix_peak engine matrix =
-  if engine.track_peaks || Obs.Trace.is_on engine.trace then
-    engine.stats.peak_matrix_nodes <-
-      max engine.stats.peak_matrix_nodes (Dd.Mdd.node_count matrix)
-
 (* -- the instrumentation funnel ------------------------------------------ *)
 
-(* The four kernel operations (gate-DD build, structured apply, generic
-   mat-vec, mat-mat) bracket their DD call with [op_start] / [op_done],
-   the only code that feeds a kernel op to the trace and the ledger.  One
-   clock reading at the start serves both sinks.  Memo traffic is the
-   delta of the op's primary table (apply / mul_mv / mul_mm); recursive
-   helpers (add_v, ...) are not included — the delta answers "did this op
-   hit the memo layer", not "every table the recursion touched".  With
-   both sinks off a bracket is two flag checks and allocates nothing. *)
-type op = Build | Fast | Generic | Product
+(* The three kernel operations (gate-DD build, mat-vec, mat-mat) bracket
+   their DD call with [op_start] / [op_done], the only code that feeds a
+   kernel op to the peaks, the trace and the ledger.  One clock reading at
+   the start serves both sinks, and one size reading at the end serves
+   all three.  Memo traffic is the delta of the op's primary table
+   (mul_mv / mul_mm); recursive helpers (add_v, ...) are not included —
+   the delta answers "did this op hit the memo layer", not "every table
+   the recursion touched".  With peaks and both sinks off a bracket is
+   three flag checks and allocates nothing. *)
+type op = Build | Generic | Product
 
 type mark = { t0 : float; hits0 : int; lookups0 : int }
 
@@ -340,7 +315,6 @@ let op_traffic ctx op =
   let open Dd.Compute_table in
   match op with
   | Build -> (0, 0)
-  | Fast -> (hits ctx.Dd.Context.apply_v, lookups ctx.Dd.Context.apply_v)
   | Generic -> (hits ctx.Dd.Context.mul_mv, lookups ctx.Dd.Context.mul_mv)
   | Product -> (hits ctx.Dd.Context.mul_mm, lookups ctx.Dd.Context.mul_mm)
 
@@ -350,39 +324,52 @@ let op_start engine op =
     let hits0, lookups0 = op_traffic engine.context op in
     { t0 = Obs.Clock.now (); hits0; lookups0 }
 
-(* [matrix] is the DD a Generic op applied or a Product op built *)
+(* [matrix] is the DD a Generic op applied or a Product op built.  A
+   traced run keeps the peaks too: the report cross-checks the
+   trajectory maximum against [peak_state_nodes], and a trace without its
+   aggregate counterpart would leave that unverifiable. *)
 let op_done engine op mark matrix =
-  if sinks_on engine then begin
-    let led = engine.ledger and trace = engine.trace in
-    let seconds = Obs.Clock.now () -. mark.t0 in
-    let hits1, lookups1 = op_traffic engine.context op in
-    let hits = hits1 - mark.hits0 in
-    let misses = lookups1 - mark.lookups0 - hits in
+  let traced = Obs.Trace.is_on engine.trace in
+  let sinks = traced || Obs.Ledger.is_on engine.ledger in
+  let peaks = traced || engine.track_peaks in
+  if sinks || peaks then begin
+    let stats = engine.stats in
+    (* the ledger's seconds end before the size readings *)
+    let seconds = if sinks then Obs.Clock.now () -. mark.t0 else 0. in
     let matrix_nodes =
-      match op with
-      | Generic | Product -> Dd.Mdd.node_count matrix
-      | Build | Fast -> -1
+      if op = Build then -1 else Dd.Mdd.node_count matrix
     in
-    if op = Fast || op = Generic then Obs.Ledger.add_apply led seconds
-    else Obs.Ledger.add_build led seconds;
-    if op <> Build then Obs.Ledger.add_traffic led ~hits ~misses;
-    Obs.Ledger.note_matrix led matrix_nodes;
-    if Obs.Trace.is_on trace && op <> Build then
-      Obs.Trace.span trace
-        (if op = Product then Obs.Trace.Mat_mat else Obs.Trace.Mat_vec)
-        ~t0:(Obs.Trace.rel trace mark.t0)
-        ~gate:(Obs.Trace.gate trace)
-        ~state_nodes:
-          (if op = Product then -1 else Dd.Vdd.node_count engine.state_edge)
-        ~matrix_nodes ~hits ~misses
-        ~detail:(match op with Fast -> "fast" | Generic -> "generic" | _ -> "")
+    (* the ledger takes no state size *)
+    let state_nodes =
+      if op = Generic && peaks then Dd.Vdd.node_count engine.state_edge
+      else -1
+    in
+    stats.peak_matrix_nodes <- max stats.peak_matrix_nodes matrix_nodes;
+    stats.peak_state_nodes <- max stats.peak_state_nodes state_nodes;
+    if sinks then begin
+      let led = engine.ledger and trace = engine.trace in
+      let hits1, lookups1 = op_traffic engine.context op in
+      let hits = hits1 - mark.hits0 in
+      let misses = lookups1 - mark.lookups0 - hits in
+      if op = Generic then Obs.Ledger.add_apply led seconds
+      else Obs.Ledger.add_build led seconds;
+      if op <> Build then Obs.Ledger.add_traffic led ~hits ~misses;
+      Obs.Ledger.note_matrix led matrix_nodes;
+      if traced && op <> Build then
+        Obs.Trace.span trace
+          (if op = Product then Obs.Trace.Mat_mat else Obs.Trace.Mat_vec)
+          ~t0:(Obs.Trace.rel trace mark.t0)
+          ~gate:(Obs.Trace.gate trace) ~state_nodes ~matrix_nodes ~hits
+          ~misses
+          ~detail:(if op = Generic then "generic" else "")
+    end
   end
 
-(* the DD package's control lines, for both the gate-DD and the fused path *)
+(* the DD package's control lines *)
 let dd_controls (gate : Gate.t) =
   List.map
     (fun (c : Gate.control) ->
-      { Dd.Context.qubit = c.qubit; positive = c.positive })
+      { Dd.Mdd.qubit = c.qubit; positive = c.positive })
     gate.controls
 
 let gate_dd engine (gate : Gate.t) =
@@ -398,29 +385,10 @@ let apply_matrix engine matrix =
   let mark = op_start engine Generic in
   engine.state_edge <- Dd.Mdd.apply engine.context matrix engine.state_edge;
   engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
-  engine.stats.generic_applies <- engine.stats.generic_applies + 1;
-  note_matrix_peak engine matrix;
-  note_state_peak engine;
   op_done engine Generic mark matrix
 
-(* Structured fast path: the gate is applied to the state DD directly
-   (Dd.Apply), never materialising the n-qubit gate DD — no identity
-   nodes, no mul_mv traffic.  Still one logical mat-vec, so
-   [mat_vec_mults] counts it alongside [fast_path_applies]. *)
-let apply_structured engine (gate : Gate.t) =
-  let mark = op_start engine Fast in
-  engine.state_edge <-
-    Dd.Apply.apply engine.context ~n:engine.n ~target:gate.target
-      ~controls:(dd_controls gate) (Gate.matrix gate.kind) engine.state_edge;
-  engine.stats.mat_vec_mults <- engine.stats.mat_vec_mults + 1;
-  engine.stats.fast_path_applies <- engine.stats.fast_path_applies + 1;
-  note_state_peak engine;
-  op_done engine Fast mark Dd.Mdd.zero
-
-(* one gate onto the state, honouring the fused-apply switch *)
-let apply_gate_single engine gate =
-  if engine.fused_apply then apply_structured engine gate
-  else apply_matrix engine (gate_dd engine gate)
+(* one gate onto the state: its memoised gate DD, then one mat-vec *)
+let apply_gate_single engine gate = apply_matrix engine (gate_dd engine gate)
 
 let apply_gate engine gate =
   engine.stats.gates_seen <- engine.stats.gates_seen + 1;
@@ -437,7 +405,6 @@ let multiply_onto engine gate product =
   let mark = op_start engine Product in
   engine.stats.mat_mat_mults <- engine.stats.mat_mat_mults + 1;
   let result = Dd.Mdd.mul engine.context gate product in
-  note_matrix_peak engine result;
   op_done engine Product mark result;
   result
 
@@ -682,10 +649,8 @@ let after_state_update rs =
 
 (* One gate straight onto the state: the Sequential strategy itself, or
    the sequential tail of a breached combination window, whose degraded
-   ledger entry closes with its last tail gate.  Both go through
-   [apply_gate_single]: with fused apply on, the gate DD is never built.
-   Combined-window products keep the generic [Mdd] path (the whole point
-   of mat-mat combination is re-using those DDs). *)
+   ledger entry closes with its last tail gate.  Both apply the gate's
+   memoised DD with the one mat-vec kernel that window products use. *)
 let absorb_sequential rs gate =
   let led = rs.engine.ledger and w = rs.window in
   let in_tail = w.tail > 0 in

@@ -42,11 +42,10 @@ val set_state : t -> Dd.Vdd.edge -> unit
     state.  The residency check is one unique-table probe. *)
 
 val set_fused_apply : t -> bool -> unit
-(** Enable/disable the structured-apply fast path (default: enabled).
-    When disabled, every gate goes through the explicit gate DD and the
-    generic [Mdd.apply] — the A/B switch behind [--no-fused-apply]. *)
-
-val fused_apply : t -> bool
+(** Accepts either value and changes nothing: every gate reaches the
+    state through its memoised gate DD and [Mdd.apply].  The benchmark
+    (perf/workload.ml) still calls it; it goes with the next change to
+    the benchmark. *)
 
 val set_domains : t -> int -> unit
 (** The engine runs on one domain: [set_domains e 1] is accepted and
@@ -55,8 +54,9 @@ val set_domains : t -> int -> unit
 
 val set_track_peaks : t -> bool -> unit
 (** When enabled, {!Sim_stats.t.peak_state_nodes} and [peak_matrix_nodes]
-    are maintained (costs a DD traversal per multiplication; off by
-    default).  An attached enabled trace implies peak tracking. *)
+    are maintained (costs a DD traversal per multiplication, shared with
+    the trace and the ledger; off by default).  An attached enabled trace
+    implies peak tracking. *)
 
 val set_trace : t -> Obs.Trace.t -> unit
 (** Attach an event sink to the engine *and* its DD context: gate
@@ -81,7 +81,7 @@ val profile : t -> Obs.Dd_profile.sink
 
 val set_ledger : t -> Obs.Ledger.t -> unit
 (** Attach a strategy cost ledger: {!run} opens one {!Obs.Ledger.entry}
-    per combination window (and per sequential/fast-path stretch between
+    per combination window (and per sequential stretch between
     windows) and attributes build seconds, apply seconds, matrix-DD
     peaks, memo-table traffic and end-of-window memory gauges to it.
     The default is {!Obs.Ledger.null} — disabled, and every recording
@@ -141,14 +141,6 @@ val set_reorder : t -> ?bulge_factor:float -> ?every:int -> reorder_policy -> un
     [every] (default [64], must be [>= 1]) is the minimum number of
     applied gates between bulge probes (each probe walks the state DD,
     so it must not run per gate). *)
-
-val reorder_policy : t -> reorder_policy
-
-val reorder_now :
-  ?max_growth:float -> ?max_passes:int -> t -> Dd.Reorder.stats
-(** Run one sifting pass over the live state immediately, updating the
-    context's order, the state edge and the reorder statistics
-    counters.  Parameters as {!Dd.Reorder.sift}. *)
 
 val set_order : t -> Dd.Order.t -> int
 (** Permute the live state to an explicit target order (the [--order]

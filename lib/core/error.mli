@@ -54,7 +54,6 @@ type t =
 
 exception Error of t
 
-val budget_kind_to_string : budget_kind -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

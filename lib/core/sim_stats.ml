@@ -2,7 +2,6 @@ type t = {
   mutable mat_vec_mults : int;
   mutable mat_mat_mults : int;
   mutable fast_path_applies : int;
-  mutable generic_applies : int;
   mutable gates_seen : int;
   mutable combined_applications : int;
   mutable peak_state_nodes : int;
@@ -30,7 +29,6 @@ let create () =
     mat_vec_mults = 0;
     mat_mat_mults = 0;
     fast_path_applies = 0;
-    generic_applies = 0;
     gates_seen = 0;
     combined_applications = 0;
     peak_state_nodes = 0;
@@ -68,8 +66,6 @@ let fields =
          fun s v -> s.mat_mat_mults <- v);
     Int ("fast_path_applies", (fun s -> s.fast_path_applies),
          fun s v -> s.fast_path_applies <- v);
-    Int ("generic_applies", (fun s -> s.generic_applies),
-         fun s v -> s.generic_applies <- v);
     Int ("gates_seen", (fun s -> s.gates_seen),
          fun s v -> s.gates_seen <- v);
     Int ("combined_applications", (fun s -> s.combined_applications),
@@ -122,16 +118,10 @@ let assign dst src =
 let copy stats = { stats with mat_vec_mults = stats.mat_vec_mults }
 
 let pp fmt stats =
-  let fast_pct =
-    let total = stats.fast_path_applies + stats.generic_applies in
-    if total = 0 then 0.
-    else 100. *. float_of_int stats.fast_path_applies /. float_of_int total
-  in
   Format.fprintf fmt
-    "gates=%d mat-vec=%d (fast-path=%d generic=%d, %.1f%% fast) mat-mat=%d \
-     combined-applications=%d peak-state-nodes=%d peak-matrix-nodes=%d"
-    stats.gates_seen stats.mat_vec_mults stats.fast_path_applies
-    stats.generic_applies fast_pct stats.mat_mat_mults
+    "gates=%d mat-vec=%d mat-mat=%d combined-applications=%d \
+     peak-state-nodes=%d peak-matrix-nodes=%d"
+    stats.gates_seen stats.mat_vec_mults stats.mat_mat_mults
     stats.combined_applications stats.peak_state_nodes
     stats.peak_matrix_nodes;
   if

@@ -8,11 +8,10 @@ type t = {
   mutable mat_vec_mults : int;
   mutable mat_mat_mults : int;
   mutable fast_path_applies : int;
-      (** matrix-vector products served by the structured-apply kernel
-          ({!Dd.Apply.apply}) — no gate DD was built *)
-  mutable generic_applies : int;
-      (** matrix-vector products that went through the generic
-          [Mdd.apply] on an explicit matrix DD *)
+      (** Inert: never incremented, so always [0] (and kept in
+          {!fields}).  The benchmark's per-layer report (perf/layers.ml)
+          still subtracts it from [gates_seen]; it goes with the next
+          change to the benchmark. *)
   mutable gates_seen : int;
       (** circuit gates processed; under DD-repeating every applied
           repetition counts its gates, so the total matches the circuit's

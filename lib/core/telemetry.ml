@@ -32,10 +32,6 @@ let snapshot engine =
       count "nodes.live_matrix" (Dd.Context.live_m_nodes ctx);
       count "nodes.created_vector" (Dd.Context.v_unique_size ctx);
       count "nodes.created_matrix" (Dd.Context.m_unique_size ctx);
-      (* rebuild-stable short-circuits of the structured-apply kernel:
-         cache-equivalent wins that never probe the apply table, so the
-         table.apply hit counters alone undercount its reuse *)
-      count "table.apply.ident_skips" (Dd.Context.apply_skips ctx);
       (* memory gauges: OCaml heap occupancy plus the DD package's
          estimated table residency (entry counts x documented per-entry
          layout costs) *)

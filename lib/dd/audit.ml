@@ -165,38 +165,6 @@ let check_vector ?norm_tol ctx (edge : Types.vedge) =
     then push (Norm_drift { norm; tolerance }));
   List.rev !violations
 
-let check_matrix ctx (edge : Types.medge) =
-  let violations = ref [] in
-  let push v = violations := v :: !violations in
-  let seen = Hashtbl.create 256 in
-  let child w (t : Types.mnode) = (w, t.Types.level) in
-  let rec walk (node : Types.mnode) =
-    if node.Types.level >= 0 && not (Hashtbl.mem seen node.Types.mid) then begin
-      Hashtbl.add seen node.Types.mid ();
-      check_node ctx ~dd:"matrix" ~push
-        ~mem:(fun () -> Hashcons.M.mem ctx.Context.m_unique node)
-        ~level:node.Types.level ~id:node.Types.mid
-        [|
-          child node.Types.w00 node.Types.t00;
-          child node.Types.w01 node.Types.t01;
-          child node.Types.w10 node.Types.t10;
-          child node.Types.w11 node.Types.t11;
-        |];
-      walk node.Types.t00;
-      walk node.Types.t01;
-      walk node.Types.t10;
-      walk node.Types.t11
-    end
-  in
-  if not (Types.m_is_zero edge) then begin
-    if not (interned ctx edge.Types.mw) then
-      push
-        (Uninterned_weight
-           { dd = "matrix"; level = edge.Types.mt.Types.level + 1; id = 0 });
-    walk edge.Types.mt
-  end;
-  List.rev !violations
-
 let check_tables ctx =
   let violations = ref [] in
   let v_resident = Hashtbl.create 4096 in
@@ -230,7 +198,6 @@ let check_tables ctx =
   in
   check_v ctx.Context.add_v;
   check_v ctx.Context.mul_mv;
-  check_v ctx.Context.apply_v;
   check_m ctx.Context.add_m;
   check_m ctx.Context.mul_mm;
   check_m ctx.Context.adjoint;

@@ -46,9 +46,6 @@ val check_vector :
     invariants; with [norm_tol], additionally recompute the norm (no
     caches) and flag drift beyond the tolerance. *)
 
-val check_matrix : Context.t -> Types.medge -> violation list
-(** Structural invariants of a matrix DD (no norm check). *)
-
 val check_order : Context.t -> violation list
 (** Verify the context's live {!Order.t} is self-consistent (mutually
     inverse permutations).  Cheap — O(n) in the register width. *)

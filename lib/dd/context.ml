@@ -17,6 +17,8 @@ type t = {
   add_m : Types.medge Compute_table.t;
   mul_mv : Types.vedge Compute_table.t;
   mul_mm : Types.medge Compute_table.t;
+  (* an inert shim: created, never stored into, swept or counted (see
+     context.mli) *)
   apply_v : Types.vedge Compute_table.t;
   (* Mdd.gate memo: (kind id, layout id, qubit count) -> gate DD *)
   gate : Types.medge Compute_table.t;
@@ -25,28 +27,22 @@ type t = {
   norm : float Compute_table.t;
   max_mag : float Compute_table.t;
   identity_cache : (int, Types.medge) Hashtbl.t;
-  (* Collision-free small-integer keys for the gate and structured-apply
-     compute tables: a gate kind is the quadruple of interned 2x2 entry
-     tags, a layout is (target level, sorted (level, polarity) controls).
-     Interning instead of bit-packing keeps the compute-table key exact for
-     any qubit count — equal ids imply equal gates, so a stale entry can
-     never answer for a different gate.  Ids are dense and never reused. *)
+  (* Collision-free small-integer keys of the gate-DD memo, handed out by
+     Mdd.gate: a gate kind is the quadruple of interned 2x2 entry tags, a
+     layout is (target level, sorted (level, polarity) controls).  Ids are
+     dense and never reused. *)
   gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
   gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
   (* one byte per vector node id: 0 unknown, 1 "a hash-cons rebuild of
      this subtree is bitwise the identity", 2 not; intrinsic to the
-     immutable node, computed lazily by Vdd.rebuild_stable for both
-     mat-vec kernels *)
+     immutable node, computed lazily by Vdd.rebuild_stable for
+     Mdd.apply's identity skip *)
   mutable apply_stable : Bytes.t;
   (* per level, the id of the identity node Mdd.apply met there, 0 while
      unknown; allocated on first use and emptied by [collect] (see
      mdd.ml) *)
   mutable identity_ids : int array;
   gc : gc_stats;
-  (* structured-apply rebuild-stable short-circuits: cache-equivalent wins
-     that never probe apply_v, counted separately so bench rows can show
-     why a cache-friendly circuit reports few probe hits (see apply.ml) *)
-  mutable apply_skips : int;
   (* attached by Engine.set_trace; Trace.null (disabled) by default so the
      kernels never pay more than a flag check *)
   mutable trace : Obs.Trace.t;
@@ -94,7 +90,6 @@ let create ?tolerance ?(cache_bits = default_cache_bits) () =
         m_reclaimed_total = 0;
         entries_invalidated = 0;
       };
-    apply_skips = 0;
     trace = Obs.Trace.null;
     order = Order.identity;
   }
@@ -107,67 +102,6 @@ let qubit_of_level ctx l = Order.qubit_of_level ctx.order l
 
 let cnum ctx z = Ctable.intern ctx.ctable z
 
-type control = { qubit : int; positive : bool }
-
-type gate_site = {
-  target_level : int;
-  polarity : bool option array;
-  layout_id : int;
-}
-
-(* Dense intern of a gate kind / layout; see the field comments above.
-   Lookups dominate (a circuit has few distinct gates), so a plain
-   Hashtbl is fine. *)
-let intern_id table key =
-  match Hashtbl.find_opt table key with
-  | Some id -> id
-  | None ->
-    let id = Hashtbl.length table + 1 in
-    Hashtbl.add table key id;
-    id
-
-(* The one prelude of both gate entry points (Mdd.gate, Apply.apply):
-   validation, then qubit -> level translation through the live order.
-   Everything downstream is level-indexed, so the layout is keyed by
-   levels: a reorder changes the layout id, and an entry recorded under
-   one order can never answer for another.  Walking the polarity array
-   bottom-up yields the controls sorted by level. *)
-let gate_site ctx ~operation ~n ~target controls entries =
-  let reject message = Dd_error.invalid_operand ~operation message in
-  if Array.length entries <> 4 then reject "entries must hold 4 values";
-  if target < 0 || target >= n then
-    reject (Printf.sprintf "target %d out of range for %d qubits" target n);
-  let polarity = Array.make n None in
-  List.iter
-    (fun { qubit; positive } ->
-      if qubit < 0 || qubit >= n then
-        reject (Printf.sprintf "control %d out of range for %d qubits" qubit n);
-      if qubit = target then reject "control equals target";
-      let level = level_of_qubit ctx qubit in
-      if polarity.(level) <> None then
-        reject (Printf.sprintf "duplicate control %d" qubit);
-      polarity.(level) <- Some positive)
-    controls;
-  let target_level = level_of_qubit ctx target in
-  let sorted = ref [] in
-  for level = n - 1 downto 0 do
-    match polarity.(level) with
-    | Some positive -> sorted := (level, positive) :: !sorted
-    | None -> ()
-  done;
-  {
-    target_level;
-    polarity;
-    layout_id = intern_id ctx.gate_layout_ids (target_level, !sorted);
-  }
-
-(* Interning the entries hands out complex-table tags, so callers that
-   may return early (a zero state) call this only once they will use
-   them. *)
-let gate_kind ctx entries =
-  let e = Array.map (cnum ctx) entries in
-  (e, intern_id ctx.gate_kind_ids (e.(0), e.(1), e.(2), e.(3)))
-
 (* Every compute table, in [table_stats] order, for the walks that treat
    them alike.  A fold with a polymorphic visitor instead of a list of
    wrapped tables: the walk allocates nothing, which keeps
@@ -177,9 +111,8 @@ type 'acc visitor = { visit : 'v. 'v Compute_table.t -> 'acc -> 'acc }
 
 let fold_tables ctx { visit } acc =
   acc |> visit ctx.add_v |> visit ctx.add_m |> visit ctx.mul_mv
-  |> visit ctx.mul_mm |> visit ctx.apply_v |> visit ctx.dot
-  |> visit ctx.adjoint |> visit ctx.norm |> visit ctx.max_mag
-  |> visit ctx.gate
+  |> visit ctx.mul_mm |> visit ctx.dot |> visit ctx.adjoint
+  |> visit ctx.norm |> visit ctx.max_mag |> visit ctx.gate
 
 let clear_compute_caches ctx =
   fold_tables ctx { visit = (fun t () -> Compute_table.clear t) } ()
@@ -258,8 +191,7 @@ let compute_table_bytes ctx =
 let residency_bytes ctx = unique_table_bytes ctx + compute_table_bytes ctx
 
 let gc_stats ctx = ctx.gc
-let apply_skips ctx = ctx.apply_skips
-let note_apply_skip ctx = ctx.apply_skips <- ctx.apply_skips + 1
+let apply_skips _ctx = 0
 
 let per_level_v_nodes ctx ~levels =
   Hashcons.V.per_level_counts ctx.v_unique ~levels
@@ -272,8 +204,7 @@ let reset_stats ctx =
   gc.last_pause <- 0.;
   gc.v_reclaimed_total <- 0;
   gc.m_reclaimed_total <- 0;
-  gc.entries_invalidated <- 0;
-  ctx.apply_skips <- 0
+  gc.entries_invalidated <- 0
 
 let pp_stats fmt ctx =
   Format.fprintf fmt "nodes created: %d vector, %d matrix (live %d / %d)@\n"
@@ -376,12 +307,6 @@ let collect ctx ~v_roots ~m_roots =
   dropped
   += Compute_table.sweep ctx.mul_mm ~keep:(fun a b _ v ->
          m_live a && m_live b && m_edge_live v);
-  (* apply_v keys are (state node id, gate kind id, layout id): only the
-     first key word names a node; the other two index intern tables that
-     never shrink, so they are always valid *)
-  dropped
-  += Compute_table.sweep ctx.apply_v ~keep:(fun s _ _ r ->
-         v_live s && v_edge_live r);
   dropped
   += Compute_table.sweep ctx.dot ~keep:(fun a b _ _ -> v_live a && v_live b);
   dropped

@@ -26,7 +26,11 @@ type t = {
   mul_mv : Types.vedge Compute_table.t;
   mul_mm : Types.medge Compute_table.t;
   apply_v : Types.vedge Compute_table.t;
-      (** structured-apply memo: (state node id, gate kind id, layout id) *)
+      (** Inert: created as the other hot tables are, but no kernel
+          stores into it, and {!table_stats}, {!collect} and the residency
+          gauges skip it.  The benchmark's per-layer report (perf/layers.ml)
+          still reads its counters, which stay 0; it goes with the next
+          change to the benchmark. *)
   gate : Types.medge Compute_table.t;
       (** gate-DD memo ({!Mdd.gate}): (gate kind id, layout id, qubit
           count) *)
@@ -36,14 +40,17 @@ type t = {
   max_mag : float Compute_table.t;
   identity_cache : (int, Types.medge) Hashtbl.t;
   gate_kind_ids : (int * int * int * int, int) Hashtbl.t;
+      (** dense ids of gate kinds (quadruples of entry tags), the first
+          key word of the gate-DD memo; handed out by {!Mdd.gate} *)
   gate_layout_ids : (int * (int * bool) list, int) Hashtbl.t;
+      (** dense ids of gate layouts (target level, controls sorted by
+          level), the memo's second key word *)
   mutable apply_stable : Bytes.t;
       (** one byte per vector node id: [0] unknown, [1] "a hash-cons
           rebuild of this subtree is bitwise the identity", [2] not;
           lazily filled through {!set_apply_stable} by
-          {!Vdd.rebuild_stable}, which both mat-vec kernels call before
-          they skip an identity.  Ids are never reused, so it is never
-          swept *)
+          {!Vdd.rebuild_stable}, which {!Mdd.apply} calls before it skips
+          an identity.  Ids are never reused, so it is never swept *)
   mutable identity_ids : int array;
       (** per level, the id of that level's identity node once
           {!Mdd.apply}'s identity test has met it, [0] while unknown;
@@ -51,9 +58,6 @@ type t = {
           zeroed by {!collect}, after which an identity may come back
           under a new id *)
   gc : gc_stats;
-  mutable apply_skips : int;
-      (** structured-apply rebuild-stable short-circuits — cache-equivalent
-          wins that never probe the [apply_v] table *)
   mutable trace : Obs.Trace.t;
       (** event sink for kernel-level spans ({!collect} emits [Gc]);
           {!Obs.Trace.null} — disabled, zero-cost — until one is attached *)
@@ -72,7 +76,7 @@ val create : ?tolerance:float -> ?cache_bits:int -> unit -> t
     its slots on its first store, the identity memo on its first use,
     the two unique tables start at 2^6 slots and the complex table at
     one 256-entry chunk with 2^8 bucket heads, so a fresh context holds
-    about 13 KiB (1,664 words reachable from it).  Raises
+    about 13 KiB (1,663 words reachable from it).  Raises
     [Invalid_argument] outside [4, 24]. *)
 
 val cnum : t -> Cnum.t -> int
@@ -94,35 +98,6 @@ val level_of_qubit : t -> int -> int
 
 val qubit_of_level : t -> int -> int
 (** Qubit hosted at a level under the context's live order. *)
-
-type control = { qubit : int; positive : bool }
-(** A control line of a gate: the gate fires when the qubit is [|1>]
-    (positive) or [|0>] (negative). *)
-
-type gate_site = {
-  target_level : int;  (** the target qubit's level under the live order *)
-  polarity : bool option array;
-      (** per level: [Some positive] on a control level, [None] elsewhere *)
-  layout_id : int;
-      (** dense id of (target level, controls sorted by level): equal ids
-          imply equal layouts, so the id is safe as a compute-table key
-          word *)
-}
-
-val gate_site :
-  t -> operation:string -> n:int -> target:int -> control list ->
-  Cnum.t array -> gate_site
-(** The shared prelude of {!Mdd.gate} and {!Apply.apply}: check a gate
-    request (four entries, target and controls in range, no duplicate
-    control, no control on the target), translate its qubits to levels
-    through the live order and intern its layout.  Raises
-    {!Dd_error.Error} ([Invalid_operand], naming [operation]) on
-    malformed input.  Interns no complex number. *)
-
-val gate_kind : t -> Cnum.t array -> int array * int
-(** [gate_kind ctx entries] interns the four entries, in order, and
-    returns their tags with the dense id of the tag quadruple — the
-    gate's kind.  Equal ids imply equal matrices. *)
 
 val clear_compute_caches : t -> unit
 (** Drop all memoisation tables (unique tables are kept, so canonicity is
@@ -148,7 +123,8 @@ val live_v_nodes : t -> int
 val live_m_nodes : t -> int
 
 val table_stats : t -> Compute_table.stats list
-(** Hit/miss/eviction counters of every compute table, in a fixed order. *)
+(** Hit/miss/eviction counters of the nine compute tables the kernels
+    use, in a fixed order. *)
 
 val unique_table_bytes : t -> int
 (** Bytes resident in the unique tables and the canonical weight table:
@@ -158,7 +134,7 @@ val unique_table_bytes : t -> int
     hot observability paths. *)
 
 val compute_table_bytes : t -> int
-(** Estimated bytes resident across all ten compute tables (8 words
+(** Estimated bytes resident across the nine compute tables (8 words
     per packed entry).  Counts entries, so a table whose slots were
     allocated by its first store reads the same as before.  O(1). *)
 
@@ -169,14 +145,9 @@ val residency_bytes : t -> int
 val gc_stats : t -> gc_stats
 
 val apply_skips : t -> int
-(** Structured-apply rebuild-stable short-circuits since the last
-    {!reset_stats}: subtrees the kernel proved a rebuild would return
-    unchanged, answered in O(1) without probing the apply table.  On
-    cache-friendly circuits these skips, not probe hits, carry most of
-    the reuse. *)
-
-val note_apply_skip : t -> unit
-(** Count one rebuild-stable short-circuit (called by the apply kernel). *)
+(** Inert: always [0].  The benchmark's per-layer report
+    (perf/layers.ml) still reads it; it goes with the next change to the
+    benchmark. *)
 
 val per_level_v_nodes : t -> levels:int -> int array
 (** Resident vector nodes per level, straight from the unique table's

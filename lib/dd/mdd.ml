@@ -59,13 +59,80 @@ let identity ctx n =
     Dd_error.invalid_operand ~operation:"Mdd.identity" "negative qubit count"
   else build n
 
+type control = { qubit : int; positive : bool }
+
+(* A gate request, checked and translated to levels: the target's level,
+   per level [Some positive] on a control and [None] elsewhere, and the
+   dense id of the layout. *)
+type gate_site = {
+  target_level : int;
+  polarity : bool option array;
+  layout_id : int;
+}
+
+(* Dense intern of a gate kind or layout into one of the context's id
+   tables.  Interning instead of bit-packing keeps the memo key exact for
+   any qubit count: equal ids imply equal gates, so an entry can never
+   answer for a different gate.  Lookups dominate (a circuit has few
+   distinct gates), so a plain Hashtbl is fine. *)
+let intern_id table key =
+  match Hashtbl.find_opt table key with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length table + 1 in
+    Hashtbl.add table key id;
+    id
+
+(* Validation, then qubit -> level translation through the live order.
+   Everything downstream is level-indexed, so the layout is keyed by
+   levels: a reorder changes the layout id, and an entry recorded under
+   one order can never answer for another.  Walking the polarity array
+   bottom-up yields the controls sorted by level.  Interns no complex
+   number. *)
+let gate_site ctx ~n ~target controls entries =
+  let reject message =
+    Dd_error.invalid_operand ~operation:"Mdd.gate" message
+  in
+  if Array.length entries <> 4 then reject "entries must hold 4 values";
+  if target < 0 || target >= n then
+    reject (Printf.sprintf "target %d out of range for %d qubits" target n);
+  let polarity = Array.make n None in
+  List.iter
+    (fun { qubit; positive } ->
+      if qubit < 0 || qubit >= n then
+        reject (Printf.sprintf "control %d out of range for %d qubits" qubit n);
+      if qubit = target then reject "control equals target";
+      let level = Context.level_of_qubit ctx qubit in
+      if polarity.(level) <> None then
+        reject (Printf.sprintf "duplicate control %d" qubit);
+      polarity.(level) <- Some positive)
+    controls;
+  let target_level = Context.level_of_qubit ctx target in
+  let sorted = ref [] in
+  for level = n - 1 downto 0 do
+    match polarity.(level) with
+    | Some positive -> sorted := (level, positive) :: !sorted
+    | None -> ()
+  done;
+  {
+    target_level;
+    polarity;
+    layout_id = intern_id ctx.Context.gate_layout_ids (target_level, !sorted);
+  }
+
+(* The four entries' tags, in order, and the dense id of the quadruple:
+   the gate's kind.  Equal ids imply equal matrices. *)
+let gate_kind ctx entries =
+  let e = Array.map (Context.cnum ctx) entries in
+  (e, intern_id ctx.Context.gate_kind_ids (e.(0), e.(1), e.(2), e.(3)))
+
 (* Bottom-up gate construction: below the target the four quadrant blocks
    f.(i).(j) are extended level by level (identity on uninvolved qubits,
    branch selection on control qubits: the inactive control value must see
    the identity on the diagonal blocks and zero elsewhere); at the target
    the four blocks become the children of one node; above the target a
    single edge is extended the same way.  [entries] are weight tags. *)
-let build_gate ctx ~n { Context.target_level = target; polarity; _ } entries =
+let build_gate ctx ~n { target_level = target; polarity; _ } entries =
   let blocks = Array.map terminal entries in
   for z = 0 to target - 1 do
     let extend block =
@@ -94,14 +161,12 @@ let build_gate ctx ~n { Context.target_level = target; polarity; _ } entries =
 (* Memoised in [Context.gate] under (kind id, layout id, n): a window of
    k gates asks for the same few gate DDs over and over, and a hit hands
    back the edge the first build produced.  The key is exact (see
-   [Context.gate_site]), so a hit is the DD a rebuild would return. *)
+   [intern_id]), so a hit is the DD a rebuild would return. *)
 let gate ctx ~n ~target ?(controls = []) entries =
-  let site =
-    Context.gate_site ctx ~operation:"Mdd.gate" ~n ~target controls entries
-  in
-  let entries, kind_id = Context.gate_kind ctx entries in
+  let site = gate_site ctx ~n ~target controls entries in
+  let entries, kind_id = gate_kind ctx entries in
   let table = ctx.Context.gate in
-  let k1 = kind_id and k2 = site.Context.layout_id and k3 = n in
+  let k1 = kind_id and k2 = site.layout_id and k3 = n in
   if Compute_table.find table ~k1 ~k2 ~k3 then Compute_table.found table
   else begin
     let e = build_gate ctx ~n site entries in

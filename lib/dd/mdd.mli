@@ -25,8 +25,12 @@ val identity : Context.t -> int -> edge
 (** [identity ctx n] is the identity on [n] qubits — a linear-size chain of
     nodes, as the paper notes. Cached per [n]. *)
 
+type control = { qubit : int; positive : bool }
+(** A control line of a gate: the gate fires when the qubit is [|1>]
+    (positive) or [|0>] (negative). *)
+
 val gate :
-  Context.t -> n:int -> target:int -> ?controls:Context.control list ->
+  Context.t -> n:int -> target:int -> ?controls:control list ->
   Cnum.t array -> edge
 (** [gate ctx ~n ~target ~controls entries] builds the DD of an elementary
     operation: [entries] is the row-major 2x2 matrix [|m00; m01; m10; m11|]

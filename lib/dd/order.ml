@@ -52,11 +52,6 @@ let of_qubit_of_level image =
     invalid_arg "Order.of_qubit_of_level: not a permutation";
   normalise { qubit_of_level = Array.copy image; level_of_qubit = invert image }
 
-let of_level_of_qubit image =
-  if not (is_permutation image) then
-    invalid_arg "Order.of_level_of_qubit: not a permutation";
-  normalise { level_of_qubit = Array.copy image; qubit_of_level = invert image }
-
 let is_valid order =
   let l = order.level_of_qubit and q = order.qubit_of_level in
   Array.length l = Array.length q

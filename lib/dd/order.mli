@@ -31,9 +31,6 @@ val of_qubit_of_level : int array -> t
     [l]).  Raises [Invalid_argument] unless the image is a permutation of
     [0 .. length - 1].  A literal identity collapses to {!identity}. *)
 
-val of_level_of_qubit : int array -> t
-(** Build from the inverse image ([image.(q)] is the level of qubit [q]). *)
-
 val is_valid : t -> bool
 (** Both arrays are mutually inverse permutations of equal width — the
     invariant {!Audit.check_order} re-derives. *)

@@ -145,10 +145,14 @@ let per_level_nodes (edge : Vdd.edge) =
 (* Sifting (Rudell): move one variable through every level by adjacent
    swaps, remember the position minimising the total node count, return
    there; process variables in decreasing order of their level's node
-   count; repeat passes while the total shrinks.  [max_growth] aborts a
-   direction early when the intermediate DD grows beyond that factor of
-   the running best — the standard guard against blow-up mid-sift. *)
-let sift ?(max_growth = 2.0) ?(max_passes = 4) ctx (edge : Vdd.edge) =
+   count; repeat passes while the total shrinks, at most [max_passes].
+   [max_growth] aborts a direction early when the intermediate DD grows
+   beyond that factor of the running best — the standard guard against
+   blow-up mid-sift. *)
+let max_growth = 2.0
+let max_passes = 4
+
+let sift ctx (edge : Vdd.edge) =
   let n = v_height edge in
   let stats =
     { swaps = 0; nodes_before = Vdd.node_count edge; nodes_after = 0 }

@@ -36,21 +36,11 @@ val apply_order : Context.t -> Vdd.edge -> Order.t -> Vdd.edge * int
     linear in the DD size).  Returns the permuted state and the number of
     swaps applied; the context's order becomes the target. *)
 
-val per_level_nodes : Vdd.edge -> int array
-(** Node count per level, index = level — the input to bulge detection
-    ({!Obs.Dd_profile.bulge}) and to sifting's variable ordering. *)
-
-val sift :
-  ?max_growth:float ->
-  ?max_passes:int ->
-  Context.t ->
-  Vdd.edge ->
-  Vdd.edge * stats
+val sift : Context.t -> Vdd.edge -> Vdd.edge * stats
 (** Sifting (Rudell's algorithm on the state DD): each variable in turn —
     heaviest level first — is moved through every level by adjacent
     swaps and parked where the total node count was minimal; passes
-    repeat while the total shrinks, up to [max_passes] (default 4).
-    [max_growth] (default 2.0) aborts a direction when the intermediate
-    DD exceeds that factor of the running best.  Returns the reordered
+    repeat while the total shrinks, up to 4.  A direction aborts when
+    the intermediate DD exceeds twice the running best.  Returns the reordered
     state and swap/node statistics; the context's order reflects the
     final variable placement. *)

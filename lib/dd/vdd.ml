@@ -51,7 +51,7 @@ let terminal w =
    with a representative of magnitude exactly 1, leaving stored children
    such as [-1; 1] whose rebuild picks a different pivot and yields a
    different node.  A kernel that drags the state through an identity
-   re-normalises those nodes, so both mat-vec kernels may only skip an
+   re-normalises those nodes, so the mat-vec kernel may only skip an
    identity acting on a subtree that is provably rebuild-stable.  The flag
    is intrinsic to the (immutable) node and memoised per node id. *)
 let rec rebuild_stable ctx (v : vnode) =

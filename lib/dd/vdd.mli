@@ -42,9 +42,8 @@ val rebuild_stable : Context.t -> Types.vnode -> bool
     is every node's normalisation pivot exactly one?  Usually, but
     tolerance interning can leave stored children such as [-1; 1].  An
     identity acting on a rebuild-stable subtree returns it unchanged, so
-    both mat-vec kernels ({!Mdd.apply} and {!Apply.apply}) answer such a
-    product in O(1); any other subtree takes their recursion.  Memoised
-    per node id in {!Context.t.apply_stable}. *)
+    {!Mdd.apply} answers such a product in O(1); any other subtree takes
+    its recursion.  Memoised per node id in {!Context.t.apply_stable}. *)
 
 val basis : Context.t -> n:int -> int -> edge
 (** [basis ctx ~n i] is the computational basis state [|i>] on [n] qubits

@@ -88,14 +88,3 @@ let flip_float ?(bit = 51) x =
   if bit < 0 || bit > 51 then invalid_arg "Fault.flip_float: bit in [0, 51]";
   Int64.float_of_bits
     (Int64.logxor (Int64.bits_of_float x) (Int64.shift_left 1L bit))
-
-let point_to_string = function
-  | Weight_flip -> "weight-flip"
-  | Table_poison -> "table-poison"
-  | Table_skip_sweep -> "table-skip-sweep"
-  | Unique_drop -> "unique-drop"
-  | Forced_gc -> "forced-gc"
-  | Alloc_fail -> "alloc-fail"
-  | Io_truncate -> "io-truncate"
-  | Io_garble -> "io-garble"
-  | Clock_skew -> "clock-skew"

@@ -59,4 +59,3 @@ val flip_float : ?bit:int -> float -> float
 (** Flip one mantissa bit of an IEEE double ([bit] 0–51, default 51 —
     the most significant, a ~25–50% relative error). *)
 
-val point_to_string : point -> string

@@ -47,14 +47,10 @@ type finding = {
   message : string;
 }
 
-val compare_docs :
-  ?tol:tolerances -> baseline:Json.t -> Json.t -> finding list
-(** Regressions first, stable order. *)
-
 val compare_strings :
   ?tol:tolerances -> baseline:string -> string -> finding list
-(** Parses both documents; a parse failure is reported as a regression
-    finding rather than raised. *)
+(** Regressions first, stable order.  Parses both documents; a parse
+    failure is reported as a regression finding rather than raised. *)
 
 val regressed : finding list -> bool
 (** [true] when any finding is a {!Regression}. *)

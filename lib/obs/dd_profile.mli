@@ -104,9 +104,6 @@ val schema : string
 val version : int
 (** Current sidecar schema version (1). *)
 
-val snapshot_to_json : snapshot -> string
-(** One JSON object, no trailing newline. *)
-
 val jsonl : ?meta:(string * string) list -> sink -> string
 (** A {!Jsonl} document: header counts [every]/[snapshots]/[dropped],
     one line per snapshot. *)

@@ -191,25 +191,57 @@ let test_combine_empty_is_identity () =
     (Dd.Mdd.equal product (Dd.Mdd.identity (Dd_sim.Engine.context engine) 3))
 
 let test_track_peaks () =
-  (* with the fused fast path no gate DD is built, so matrix peaks stay 0;
-     state peaks are tracked either way *)
-  let engine = Dd_sim.Engine.create 4 in
-  Dd_sim.Engine.set_track_peaks engine true;
-  Dd_sim.Engine.run engine
-    (Standard.random_circuit ~seed:8 ~qubits:4 ~gates:30 ());
-  let stats = Dd_sim.Engine.stats engine in
+  (* every gate reaches the state through its gate DD, so a sequential
+     run records matrix peaks (a 4-qubit gate DD has a node per level)
+     next to state peaks; without tracking both stay 0 *)
+  let run track =
+    let engine = Dd_sim.Engine.create 4 in
+    Dd_sim.Engine.set_track_peaks engine track;
+    Dd_sim.Engine.run engine
+      (Standard.random_circuit ~seed:8 ~qubits:4 ~gates:30 ());
+    Dd_sim.Engine.stats engine
+  in
+  let stats = run true in
   check_bool "peak state nodes recorded" true
     (stats.Dd_sim.Sim_stats.peak_state_nodes >= 1);
-  check_int "fused run builds no gate DDs" 0
-    stats.Dd_sim.Sim_stats.peak_matrix_nodes;
-  let generic = Dd_sim.Engine.create 4 in
-  Dd_sim.Engine.set_fused_apply generic false;
-  Dd_sim.Engine.set_track_peaks generic true;
-  Dd_sim.Engine.run generic
-    (Standard.random_circuit ~seed:8 ~qubits:4 ~gates:30 ());
-  let gstats = Dd_sim.Engine.stats generic in
-  check_bool "generic run records matrix peaks" true
-    (gstats.Dd_sim.Sim_stats.peak_matrix_nodes >= 1)
+  check_bool "peak matrix nodes recorded" true
+    (stats.Dd_sim.Sim_stats.peak_matrix_nodes >= 4);
+  let untracked = run false in
+  check_int "untracked: no state peak" 0
+    untracked.Dd_sim.Sim_stats.peak_state_nodes;
+  check_int "untracked: no matrix peak" 0
+    untracked.Dd_sim.Sim_stats.peak_matrix_nodes
+
+(* set_fused_apply is accepted and changes nothing: both values end at
+   bitwise equal states with equal counters, and the apply table and its
+   skip counter are never touched *)
+let test_set_fused_apply_is_inert () =
+  let n = 5 in
+  let run flag =
+    let engine = Dd_sim.Engine.create n in
+    Dd_sim.Engine.set_fused_apply engine flag;
+    Dd_sim.Engine.set_track_peaks engine true;
+    Dd_sim.Engine.run engine
+      (Standard.random_circuit ~seed:21 ~qubits:n ~gates:60 ());
+    let ctx = Dd_sim.Engine.context engine in
+    check_int "no apply skips" 0 (Dd.Context.apply_skips ctx);
+    check_int "no apply-table lookups" 0
+      (Dd.Compute_table.lookups ctx.Dd.Context.apply_v);
+    engine
+  in
+  let on = run true and off = run false in
+  check_bool "equal states" true
+    (state_array on ~n = state_array off ~n
+    && Dd_sim.Engine.state_node_count on
+       = Dd_sim.Engine.state_node_count off);
+  let counters engine =
+    let stats = Dd_sim.Sim_stats.copy (Dd_sim.Engine.stats engine) in
+    stats.Dd_sim.Sim_stats.wall_time_seconds <- 0.;
+    stats
+  in
+  check_bool "equal stats" true (counters on = counters off);
+  check_int "one mat-vec per gate" 60
+    (Dd_sim.Engine.stats on).Dd_sim.Sim_stats.mat_vec_mults
 
 let test_apply_matrix_direct () =
   (* DD-construct style: apply a permutation built directly *)
@@ -260,6 +292,8 @@ let suite =
       test_combine_equals_sequential;
     Alcotest.test_case "combine_empty" `Quick test_combine_empty_is_identity;
     Alcotest.test_case "track_peaks" `Quick test_track_peaks;
+    Alcotest.test_case "set_fused_apply_is_inert" `Quick
+      test_set_fused_apply_is_inert;
     Alcotest.test_case "apply_matrix_direct" `Quick test_apply_matrix_direct;
     Alcotest.test_case "set_domains_accepts_only_one" `Quick
       test_set_domains_accepts_only_one;

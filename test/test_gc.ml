@@ -111,10 +111,10 @@ let test_auto_gc_cache_hit_rate () =
     ((Dd.Context.gc_stats ctx).Dd.Context.collections > 0);
   check_bool "gc pause accounted" true
     (stats.Dd_sim.Sim_stats.gc_pause_seconds >= 0.);
-  (* sequential single-target gates run through the structured-apply
-     kernel, so the apply table is the one that must stay warm *)
+  (* sequential gates reach the state through Mdd.apply, so mul_mv is
+     the table that must stay warm *)
   check_bool "compute caches stayed warm across collections" true
-    (Dd.Compute_table.hit_rate ctx.Dd.Context.apply_v > 0.)
+    (Dd.Compute_table.hit_rate ctx.Dd.Context.mul_mv > 0.)
 
 let test_identity_cache_survives_collect () =
   let ctx = fresh_ctx () in

@@ -13,29 +13,21 @@ let test_heights () =
 let mul_mv_stats ctx = Dd.Compute_table.stats ctx.Dd.Context.mul_mv
 
 let test_cache_counters_move () =
-  (* single-target gates in sequential mode go through the structured-apply
-     kernel: the apply table must move and mul_mv must stay untouched *)
+  (* a sequential run applies each gate's DD with Mdd.apply: mul_mv and
+     the gate memo move, the apply table does not *)
   let ctx = fresh_ctx () in
   Dd.Context.reset_stats ctx;
   let engine = Dd_sim.Engine.create ~context:ctx 5 in
   Dd_sim.Engine.run engine (Standard.ghz 5);
-  let s = Dd.Compute_table.stats ctx.Dd.Context.apply_v in
-  check_bool "apply cache was exercised" true
-    (s.Dd.Compute_table.lookups > 0);
+  let s = mul_mv_stats ctx in
+  check_bool "mul_mv was consulted" true (s.Dd.Compute_table.lookups > 0);
   check_int "hits + misses = lookups" s.Dd.Compute_table.lookups
     (s.Dd.Compute_table.hits + s.Dd.Compute_table.misses);
-  check_int "fused run never consults mul_mv" 0
-    (mul_mv_stats ctx).Dd.Compute_table.lookups;
-  check_bool "nodes were created" true (Dd.Context.v_unique_size ctx > 0);
-  (* generic A/B run: same circuit through explicit gate DDs *)
-  let ctx_g = fresh_ctx () in
-  Dd.Context.reset_stats ctx_g;
-  let generic = Dd_sim.Engine.create ~context:ctx_g 5 in
-  Dd_sim.Engine.set_fused_apply generic false;
-  Dd_sim.Engine.run generic (Standard.ghz 5);
-  check_bool "generic run exercises mul_mv" true
-    ((Dd.Compute_table.stats ctx_g.Dd.Context.mul_mv).Dd.Compute_table.lookups
-    > 0)
+  check_int "one gate-memo miss per distinct gate" 5
+    (Dd.Compute_table.stats ctx.Dd.Context.gate).Dd.Compute_table.misses;
+  check_int "the apply table stays untouched" 0
+    (Dd.Compute_table.lookups ctx.Dd.Context.apply_v);
+  check_bool "nodes were created" true (Dd.Context.v_unique_size ctx > 0)
 
 let test_cache_hits_on_repetition () =
   let ctx = fresh_ctx () in

@@ -376,8 +376,11 @@ let test_memory_telemetry_family () =
   check_bool "residency combines both families" true
     (count "mem.residency_bytes"
      = count "mem.unique_table_bytes" + count "mem.compute_table_bytes");
-  check_bool "ident-skip counter is surfaced" true
-    (count "table.apply.ident_skips" >= 0)
+  check_bool "no apply table in the snapshot" true
+    (not
+       (List.exists
+          (fun (name, _) -> String.starts_with ~prefix:"table.apply." name)
+          snap))
 
 let test_report_header_only_trace () =
   let rendered =

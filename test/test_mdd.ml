@@ -112,7 +112,7 @@ let test_gate_rejects_bad_input () =
     (fun () ->
       ignore
         (Dd.Mdd.gate ctx ~n:2 ~target:0
-           ~controls:[ { Dd.Context.qubit = 0; positive = true } ]
+           ~controls:[ { Dd.Mdd.qubit = 0; positive = true } ]
            (Gate.matrix Gate.X)))
 
 let test_gate_size_linear () =
@@ -330,14 +330,12 @@ let test_apply_skips_identity_below_target () =
 
 (* A node whose stored children are [-1; 1] is not rebuild-stable: its
    rebuild picks the first child as pivot.  The identity must then take
-   the recursion, which re-normalises the node exactly as the fused
-   kernel's identity descent does. *)
+   the recursion, which re-normalises the node. *)
 let test_apply_identity_unstable_state () =
   let ctx = fresh_ctx () in
   let minus_one = Dd.Context.cnum ctx (r (-1.)) in
-  let state =
-    Dd.Vdd.of_array ctx [| r (-0.49999999999975); r 0.5; r 0.; r 0. |]
-  in
+  let amplitudes = [| r (-0.49999999999975); r 0.5; r 0.; r 0. |] in
+  let state = Dd.Vdd.of_array ctx amplitudes in
   let low = state.Dd.Types.vt.Dd.Types.lt in
   check_int "the level-0 node" 0 low.Dd.Types.level;
   check_int "stored low child -1" minus_one low.Dd.Types.lw;
@@ -350,11 +348,9 @@ let test_apply_identity_unstable_state () =
   (* the top pair, then the identity on the level-0 node: a miss for the
      first quadrant and a hit for the third *)
   check_int "the skip does not fire" 3 (mul_mv_lookups ctx - before);
-  let fused =
-    Dd.Apply.apply ctx ~n ~target:1 (Gate.matrix h.Gate.kind) state
-  in
-  check_bool "Mdd.apply's edge is Apply.apply's" true
-    (Dd.Vdd.equal generic fused)
+  check_cnum_array "H on qubit 1"
+    (dense_matvec (dense_gate ~n h) amplitudes)
+    (Dd.Vdd.to_array ctx generic ~n)
 
 (* A collection may prune an identity node that no cache roots; the one
    built afterwards has a new id and must still be recognised. *)
@@ -375,6 +371,72 @@ let test_apply_skips_rebuilt_identity () =
   let again = identity () in
   check_bool "a new node" false (first.Dd.Types.mt == again.Dd.Types.mt);
   check_int "rebuilt identity: no lookup" 0 (lookups_of again)
+
+(* -- QCheck: random controlled gates on random states ----------------- *)
+
+let gate_arb ~n =
+  let open QCheck.Gen in
+  let kind =
+    oneof
+      [
+        oneofl [ Gate.X; Gate.Y; Gate.Z; Gate.H; Gate.S; Gate.T; Gate.Sx ];
+        map (fun t -> Gate.Rx t) (float_range (-3.) 3.);
+        map (fun t -> Gate.Ry t) (float_range (-3.) 3.);
+        map (fun t -> Gate.Rz t) (float_range (-3.) 3.);
+        map (fun t -> Gate.Phase t) (float_range (-3.) 3.);
+      ]
+  in
+  let gen =
+    kind >>= fun kind ->
+    int_range 0 (n - 1) >>= fun target ->
+    let others =
+      List.filter (fun q -> q <> target) (List.init n Fun.id)
+    in
+    (* each non-target wire is a control with probability 1/3 *)
+    let control q =
+      int_range 0 2 >>= fun r ->
+      if r > 0 then return None
+      else bool >>= fun positive -> return (Some { Gate.qubit = q; positive })
+    in
+    let rec pick = function
+      | [] -> return []
+      | q :: rest ->
+        control q >>= fun c ->
+        pick rest >>= fun cs ->
+        return (match c with None -> cs | Some c -> c :: cs)
+    in
+    pick others >>= fun controls -> return (Gate.make ~controls kind target)
+  in
+  QCheck.make ~print:Gate.name gen
+
+let amplitude_gen =
+  QCheck.Gen.(
+    map2 (fun re im -> Cnum.make re im) (float_range (-1.) 1.)
+      (float_range (-1.) 1.))
+
+let state_arb n =
+  QCheck.make
+    ~print:(fun v ->
+      String.concat "; " (Array.to_list (Array.map Cnum.to_string v)))
+    QCheck.Gen.(array_size (return (1 lsl n)) amplitude_gen)
+
+(* Random states need not be rebuild-stable, so this sends random
+   controlled gates through the identity skip and through the recursion
+   it falls back to. *)
+let prop_apply_random_gates_match_dense =
+  let n = 5 in
+  QCheck.Test.make ~name:"apply_random_controlled_gates_match_dense"
+    ~count:200
+    (QCheck.pair (gate_arb ~n) (state_arb n))
+    (fun (gate, amplitudes) ->
+      let ctx = fresh_ctx () in
+      let state = Dd.Vdd.of_array ctx amplitudes in
+      let result = Dd.Mdd.apply ctx (gate_dd ctx ~n gate) state in
+      let dense = Dense_state.of_amplitudes amplitudes in
+      Dense_state.apply_gate dense gate;
+      let expected = Dense_state.to_array dense in
+      let actual = Dd.Vdd.to_array ctx result ~n in
+      Array.for_all2 (Cnum.approx_equal ~tol:1e-9) expected actual)
 
 let suite =
   [
@@ -418,6 +480,7 @@ let suite =
       test_apply_identity_unstable_state;
     Alcotest.test_case "apply_skips_rebuilt_identity" `Quick
       test_apply_skips_rebuilt_identity;
+    QCheck_alcotest.to_alcotest prop_apply_random_gates_match_dense;
   ]
 
 let test_of_diagonal () =

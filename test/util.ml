@@ -69,7 +69,7 @@ let dense_gate ~n (gate : Gate.t) =
 let dd_controls (gate : Gate.t) =
   List.map
     (fun (c : Gate.control) ->
-      { Dd.Context.qubit = c.qubit; positive = c.positive })
+      { Dd.Mdd.qubit = c.qubit; positive = c.positive })
     gate.controls
 
 let dense_circuit_matrix circuit =
