@@ -425,8 +425,7 @@ let state_arb n =
    it falls back to. *)
 let prop_apply_random_gates_match_dense =
   let n = 5 in
-  QCheck.Test.make ~name:"apply_random_controlled_gates_match_dense"
-    ~count:200
+  QCheck.Test.make ~name:"apply_random_gates_match_dense" ~count:200
     (QCheck.pair (gate_arb ~n) (state_arb n))
     (fun (gate, amplitudes) ->
       let ctx = fresh_ctx () in
